@@ -120,7 +120,9 @@ def _cmd_compute(args) -> int:
             chain.append(current)
             current = delta_direct(current)
         result = evac(partition, alphabet)
-        assert result == evac_via_pyramid(partition, alphabet)
+        if result != evac_via_pyramid(partition, alphabet):
+            print("error: evac disagrees with the growth pyramid", file=sys.stderr)
+            return 1
         if args.as_json:
             print(
                 json.dumps(

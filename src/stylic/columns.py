@@ -4,7 +4,9 @@ A column is a subset of the alphabet, equivalently the strictly decreasing
 word of its elements; the empty column is the identity state and renders as
 "1".  The action of a letter is the closed form
     x . gamma = (gamma \\ y) | {x},   y = min{z in gamma : z >= x},
-with a plain union when no such y exists; tableau insertion is kept as an
+with a plain union when no such y exists.  `act_mask` is the single
+implementation of it, on column masks; `act_letter`, `act_word` and the
+enumerated monoid all go through it, and tableau insertion is kept as an
 oracle.  The column order extends both the alphabet order on singletons and
 reverse inclusion.
 """
@@ -14,7 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Alphabet, LetterSet, Word, decreasing_word, render_letter, support
+from .core import (
+    Alphabet,
+    LetterSet,
+    Word,
+    decreasing_word,
+    letters_of,
+    mask_of,
+    render_letter,
+    support,
+)
 from .tableaux import p_tableau
 
 Column = frozenset
@@ -22,20 +33,26 @@ Column = frozenset
 EMPTY_COLUMN: LetterSet = frozenset()
 
 
+def act_mask(x: int, mask: int) -> int:
+    """Column insertion of letter x into a column mask: the least letter
+    y >= x is replaced by x, or x is added when there is none."""
+    at_least_x = mask >> (x - 1) << (x - 1)
+    bumped = at_least_x & -at_least_x  # 0 when no letter is >= x
+    return (mask ^ bumped) | 1 << (x - 1)
+
+
 def act_letter(x: int, column: LetterSet) -> LetterSet:
     """Column insertion of a single letter; the result always contains x."""
-    candidates = [z for z in column if z >= x]
-    if not candidates:
-        return column | {x}
-    return (column - {min(candidates)}) | {x}
+    return frozenset(letters_of(act_mask(x, mask_of(column))))
 
 
 def act_word(w: Word, column: LetterSet) -> LetterSet:
     """Left action of a word: letters applied right to left, so that
     (uv).gamma = u.(v.gamma)."""
+    mask = mask_of(column)
     for x in reversed(w):
-        column = act_letter(x, column)
-    return column
+        mask = act_mask(x, mask)
+    return frozenset(letters_of(mask))
 
 
 def act_word_via_tableau(w: Word, column: LetterSet) -> LetterSet:
@@ -143,15 +160,19 @@ def kernel_interval(w: Word, delta: LetterSet, alphabet: Alphabet) -> KernelInte
     if not support(w) <= delta:
         raise ValueError("delta must be a fixpoint of w (it must contain Supp(w))")
     members = frozenset(g for g in all_columns(alphabet) if act_word(w, g) == delta)
-    assert delta in members
-    assert all(column_leq(delta, g) for g in members), "fixpoint is not the minimum"
+    if delta not in members:
+        raise ValueError("fibre does not contain its fixpoint")
+    if not all(column_leq(delta, g) for g in members):
+        raise ValueError("fixpoint is not the minimum of its fibre")
     maximal = [g for g in members if not any(column_leq(g, h) and g != h for h in members)]
-    assert len(maximal) == 1, f"fibre has {len(maximal)} maximal elements, expected 1"
+    if len(maximal) != 1:
+        raise ValueError(f"fibre has {len(maximal)} maximal elements, expected 1")
     maximum = maximal[0]
     interval = frozenset(
         g for g in all_columns(alphabet) if column_leq(delta, g) and column_leq(g, maximum)
     )
-    assert members == interval, "fibre is not an interval of the column order"
+    if members != interval:
+        raise ValueError("fibre is not an interval of the column order")
     return KernelInterval(minimum=delta, maximum=maximum, members=members)
 
 

@@ -4,12 +4,17 @@ rearrangements and inflation.
 
 Letters are 1-based integers carrying the natural total order; the display
 layer maps 1..26 to a..z.  All values are immutable and all operations pure.
+
+Internally a column, an N-tableau row and a partition block are each a
+bitmask int in which letter x is bit x - 1; `mask_of` and `letters_of`
+convert between the two forms.  Frozensets and tuples of letters appear only
+at the public boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Letter = int
 Word = tuple[int, ...]
@@ -58,11 +63,29 @@ class Alphabet:
     def subsets(self) -> Iterator[LetterSet]:
         """All 2^n subsets of the alphabet, in bitmask order."""
         for mask in range(1 << self.n):
-            yield frozenset(i + 1 for i in range(self.n) if mask >> i & 1)
+            yield frozenset(letters_of(mask))
 
     @property
     def full_set(self) -> LetterSet:
         return frozenset(self.letters)
+
+
+def mask_of(letters: Iterable[int]) -> int:
+    """The bitmask of a set of letters: letter x is bit x - 1."""
+    mask = 0
+    for x in letters:
+        mask |= 1 << (x - 1)
+    return mask
+
+
+def letters_of(mask: int) -> Word:
+    """The letters of a bitmask, increasing."""
+    out: list[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
 def theta(w: Word, alphabet: Alphabet) -> Word:

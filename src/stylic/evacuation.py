@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .core import Alphabet, Word, render_letter
+from .core import Alphabet, Word, letters_of, mask_of, render_letter
 from .monoid import SetPartition
 
 Composition = tuple[int, ...]
@@ -70,7 +70,8 @@ def interval_middles(c1: Composition, c3: Composition) -> set[Composition]:
     middles = {m for m in composition_covers(c1) if is_composition_cover(m, c3)}
     if not middles:
         raise ValueError(f"{c1} -> .. -> {c3} is not a length-2 interval")
-    assert len(middles) in (1, 2)
+    if len(middles) > 2:
+        raise ValueError(f"[{c1}, {c3}] has {len(middles)} middles, expected at most 2")
     return middles
 
 
@@ -308,25 +309,39 @@ def jdt_all_results(skew: SkewPartition) -> set[SetPartition]:
 # The delta operator and evacuation.
 
 
+def _e_of(blocks: list[int]) -> int:
+    """e_of on block masks ordered by their minima, counted from 0: the
+    first block that is the last one, or whose second-smallest letter lies
+    below the minimum of the next block."""
+    for j in range(len(blocks) - 1):
+        below_next = (blocks[j + 1] & -blocks[j + 1]) - 1
+        if blocks[j] & (blocks[j] - 1) & below_next:
+            return j
+    return len(blocks) - 1
+
+
+def _delta(blocks: list[int], e: int) -> list[int]:
+    """delta on block masks ordered by their minima, given e counted from 0.
+
+    Each block before e trades its minimum for that of the next block, and
+    block e loses its minimum.  By the choice of e the blocks stay ordered
+    by their minima, and only a last block can empty out.
+    """
+    out = list(blocks)
+    for j in range(e):
+        out[j] ^= (blocks[j] & -blocks[j]) | (blocks[j + 1] & -blocks[j + 1])
+    out[e] &= out[e] - 1
+    if not out[e]:
+        out.pop()
+    return out
+
+
 def e_of(partition: SetPartition) -> int:
     """The block index reached by repeatedly jumping to the smallest letter
     to the right, as long as it is a block minimum."""
     if not partition.blocks:
         raise ValueError("empty partition")
-    word: list[int] = [x for b in partition.blocks for x in b]
-    minima = {b[0]: j for j, b in enumerate(partition.blocks, start=1)}
-    x = partition.blocks[0][0]
-    e = 1
-    while True:
-        pos = word.index(x)
-        rest = word[pos + 1 :]
-        if not rest:
-            return e
-        smallest = min(rest)
-        if smallest not in minima:
-            return e
-        e = minima[smallest]
-        x = smallest
+    return _e_of([mask_of(b) for b in partition.blocks]) + 1
 
 
 def delta_direct(partition: SetPartition) -> SetPartition:
@@ -334,17 +349,8 @@ def delta_direct(partition: SetPartition) -> SetPartition:
     down one block."""
     if not partition.blocks:
         raise ValueError("empty partition")
-    e = e_of(partition)
-    blocks = [set(b) for b in partition.blocks]
-    k = len(blocks)
-    minima = [b[0] for b in partition.blocks]
-    for j in range(1, e):
-        blocks[j - 1].discard(minima[j - 1])
-        blocks[j - 1].add(minima[j])
-    blocks[e - 1].discard(minima[e - 1])
-    if not blocks[e - 1]:
-        assert e == k, "only the last block may empty out"
-    return SetPartition(tuple(tuple(sorted(b)) for b in blocks if b))
+    blocks = [mask_of(b) for b in partition.blocks]
+    return SetPartition(tuple(letters_of(b) for b in _delta(blocks, _e_of(blocks))))
 
 
 def delta_jdt(partition: SetPartition) -> SetPartition:
@@ -367,21 +373,28 @@ def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
     reversal of the alphabet, has the same shape, and the map is an
     involution.
     """
-    if not partition.blocks:
-        return partition
     for x in partition.ground():
         alphabet.check_letter(x)
-    b = min(partition.ground())
-    e = e_of(partition)
-    inner = evac(delta_direct(partition), alphabet)
-    blocks = [list(block) for block in inner.blocks]
-    replaced = alphabet.theta_letter(b)
-    if e == len(blocks) + 1:
-        blocks.append([replaced])
-    else:
-        blocks[e - 1].append(replaced)
-    result = SetPartition(tuple(tuple(sorted(b)) for b in blocks))
-    assert result.shape() == partition.shape()
+    # Walk the delta iterates, then unwind the recursion.  The removed minima
+    # increase, so each reversed letter is the largest placed so far and
+    # never changes the order of the blocks by their minima.
+    steps = []
+    blocks = [mask_of(b) for b in partition.blocks]
+    while blocks:
+        e = _e_of(blocks)
+        steps.append((blocks[0] & -blocks[0], e))
+        blocks = _delta(blocks, e)
+    for smallest, e in reversed(steps):
+        replaced = 1 << (alphabet.n - smallest.bit_length())  # theta(b) = n + 1 - b
+        if e == len(blocks):
+            blocks.append(replaced)
+        else:
+            blocks[e] |= replaced
+    result = SetPartition(tuple(letters_of(b) for b in blocks))
+    if result.shape() != partition.shape():
+        raise ValueError(
+            f"evacuation changed the shape {partition.shape()} to {result.shape()}"
+        )
     return result
 
 
@@ -458,9 +471,6 @@ class EvacuationPyramid:
                     raise ValueError(
                         f"cross arrow ({i + 1},{j}) -> ({i},{j + 1}) is not a covering move"
                     )
-
-    def to_json(self) -> list[list[list[int]]]:
-        return [[list(c) for c in chain] for chain in self.chains]
 
 
 def build_pyramid(partition: SetPartition) -> EvacuationPyramid:

@@ -13,14 +13,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from .columns import act_mask, act_word, gamma_minus
 from .core import (
     Alphabet,
     LetterSet,
     Word,
     decreasing_word,
     increasing_word,
+    letters_of,
+    mask_of,
     render_letter,
     render_word,
+    shift_down_word,
     support,
     theta,
 )
@@ -61,8 +65,9 @@ class NTableau:
                     raise ValueError("row minima must strictly increase")
             prev, prev_min = s, row[0]
 
-    def row_sets(self) -> list[frozenset]:
-        return [frozenset(row) for row in self.rows]
+    def masks(self) -> list[int]:
+        """The rows as bitmasks, bottom row first."""
+        return [mask_of(row) for row in self.rows]
 
     def row_word(self) -> Word:
         """Rows read left to right, topmost first."""
@@ -142,24 +147,6 @@ class SetPartition:
 EMPTY_PARTITION = SetPartition(())
 
 
-def ntableau_from_json(data: dict) -> NTableau:
-    from .core import parse_word
-
-    rows = []
-    for row in data["rows"]:
-        rows.append(tuple(parse_word(str(cell))[0] for cell in row))
-    return NTableau(tuple(rows))
-
-
-def partition_from_json(data: list) -> SetPartition:
-    from .core import parse_word
-
-    blocks = []
-    for block in data:
-        blocks.append(tuple(parse_word(str(cell))[0] for cell in block))
-    return SetPartition(tuple(blocks))
-
-
 def parse_partition(text: str) -> SetPartition:
     """Parse slash-separated blocks: "ac/b/de" or "13/28/457/6"."""
     text = text.strip()
@@ -209,60 +196,64 @@ def all_partitions_of_subsets(alphabet: Alphabet) -> Iterator[SetPartition]:
 # The N-algorithm.
 
 
-def up(x: int, letters: Iterable[int]) -> Optional[int]:
-    """The smallest letter of the set strictly greater than x, if any."""
-    bigger = [y for y in letters if y > x]
-    return min(bigger) if bigger else None
+def up(x: int, row: int) -> int:
+    """The lowest bit of the row mask above letter x: the smallest letter of
+    the row strictly greater than x, as a bit, or 0 when there is none."""
+    above = row >> x << x
+    return above & -above
+
+
+def _n_insert(rows: list[int], x: int) -> None:
+    """N-insert a letter into row masks, bottom row first: each row absorbs
+    the carried letter and passes up a copy of its least larger letter."""
+    for i, row in enumerate(rows):
+        bumped = up(x, row)
+        rows[i] = row | 1 << (x - 1)
+        if not bumped:
+            return
+        x = bumped.bit_length()
+    rows.append(1 << (x - 1))
+
+
+def _ntableau_of(rows: list[int]) -> NTableau:
+    return NTableau(tuple(letters_of(row) for row in rows))
 
 
 def delta_word(w: Word) -> Word:
     """The word of letters bumped out of the first row by the N-algorithm:
     each letter contributes the least strictly larger letter already seen."""
-    seen: set[int] = set()
+    seen = 0
     out: list[int] = []
     for x in w:
-        y = up(x, seen)
-        if y is not None:
-            out.append(y)
-        seen.add(x)
+        bumped = up(x, seen)
+        if bumped:
+            out.append(bumped.bit_length())
+        seen |= 1 << (x - 1)
     return tuple(out)
 
 
 def d_operator(target: LetterSet, source: LetterSet) -> LetterSet:
     """{up(c, target) : c in source, defined}; a subset of target."""
-    return frozenset(
-        y for y in (up(c, target) for c in source) if y is not None
-    )
-
-
-def n_insert_row(row: LetterSet, x: int) -> tuple[LetterSet, Optional[int]]:
-    """Insert x into a row-set: the row absorbs x, and a copy of the
-    smallest element strictly larger than x is bumped (when one exists)."""
-    return row | {x}, up(x, row)
+    row = mask_of(target)
+    image = 0
+    for c in source:
+        image |= up(c, row)
+    return frozenset(letters_of(image))
 
 
 def n_insert(tableau: NTableau, x: int) -> NTableau:
     """N-insertion of a letter, bottom row first; bumped copies cascade up."""
-    rows = [set(row) for row in tableau.rows]
-    carry: Optional[int] = x
-    i = 0
-    while carry is not None:
-        if i == len(rows):
-            rows.append({carry})
-            carry = None
-        else:
-            new_row, carry = n_insert_row(frozenset(rows[i]), carry)
-            rows[i] = set(new_row)
-        i += 1
-    return NTableau(tuple(tuple(sorted(r)) for r in rows))
+    rows = tableau.masks()
+    _n_insert(rows, x)
+    return _ntableau_of(rows)
 
 
 def n_tableau(w: Word) -> NTableau:
     """The N-tableau of a word, by N-inserting its letters left to right."""
-    t = EMPTY_NTABLEAU
+    rows: list[int] = []
     for x in w:
-        t = n_insert(t, x)
-    return t
+        _n_insert(rows, x)
+    return _ntableau_of(rows)
 
 
 def n_tableau_recursive(w: Word) -> NTableau:
@@ -277,55 +268,41 @@ def n_tableau_recursive(w: Word) -> NTableau:
 def left_insert(x: int, tableau: NTableau) -> NTableau:
     """Left insertion of a letter into an N-tableau; corresponds to
     multiplying the class of the tableau by x on the left."""
-    rows = [set(row) for row in tableau.rows]
-    k = len(rows)
-    if k == 0:
-        return NTableau(((x,),))
-    minima = [min(r) for r in rows]
-    if x <= minima[0]:
-        rows[0].add(x)
-        return NTableau(tuple(tuple(sorted(r)) for r in rows))
-    t = max(i for i in range(1, k + 1) if x > minima[i - 1]) + 1
-    if t <= k and x >= minima[t - 1]:
-        assert x == minima[t - 1]
+    bit = 1 << (x - 1)
+    rows = tableau.masks()
+    # x joins rows r..t.  Rows nest, so the r rows containing x come first;
+    # row t is the first whose minimum is not below x, or a new top row.
+    t = sum(1 for row in rows if row & -row < bit)
+    if t < len(rows) and rows[t] & -rows[t] == bit:
         return tableau
-    # Deepest row still containing x; x is absent from rows r+1..t.
-    r = max((i for i in range(1, k + 1) if x in rows[i - 1]), default=0)
-    bumps: dict[int, Optional[int]] = {
-        i: up(x, frozenset(rows[i - 1])) for i in range(1, k + 1)
-    }
-    if t == k + 1:
-        rows.append(set())
-        bumps[k + 1] = None
-    for i in range(r + 1, t + 1):
-        rows[i - 1].add(x)
-    for i in range(r + 2, t + 1):
-        if bumps[i] is not None and bumps[i] == bumps[i - 1]:
-            rows[i - 1].discard(bumps[i])
-    return NTableau(tuple(tuple(sorted(r)) for r in rows))
+    r = sum(1 for row in rows if row & bit)
+    bumps = [up(x, row) for row in rows] + [0]
+    if t == len(rows):
+        rows.append(0)
+    for i in range(r, t + 1):
+        rows[i] |= bit
+        if i > r and bumps[i] and bumps[i] == bumps[i - 1]:
+            rows[i] &= ~bumps[i]
+    return _ntableau_of(rows)
 
 
 def to_partition(tableau: NTableau) -> SetPartition:
     """The partition whose blocks are the successive row differences, the
     top row first."""
-    sets = tableau.row_sets()
-    k = len(sets)
-    blocks = []
-    for i in range(k):
-        block = sets[i] - (sets[i + 1] if i + 1 < k else frozenset())
-        blocks.append(tuple(sorted(block)))
-    return SetPartition(tuple(blocks))
+    rows = tableau.masks()
+    return SetPartition(
+        tuple(letters_of(row & ~above) for row, above in zip(rows, rows[1:] + [0]))
+    )
 
 
 def from_partition(partition: SetPartition) -> NTableau:
     """Rows are the unions of the block tails: row i = B_i | B_{i+1} | ..."""
-    blocks = [frozenset(b) for b in partition.blocks]
     rows = []
-    running: frozenset = frozenset()
-    for b in reversed(blocks):
-        running = running | b
-        rows.append(increasing_word(running))
-    return NTableau(tuple(reversed(rows)))
+    running = 0
+    for block in reversed(partition.blocks):
+        running |= mask_of(block)
+        rows.append(running)
+    return _ntableau_of(rows[::-1])
 
 
 def pi(w: Word) -> SetPartition:
@@ -346,27 +323,6 @@ def theta_tableau(tableau: NTableau, alphabet: Alphabet) -> NTableau:
 
 # ---------------------------------------------------------------------------
 # The enumerated monoid of column transformations.
-
-
-def _act_mask(x: int, mask: int) -> int:
-    """Column insertion of letter x, on columns encoded as bitmasks."""
-    ge = mask >> (x - 1) << (x - 1)
-    bit = 1 << (x - 1)
-    if ge == 0:
-        return mask | bit
-    y = ge & -ge
-    return (mask & ~y) | bit
-
-
-def _mask_of(column: LetterSet) -> int:
-    m = 0
-    for x in column:
-        m |= 1 << (x - 1)
-    return m
-
-
-def _column_of(mask: int, n: int) -> LetterSet:
-    return frozenset(i + 1 for i in range(n) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -410,7 +366,7 @@ class StylicMonoid:
         size = 1 << n
         self._mask_count = size
         act = {
-            x: tuple(_act_mask(x, m) for m in range(size)) for x in alphabet.letters
+            x: tuple(act_mask(x, m) for m in range(size)) for x in alphabet.letters
         }
         self._letter_transforms = act
 
@@ -445,10 +401,11 @@ class StylicMonoid:
         expected = sum(
             _binomial(n, k) * bell_number(k) for k in range(n + 1)
         )
-        assert len(elements) == expected == bell_number(n + 1), (
-            f"closure found {len(elements)} transformations, "
-            f"expected Bell({n + 1}) = {bell_number(n + 1)}"
-        )
+        if not len(elements) == expected == bell_number(n + 1):
+            raise ValueError(
+                f"closure found {len(elements)} transformations, "
+                f"expected Bell({n + 1}) = {bell_number(n + 1)}"
+            )
 
         self.right_by_letter = {
             x: [index[tuple(e.transform[a] for a in act[x])] for e in elements]
@@ -471,10 +428,6 @@ class StylicMonoid:
                 m = self._letter_transforms[x][m]
             transform.append(m)
         return self._index[tuple(transform)]
-
-    def act_on_column(self, i: int, column: LetterSet) -> LetterSet:
-        image = self.elements[i].transform[_mask_of(column)]
-        return _column_of(image, self.alphabet.n)
 
     def multiplication_table(self) -> list[list[int]]:
         """table[i][j] = index of the product element_i * element_j."""
@@ -550,7 +503,11 @@ class StylicMonoid:
 
         n = self.alphabet.n
         height = n * (n + 1) // 2
-        assert boxes[self.identity] == 0 and boxes[self.zero] == height
+        if boxes[self.identity] != 0 or boxes[self.zero] != height:
+            raise ValueError(
+                f"co-ranks run from {boxes[self.identity]} to {boxes[self.zero]}, "
+                f"expected 0 to {height}"
+            )
         return JOrder(down_sets=down, hasse_edges=hasse, coranks=boxes, height=height)
 
     def to_json(self, with_table: bool = True) -> dict:
@@ -617,9 +574,6 @@ def complete_elements_bijection_check(alphabet: Alphabet) -> bool:
     bumped-letter word one alphabet step down intertwines the two actions:
     u = shift_down(delta(w)) satisfies u.g = (w.g)^- on columns avoiding the
     largest letter."""
-    from .columns import act_word, gamma_minus
-    from .core import shift_down_word
-
     n = alphabet.n
     monoid = enumerate_styl(alphabet)
     full = alphabet.full_set

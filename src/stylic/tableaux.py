@@ -78,21 +78,6 @@ class Tableau:
 EMPTY_TABLEAU = Tableau(())
 
 
-def column_insert_into_column(
-    column: LetterSet, x: int
-) -> tuple[LetterSet, Optional[int]]:
-    """Insert x into a column (a subset of the alphabet).
-
-    If x is larger than every element the column absorbs it; otherwise the
-    smallest element y >= x is bumped out and replaced by x.
-    """
-    candidates = [z for z in column if z >= x]
-    if not candidates:
-        return column | {x}, None
-    y = min(candidates)
-    return (column - {y}) | {x}, y
-
-
 def row_insert_into_row(row: Word, x: int) -> tuple[Word, Optional[int]]:
     """Insert x into a weakly increasing row, bumping the smallest element
     strictly greater than x, or appending when there is none."""
@@ -191,17 +176,3 @@ def young_leq(lam: Shape, mu: Shape) -> bool:
     if len(lam) > len(mu):
         return False
     return all(a <= b for a, b in zip(lam, mu))
-
-
-def tableau_from_rows(rows: list[list[int]]) -> Tableau:
-    """Build a tableau from bottom-up rows of letters, validating shape."""
-    return Tableau(tuple(tuple(row) for row in rows))
-
-
-def tableau_from_json(data: dict) -> Tableau:
-    from .core import parse_word
-
-    rows = []
-    for row in data["rows"]:
-        rows.append(tuple(parse_word(str(cell))[0] for cell in row))
-    return Tableau(tuple(rows))

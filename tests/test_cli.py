@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stylic
 from stylic.cli import main
 
 
@@ -69,6 +74,9 @@ def test_compute_json_round_trip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"rows": [["a", "b", "c", "d"], ["c"]]}
+    code, out, _ = run(capsys, "compute", "pi", "cabd", "-n", "4", "--json")
+    assert code == 0
+    assert json.loads(out) == [["a", "b", "d"], ["c"]]
 
 
 def test_enumerate_monoid(capsys):
@@ -91,23 +99,11 @@ def test_enumerate_monoid_json(capsys):
     assert coranks == {0, 1, 2, 3}
 
 
-def test_json_renderings_round_trip(capsys):
-    from stylic.monoid import (
-        n_tableau,
-        ntableau_from_json,
-        parse_partition,
-        partition_from_json,
-        pi,
-    )
+def test_partition_renderings_round_trip():
+    from stylic.monoid import parse_partition, pi
     from stylic.core import parse_word
-    from stylic.tableaux import p_tableau, tableau_from_json
 
-    t = p_tableau(parse_word("dbbaac"))
-    assert tableau_from_json(json.loads(json.dumps(t.to_json()))) == t
-    nt = n_tableau(parse_word("cabd"))
-    assert ntableau_from_json(json.loads(json.dumps(nt.to_json()))) == nt
     r = pi(parse_word("cabd"))
-    assert partition_from_json(json.loads(json.dumps(r.to_json()))) == r
     assert parse_partition(r.render()) == r
     assert parse_partition(r.render(digits=True)) == r
 
@@ -164,3 +160,36 @@ def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "Q", "abc", "-n", "3"])
     assert exc.value.code == 2
+
+
+OPTIMIZED_SCRIPT = """
+from stylic import cli, monoid
+from stylic.core import Alphabet
+
+print("asserts", "on" if __debug__ else "off")
+bell = monoid.bell_number
+monoid.bell_number = lambda k: bell(k) + 1
+try:
+    monoid.enumerate_styl(Alphabet(3))
+    print("enumerate passed")
+except ValueError as exc:
+    print("enumerate raised", exc)
+monoid.bell_number = bell
+cli.evac_via_pyramid = lambda partition, alphabet: partition
+print("evac exit", cli.main(["compute", "evac", "13/28/457/6", "-n", "8"]))
+"""
+
+
+def test_certifications_survive_optimized_mode():
+    # python -O strips assert statements; a forced violation must still fail.
+    src = str(Path(stylic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "asserts off"
+    assert lines[1].startswith("enumerate raised closure found 15 transformations")
+    assert lines[-1] == "evac exit 1"
+    assert "evac disagrees" in proc.stderr

@@ -256,7 +256,7 @@ def test_pyramid_structure():
     assert pyramid.right_side()[0] == ()
     assert pyramid.right_side()[-1] == (2, 2, 2)
     assert pyramid_by_completion(r).chains == pyramid.chains
-    assert pyramid.to_json()[0][1] == [1]
+    assert pyramid.chains[0][1] == (1,)
 
 
 def test_pyramid_of_singleton():

@@ -1,0 +1,74 @@
+"""Differential tests: the bitmask kernels against the oracles they replaced,
+on random words and partitions over alphabets larger than the exhaustive
+tests reach."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stylic.columns import act_word, act_word_via_tableau
+from stylic.core import Alphabet
+from stylic.evacuation import delta_direct, delta_jdt, evac, evac_via_pyramid
+from stylic.monoid import SetPartition, left_insert, n_tableau, n_tableau_recursive
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def words(draw):
+    n = draw(st.integers(8, 12))
+    return n, tuple(draw(st.lists(st.integers(1, n), max_size=30)))
+
+
+@st.composite
+def partitions(draw):
+    """A partition of a random subset of {1..n}: each letter gets a block
+    label, 0 leaving it out."""
+    n = draw(st.integers(8, 12))
+    labels = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    blocks: dict[int, list[int]] = {}
+    for x, label in enumerate(labels, start=1):
+        if label:
+            blocks.setdefault(label, []).append(x)
+    return n, SetPartition(tuple(tuple(b) for b in blocks.values()))
+
+
+@SETTINGS
+@given(words(), st.data())
+def test_act_word_matches_tableau(case, data):
+    n, w = case
+    column = frozenset(data.draw(st.sets(st.integers(1, n))))
+    assert act_word(w, column) == act_word_via_tableau(w, column)
+
+
+@SETTINGS
+@given(words())
+def test_n_tableau_matches_recursive(case):
+    _, w = case
+    assert n_tableau(w) == n_tableau_recursive(w)
+
+
+@SETTINGS
+@given(words(), st.data())
+def test_left_insert_matches_reinsertion(case, data):
+    n, w = case
+    x = data.draw(st.integers(1, n))
+    t = n_tableau(w)
+    assert left_insert(x, t) == n_tableau((x,) + t.row_word())
+
+
+@SETTINGS
+@given(partitions())
+def test_delta_direct_matches_jdt(case):
+    _, r = case
+    if r.blocks:
+        assert delta_direct(r) == delta_jdt(r)
+
+
+@SETTINGS
+@given(partitions())
+def test_evac_matches_pyramid_and_is_involution(case):
+    n, r = case
+    alphabet = Alphabet(n)
+    image = evac(r, alphabet)
+    assert image == evac_via_pyramid(r, alphabet)
+    assert evac(image, alphabet) == r

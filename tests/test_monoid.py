@@ -52,9 +52,10 @@ def test_bell_numbers():
 
 
 def test_up():
-    assert up(2, frozenset({1, 3, 4})) == 3
-    assert up(4, frozenset({1, 2})) is None
-    assert up(1, frozenset({2})) == 2
+    assert up(2, 0b1101) == 0b0100  # row {a, c, d}: c is the least letter above b
+    assert up(4, 0b0011) == 0
+    assert up(1, 0b0010) == 0b0010
+    assert up(3, 0b0100) == 0  # the letter itself is not above it
 
 
 def test_delta_word():

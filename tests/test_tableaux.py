@@ -7,7 +7,6 @@ from stylic.tableaux import (
     EMPTY_TABLEAU,
     Tableau,
     column_insert,
-    column_insert_into_column,
     longest_strictly_decreasing,
     longest_strictly_decreasing_bruteforce,
     p_tableau,
@@ -23,12 +22,6 @@ FIGURE_TABLEAU = Tableau(((1, 1, 3), (2, 2), (4,)))  # rows aac / bb / d
 def words_up_to(n, maxlen):
     for length in range(maxlen + 1):
         yield from product(range(1, n + 1), repeat=length)
-
-
-def test_column_insert_into_column():
-    assert column_insert_into_column(frozenset({3, 1}), 2) == (frozenset({2, 1}), 3)
-    assert column_insert_into_column(frozenset({3, 1}), 4) == (frozenset({4, 3, 1}), None)
-    assert column_insert_into_column(frozenset({1}), 1) == (frozenset({1}), 1)
 
 
 def test_row_insert_into_row():
