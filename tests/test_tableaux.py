@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from stylic.columns import act_letter
 from stylic.core import parse_word
 from stylic.tableaux import (
     EMPTY_TABLEAU,
@@ -22,6 +23,21 @@ FIGURE_TABLEAU = Tableau(((1, 1, 3), (2, 2), (4,)))  # rows aac / bb / d
 def words_up_to(n, maxlen):
     for length in range(maxlen + 1):
         yield from product(range(1, n + 1), repeat=length)
+
+
+def column_insert_into_column(column, x):
+    """Insert x into a single column: the new column and the letter it
+    bumps (None when x lands on top). The new column is x.column."""
+    t = column_insert(Tableau(tuple((y,) for y in sorted(column))), x)
+    assert t.first_column() == act_letter(x, column)
+    rest = t.columns()[1:]
+    return t.first_column(), (rest[0][0] if rest else None)
+
+
+def test_column_insert_into_column():
+    assert column_insert_into_column(frozenset({3, 1}), 2) == (frozenset({2, 1}), 3)
+    assert column_insert_into_column(frozenset({3, 1}), 4) == (frozenset({4, 3, 1}), None)
+    assert column_insert_into_column(frozenset({1}), 1) == (frozenset({1}), 1)
 
 
 def test_row_insert_into_row():
