@@ -190,17 +190,43 @@ class SkewPartition:
         return data
 
 
-def skew_from_json(data: dict) -> SkewPartition:
+def _int_tuple(value: object, what: str, length: Optional[int] = None) -> tuple[int, ...]:
+    if (
+        not isinstance(value, list)
+        or any(type(v) is not int for v in value)
+        or length is not None and len(value) != length
+    ):
+        count = "" if length is None else f"{length} "
+        raise ValueError(f"{what} must be a list of {count}integers, got {value!r}")
+    return tuple(value)
+
+
+def skew_from_json(data: object) -> SkewPartition:
+    """Read {"outer": [...], "inner": [...], "labels": [[[x, y], letter],
+    ...], "hole": [x, y]}, the form `SkewPartition.to_json` writes; inner
+    and hole may be left out.  Raises ValueError on any other shape."""
     from .core import parse_word
 
+    if not isinstance(data, dict):
+        raise ValueError(f"skew shape must be a JSON object, got {data!r}")
+    keys = {"outer", "inner", "labels", "hole"}
+    if not {"outer", "labels"} <= data.keys() <= keys:
+        raise ValueError(f"skew shape needs outer and labels, and takes only {sorted(keys)}")
+    if not isinstance(data["labels"], list):
+        raise ValueError(f"labels must be a list, got {data['labels']!r}")
     labels = []
-    for point, letter in data["labels"]:
-        (value,) = parse_word(str(letter))
-        labels.append(((point[0], point[1]), value))
-    hole = tuple(data["hole"]) if "hole" in data else None
+    for item in data["labels"]:
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValueError(f"a label must be [[x, y], letter], got {item!r}")
+        point, letter = item
+        word = parse_word(str(letter))
+        if len(word) != 1:
+            raise ValueError(f"label {letter!r} is not one letter")
+        labels.append((_int_tuple(point, "a label point", 2), word[0]))
+    hole = _int_tuple(data["hole"], "hole", 2) if "hole" in data else None
     return SkewPartition(
-        outer=tuple(data["outer"]),
-        inner=tuple(data.get("inner", ())),
+        outer=_int_tuple(data["outer"], "outer"),
+        inner=_int_tuple(data.get("inner", []), "inner"),
         labels=tuple(labels),
         hole=hole,  # type: ignore[arg-type]
     )
@@ -361,7 +387,8 @@ def delta_jdt(partition: SetPartition) -> SetPartition:
     skew = partition_to_skew(partition)
     smallest = min(partition.ground())
     labels = tuple((p, v) for p, v in skew.labels if v != smallest)
-    assert dict(skew.labels)[(1, 1)] == smallest
+    if dict(skew.labels)[(1, 1)] != smallest:
+        raise ValueError("the origin cell does not hold the smallest letter")
     return jdt(SkewPartition(outer=skew.outer, inner=(1,), labels=labels))
 
 

@@ -9,8 +9,8 @@ alphabet, so the monoid on n letters has Bell(n+1) elements.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .columns import act_mask, act_word, gamma_minus
@@ -148,21 +148,32 @@ EMPTY_PARTITION = SetPartition(())
 
 
 def parse_partition(text: str) -> SetPartition:
-    """Parse slash-separated blocks: "ac/b/de" or "13/28/457/6"."""
+    """Parse slash-separated blocks: "ac/b/de", "13/28/457/6" or "1.10/2".
+    A partition is written all in letters a-z or all in positive numbers,
+    one digit each unless a block separates them with dots."""
     text = text.strip()
     if not text or text == "(empty)":
         return EMPTY_PARTITION
+    numeric = any(ch.isdigit() for ch in text)
     blocks = []
     for token in text.split("/"):
         token = token.strip()
         if not token:
             raise ValueError("empty partition block")
-        if "." in token:
-            blocks.append(tuple(int(t) for t in token.split(".")))
-        elif token.isdigit():
-            blocks.append(tuple(int(ch) for ch in token))
-        else:
-            blocks.append(tuple(ord(ch) - ord("a") + 1 for ch in token))
+        pieces = token.split(".") if numeric and "." in token else list(token)
+        for piece in pieces:
+            if numeric:
+                valid = piece.isascii() and piece.isdigit() and int(piece) > 0
+            else:
+                valid = "a" <= piece <= "z"
+            if not valid:
+                raise ValueError(
+                    f"{piece!r} in partition block {token!r} is not a letter"
+                    + (" (a partition with digits is written in numbers only)" if numeric else "")
+                )
+        blocks.append(
+            tuple(int(p) if numeric else ord(p) - ord("a") + 1 for p in pieces)
+        )
     return SetPartition(tuple(blocks))
 
 
@@ -338,11 +349,23 @@ class StylicElement:
         return render_word(self.word) or "1"
 
 
+class DownSet(int):
+    """The elements below v in the ideal order, as an int bitset: bit u is
+    set when u <= v.  `len` and `in` read it as the set it encodes."""
+
+    def __contains__(self, u: int) -> bool:
+        return self >> u & 1 == 1
+
+    def __len__(self) -> int:
+        return self.bit_count()
+
+
 @dataclass
 class JOrder:
-    """The two-sided-ideal order of the monoid, with its grading data."""
+    """The two-sided-ideal order of the monoid, with its grading data.
+    hasse_edges holds the covers (u, v), u below v, sorted by (v, u)."""
 
-    down_sets: list[frozenset[int]]
+    down_sets: list[DownSet]
     hasse_edges: list[tuple[int, int]]
     coranks: list[int]
     height: int
@@ -382,16 +405,21 @@ class StylicMonoid:
             index[transform] = i
             return i
 
+        # Breadth-first closure: `elements` is the queue, so right[x][i] is
+        # appended in index order, as the child of element i by letter x.
         add((), identity, -1, 0)
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
+        precompose = {x: itemgetter(*act[x]) for x in alphabet.letters}
+        right: dict[int, list[int]] = {x: [] for x in alphabet.letters}
+        i = 0
+        while i < len(elements):
             t = elements[i].transform
-            w = elements[i].word
             for x in alphabet.letters:
-                child = tuple(t[a] for a in act[x])
-                if child not in index:
-                    queue.append(add(w + (x,), child, i, x))
+                child = precompose[x](t)
+                j = index.get(child)
+                if j is None:
+                    j = add(elements[i].word + (x,), child, i, x)
+                right[x].append(j)
+            i += 1
 
         self.elements = elements
         self._index = index
@@ -407,15 +435,15 @@ class StylicMonoid:
                 f"expected Bell({n + 1}) = {bell_number(n + 1)}"
             )
 
-        self.right_by_letter = {
-            x: [index[tuple(e.transform[a] for a in act[x])] for e in elements]
-            for x in alphabet.letters
-        }
-        self.left_by_letter = {
-            x: [index[tuple(act[x][v] for v in e.transform)] for e in elements]
-            for x in alphabet.letters
-        }
-        self._table: Optional[list[list[int]]] = None
+        # x.(p.y) = (x.p).y, and a parent precedes its children.
+        left: dict[int, list[int]] = {}
+        for x in alphabet.letters:
+            row = left[x] = [right[x][0]] * len(elements)
+            for e in elements[1:]:
+                row[e.index] = right[e.via_letter][row[e.parent]]
+        self.right_by_letter = right
+        self.left_by_letter = left
+        self._table: Optional[list[tuple[int, ...]]] = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -429,17 +457,15 @@ class StylicMonoid:
             transform.append(m)
         return self._index[tuple(transform)]
 
-    def multiplication_table(self) -> list[list[int]]:
-        """table[i][j] = index of the product element_i * element_j."""
+    def multiplication_table(self) -> list[tuple[int, ...]]:
+        """table[i][j] = index of the product element_i * element_j.  Row
+        p.y is row p read through left multiplication by y:
+        (p.y).j = p.(y.j)."""
         if self._table is None:
-            size = len(self.elements)
-            table = [[0] * size for _ in range(size)]
-            for i in range(size):
-                row = table[i]
-                row[0] = i
-                for j in range(1, size):
-                    e = self.elements[j]
-                    row[j] = self.right_by_letter[e.via_letter][row[e.parent]]
+            through = {x: itemgetter(*row) for x, row in self.left_by_letter.items()}
+            table = [tuple(range(len(self.elements)))]
+            for e in self.elements[1:]:
+                table.append(through[e.via_letter](table[e.parent]))
             self._table = table
         return self._table
 
@@ -459,47 +485,40 @@ class StylicMonoid:
 
     def j_order(self) -> JOrder:
         """Compute the two-sided-ideal order; certifies antisymmetry and the
-        box-count grading, raising ValueError on any violation."""
+        box-count grading, raising ValueError on any violation.
+
+        Every cover is a one-letter left or right step (Froidure & Pin), so
+        elements are visited in decreasing box count.  Each one-letter step
+        that moves v must add boxes, which makes the order antisymmetric and
+        strictly graded; down[v] is v with the down-sets of those children,
+        and a child is a cover unless another child lies above it."""
         size = len(self.elements)
-        down: list[frozenset[int]] = []
-        for v in range(size):
-            seen = {v}
-            stack = [v]
-            while stack:
-                m = stack.pop()
-                for x in self.alphabet.letters:
-                    for nb in (self.left_by_letter[x][m], self.right_by_letter[x][m]):
-                        if nb not in seen:
-                            seen.add(nb)
-                            stack.append(nb)
-            down.append(frozenset(seen))
-
         boxes = [e.tableau.boxes() for e in self.elements]
-        for v in range(size):
-            for u in down[v]:
-                if u != v:
-                    if v in down[u]:
-                        raise ValueError(
-                            f"order is not antisymmetric at elements {u}, {v}"
-                        )
-                    if boxes[u] <= boxes[v]:
-                        raise ValueError(
-                            f"box count does not strictly decrease from {v} to {u}"
-                        )
-
+        steps = [*self.left_by_letter.values(), *self.right_by_letter.values()]
+        down = [0] * size
         hasse: list[tuple[int, int]] = []
-        for v in range(size):
-            strict = down[v] - {v}
-            dominated: set[int] = set()
-            for w in strict:
-                dominated |= down[w] - {w}
-            for u in strict - dominated:
-                hasse.append((u, v))
-                if boxes[u] != boxes[v] + 1:
+        for v in sorted(range(size), key=boxes.__getitem__, reverse=True):
+            children = {step[v] for step in steps}
+            children.discard(v)
+            below = dominated = 0
+            for u in children:
+                if boxes[u] <= boxes[v]:
                     raise ValueError(
-                        f"cover {u} -> {v} changes box count by "
-                        f"{boxes[u] - boxes[v]}, expected 1"
+                        f"one-letter step from {v} to {u} does not add boxes "
+                        f"({boxes[v]} -> {boxes[u]})"
                     )
+                below |= down[u]
+                dominated |= down[u] ^ 1 << u
+            down[v] = below | 1 << v
+            for u in children:
+                if not dominated >> u & 1:
+                    hasse.append((u, v))
+                    if boxes[u] != boxes[v] + 1:
+                        raise ValueError(
+                            f"cover {u} -> {v} changes box count by "
+                            f"{boxes[u] - boxes[v]}, expected 1"
+                        )
+        hasse.sort(key=lambda edge: (edge[1], edge[0]))
 
         n = self.alphabet.n
         height = n * (n + 1) // 2
@@ -508,7 +527,12 @@ class StylicMonoid:
                 f"co-ranks run from {boxes[self.identity]} to {boxes[self.zero]}, "
                 f"expected 0 to {height}"
             )
-        return JOrder(down_sets=down, hasse_edges=hasse, coranks=boxes, height=height)
+        return JOrder(
+            down_sets=[DownSet(d) for d in down],
+            hasse_edges=hasse,
+            coranks=boxes,
+            height=height,
+        )
 
     def to_json(self, with_table: bool = True) -> dict:
         idem = set(self.idempotents())

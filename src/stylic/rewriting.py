@@ -125,7 +125,8 @@ def column_pair_reduce(c1: LetterSet, c2: LetterSet) -> tuple[LetterSet, LetterS
     leftover = set()
     for x in c1 | c2:
         count = (x in c1) + (x in c2) - (x in reduced)
-        assert 0 <= count <= 1, "multiset leftover must be a plain set"
+        if not 0 <= count <= 1:
+            raise ValueError(f"multiset leftover holds {x} {count} times, not at most once")
         if count:
             leftover.add(x)
     return reduced, frozenset(leftover)
@@ -186,7 +187,8 @@ def normalize_column_word(word: ColumnWord, strategy: Strategy = "leftmost") -> 
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         current = rewrite_at(current, i)
-    assert all(column_leq(current[i], current[i + 1]) for i in range(len(current) - 1))
+    if not all(column_leq(current[i], current[i + 1]) for i in range(len(current) - 1)):
+        raise ValueError("normal form is not a weakly increasing column word")
     return current
 
 

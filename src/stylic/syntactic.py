@@ -75,7 +75,8 @@ def column_separating_word(c1: LetterSet, c2: LetterSet, alphabet: Alphabet) -> 
     w = d1[1:p] + (bigger,)
     rest = column_separating_word(act_word(w, c1), act_word(w, c2), alphabet)
     x = rest + w
-    assert len(act_word(x, c1)) != len(act_word(x, c2))
+    if len(act_word(x, c1)) == len(act_word(x, c2)):
+        raise ValueError(f"{render_word(x)!r} does not separate the two columns")
     return x
 
 

@@ -116,7 +116,8 @@ def column_insert(tableau: Tableau, x: int) -> Tableau:
             top = len(heights)
             if top == len(rows):
                 rows.append([])
-            assert len(rows[top]) == j, "column insertion must add a corner cell"
+            if len(rows[top]) != j:
+                raise ValueError("column insertion must add a corner cell")
             rows[top].append(carry)
             carry = None
         else:

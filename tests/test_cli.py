@@ -156,6 +156,31 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        "{}",
+        '{"outer":"x"}',
+        '{"outer":"x","labels":[]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1]]]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],"ab"]]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],"a"]],"hole":[1]}',
+    ],
+)
+def test_malformed_jdt_json_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "compute", "jdt", text, "-n", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["AB", "1.2/x"])
+def test_non_letter_partitions_are_usage_errors(capsys, text):
+    code, _, err = run(capsys, "compute", "delta", text, "-n", "3")
+    assert code == 2
+    assert err.startswith("error: ") and "is not a letter" in err
+
+
 def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "Q", "abc", "-n", "3"])
@@ -163,7 +188,7 @@ def test_argparse_usage_exit():
 
 
 OPTIMIZED_SCRIPT = """
-from stylic import cli, monoid
+from stylic import cli, monoid, rewriting
 from stylic.core import Alphabet
 
 print("asserts", "on" if __debug__ else "off")
@@ -175,6 +200,19 @@ try:
 except ValueError as exc:
     print("enumerate raised", exc)
 monoid.bell_number = bell
+m = monoid.enumerate_styl(Alphabet(3))
+m.right_by_letter[1][m.zero] = m.identity
+try:
+    m.j_order()
+    print("j_order passed")
+except ValueError as exc:
+    print("j_order raised", exc)
+rewriting.act_word = lambda word, column: frozenset()
+try:
+    rewriting.column_pair_reduce(frozenset({1}), frozenset({1}))
+    print("column_pair_reduce passed")
+except ValueError as exc:
+    print("column_pair_reduce raised", exc)
 cli.evac_via_pyramid = lambda partition, alphabet: partition
 print("evac exit", cli.main(["compute", "evac", "13/28/457/6", "-n", "8"]))
 """
@@ -191,5 +229,7 @@ def test_certifications_survive_optimized_mode():
     lines = proc.stdout.splitlines()
     assert lines[0] == "asserts off"
     assert lines[1].startswith("enumerate raised closure found 15 transformations")
+    assert lines[2].startswith("j_order raised one-letter step from")
+    assert lines[3].startswith("column_pair_reduce raised multiset leftover")
     assert lines[-1] == "evac exit 1"
     assert "evac disagrees" in proc.stderr

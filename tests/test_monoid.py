@@ -168,6 +168,18 @@ def test_partition_text_and_validation():
         SetPartition(((1, 2), (2, 3)))
 
 
+def test_parse_partition_numbers_and_letters():
+    assert parse_partition("1.10/2").blocks == ((1, 10), (2,))
+    assert parse_partition(" ab / c ").blocks == ((1, 2), (3,))
+    assert parse_partition("(empty)") == SetPartition(())
+
+
+@pytest.mark.parametrize("text", ["AB", "1.2/x", "a1", "a.b", "1..2", "0", "1.-2", "a$"])
+def test_parse_partition_rejects_non_letters(text):
+    with pytest.raises(ValueError, match="is not a letter"):
+        parse_partition(text)
+
+
 def test_enumerate_small_sizes():
     assert len(enumerate_styl(Alphabet(1))) == 2
     assert len(enumerate_styl(Alphabet(2))) == 5
@@ -235,6 +247,93 @@ def test_j_order_small():
     for i in range(len(monoid)):
         assert order.leq(monoid.zero, i)
         assert order.leq(i, monoid.identity)
+
+
+def j_order_oracle(monoid):
+    """Down-sets by one search per element over both Cayley graphs, covers
+    as the elements below v that lie below nothing else below v."""
+    down = []
+    for v in range(len(monoid)):
+        seen = {v}
+        stack = [v]
+        while stack:
+            m = stack.pop()
+            for x in monoid.alphabet.letters:
+                for nb in (monoid.left_by_letter[x][m], monoid.right_by_letter[x][m]):
+                    if nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
+        down.append(frozenset(seen))
+    hasse = set()
+    for v in range(len(monoid)):
+        strict = down[v] - {v}
+        dominated = set()
+        for w in strict:
+            dominated |= down[w] - {w}
+        hasse |= {(u, v) for u in strict - dominated}
+    return down, hasse
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_j_order_matches_search_oracle(n):
+    monoid = enumerate_styl(Alphabet(n))
+    order = monoid.j_order()
+    down, hasse = j_order_oracle(monoid)
+    members = [frozenset(u for u in range(len(monoid)) if order.leq(u, v)) for v in range(len(monoid))]
+    assert members == down
+    assert [len(d) for d in order.down_sets] == [len(d) for d in down]
+    assert set(order.hasse_edges) == hasse
+    assert len(order.hasse_edges) == len(hasse)
+    assert order.hasse_edges == sorted(order.hasse_edges, key=lambda edge: (edge[1], edge[0]))
+    assert order.coranks == [e.tableau.boxes() for e in monoid.elements]
+    assert order.height == n * (n + 1) // 2
+
+
+def composer(monoid):
+    """(i, j) -> index of element_i * element_j, from the transforms: a word
+    acts on a column by its last letter first, so t_uv = t_u o t_v."""
+    index = {e.transform: e.index for e in monoid.elements}
+
+    def compose(i, j):
+        ti, tj = monoid.elements[i].transform, monoid.elements[j].transform
+        return index[tuple(ti[m] for m in tj)]
+
+    return compose
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cayley_graphs_match_composed_transforms(n):
+    monoid = enumerate_styl(Alphabet(n))
+    compose = composer(monoid)
+    for x in monoid.alphabet.letters:
+        gen = monoid.class_of_word((x,))
+        assert monoid.right_by_letter[x] == [compose(i, gen) for i in range(len(monoid))]
+        assert monoid.left_by_letter[x] == [compose(gen, i) for i in range(len(monoid))]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_multiplication_table_matches_composed_transforms(n):
+    monoid = enumerate_styl(Alphabet(n))
+    size = len(monoid)
+    compose = composer(monoid)
+    table = monoid.multiplication_table()
+    assert all(type(row) is tuple and len(row) == size for row in table)
+    assert table == [tuple(compose(i, j) for j in range(size)) for i in range(size)]
+
+
+@pytest.mark.parametrize("fewer", [True, False])
+def test_j_order_rejects_a_step_that_does_not_add_boxes(fewer):
+    # Point one right-multiplication edge at the identity (fewer boxes), or
+    # at another element with as many boxes.
+    monoid = enumerate_styl(Alphabet(3))
+    boxes = [e.tableau.boxes() for e in monoid.elements]
+    v = next(i for i in range(len(monoid)) if boxes[i] > 0)
+    target = monoid.identity if fewer else next(
+        i for i in range(len(monoid)) if i != v and boxes[i] == boxes[v]
+    )
+    monoid.right_by_letter[2][v] = target
+    with pytest.raises(ValueError, match="does not add boxes"):
+        monoid.j_order()
 
 
 def test_word_equals_reinserted_row_word():
