@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 
 from .core import Alphabet, parse_word, render_word, theta
@@ -147,19 +148,22 @@ def _cmd_compute(args) -> int:
     return 0
 
 
+def _peak_rss_mib() -> float:
+    """Peak resident memory of this process; ru_maxrss is in KiB on Linux
+    and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _cmd_enumerate(args) -> int:
     _enumeration_cap(args)
-    if args.n == ENUMERATION_FORCE_CAP:
-        print(
-            f"note: n = {args.n} runs over 2^{args.n} column states and "
-            "thousands of elements; expect noticeable memory use",
-            file=sys.stderr,
-        )
     alphabet = Alphabet(args.n)
     monoid = enumerate_styl(alphabet, max_size=args.n)
+    wrote_table = args.what == "monoid" and args.as_json
     if args.what == "monoid":
         if args.as_json:
-            print(json.dumps(monoid.to_json()))
+            monoid.write_json(sys.stdout)
+            sys.stdout.write("\n")
         else:
             idem = set(monoid.idempotents())
             print(f"{len(monoid)} elements (n = {args.n})")
@@ -211,10 +215,21 @@ def _cmd_enumerate(args) -> int:
                     ]
                     if row:
                         print(f"co-rank {corank:2d}: {' '.join(row)}")
+    if args.n == ENUMERATION_FORCE_CAP:
+        size = len(monoid)
+        print(
+            f"note: n = {args.n}: {size} elements"
+            + (f", {size} x {size} table written" if wrote_table else "")
+            + f", peak RSS {_peak_rss_mib():.0f} MiB",
+            file=sys.stderr,
+        )
     return 0
 
 
 def _cmd_verify(args) -> int:
+    Alphabet(args.n)
+    if args.maxlen < 0:
+        raise ValueError(f"--maxlen must be nonnegative, got {args.maxlen}")
     cap = ENUMERATION_FORCE_CAP if args.force else ENUMERATION_DEFAULT_CAP
     if args.n > cap:
         raise ValueError(

@@ -179,7 +179,7 @@ def parse_word(text: str) -> Word:
         return ()
     if "." in text:
         return tuple(_parse_int_letter(part) for part in text.split("."))
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         return tuple(_parse_int_letter(ch) for ch in text)
     return tuple(_parse_alpha_letter(ch) for ch in text)
 
@@ -191,10 +191,9 @@ def _parse_alpha_letter(ch: str) -> int:
 
 
 def _parse_int_letter(token: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ValueError(f"bad numeric letter {token!r}") from None
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"bad numeric letter {token!r}: expected ASCII digits")
+    value = int(token)
     if value < 1:
         raise ValueError(f"letters are positive integers, got {value}")
     return value

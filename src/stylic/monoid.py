@@ -9,9 +9,10 @@ alphabet, so the monoid on n letters has Bell(n+1) elements.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .columns import act_mask, act_word, gamma_minus
 from .core import (
@@ -457,16 +458,30 @@ class StylicMonoid:
             transform.append(m)
         return self._index[tuple(transform)]
 
+    def _rows(self, first: tuple) -> Iterator[tuple]:
+        """The multiplication-table rows in index order, given row 0 (the
+        identity's row, j -> j).  Row p.y is row p read through left
+        multiplication by y: (p.y).j = p.(y.j).  A row is kept only while a
+        later element is still to be read off it."""
+        # Elements are in index order, so each parent maps to its last child.
+        last_child = {e.parent: e.index for e in self.elements[1:]}
+        through = {x: itemgetter(*row) for x, row in self.left_by_letter.items()}
+        kept: dict[int, tuple] = {}
+        for e in self.elements:
+            if e.index == 0:
+                row = first
+            else:
+                row = through[e.via_letter](kept[e.parent])
+                if last_child[e.parent] == e.index:
+                    del kept[e.parent]
+            if e.index in last_child:
+                kept[e.index] = row
+            yield row
+
     def multiplication_table(self) -> list[tuple[int, ...]]:
-        """table[i][j] = index of the product element_i * element_j.  Row
-        p.y is row p read through left multiplication by y:
-        (p.y).j = p.(y.j)."""
+        """table[i][j] = index of the product element_i * element_j."""
         if self._table is None:
-            through = {x: itemgetter(*row) for x, row in self.left_by_letter.items()}
-            table = [tuple(range(len(self.elements)))]
-            for e in self.elements[1:]:
-                table.append(through[e.via_letter](table[e.parent]))
-            self._table = table
+            self._table = list(self._rows(tuple(range(len(self.elements)))))
         return self._table
 
     def multiply(self, i: int, j: int) -> int:
@@ -556,6 +571,19 @@ class StylicMonoid:
         if with_table:
             data["table"] = self.multiplication_table()
         return data
+
+    def write_json(self, out: TextIO) -> None:
+        """Write json.dumps(self.to_json()) to out, the table one row at a
+        time as it is derived; neither the table nor its text is held.  Row
+        0 holds the indices as strings, so every row is a tuple of shared
+        strings and writing it only joins them."""
+        head = json.dumps(self.to_json(with_table=False))
+        out.write(head[:-1] + ', "table": [')
+        separator = ""
+        for row in self._rows(tuple(map(str, range(len(self.elements))))):
+            out.write(f"{separator}[{', '.join(row)}]")
+            separator = ", "
+        out.write("]}")
 
     def jorder_dot(self) -> str:
         """DOT digraph of the ideal-order Hasse diagram, ranked by co-rank."""

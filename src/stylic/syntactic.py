@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .columns import EMPTY_COLUMN, act_word
 from .core import Alphabet, LetterSet, Word, decreasing_word, render_word
@@ -131,22 +131,36 @@ def left_syntactic_check(
     return report
 
 
+def syntactic_congruence(monoid: StylicMonoid, stat: Sequence[Hashable]) -> list[int]:
+    """The two-sided syntactic congruence of a statistic on the monoid's
+    elements: i ~ j iff stat[p.i.q] == stat[p.j.q] for all p, q.  It is the
+    coarsest partition that refines the kernel of stat and is stable under
+    the 2n one-letter right and left multiplications, found by Moore
+    refinement: re-key every element by its class and the classes of its
+    one-letter neighbours until the number of classes stops growing.
+    Returns the class of each element, numbered by first occurrence."""
+    steps = [*monoid.right_by_letter.values(), *monoid.left_by_letter.values()]
+    classes = _first_occurrence_ids(stat)
+    while True:
+        refined = _first_occurrence_ids(
+            (c, *(classes[step[i]] for step in steps)) for i, c in enumerate(classes)
+        )
+        if max(refined) == max(classes):
+            return classes
+        classes = refined
+
+
+def _first_occurrence_ids(keys: Iterable[Hashable]) -> list[int]:
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
 def syntactic_monoid_check(alphabet: Alphabet, monoid: Optional[StylicMonoid] = None) -> bool:
     """The two-sided syntactic congruence of the induced statistic
-    m -> |m . empty| on the enumerated monoid is equality: scanning every
-    context pair (p, q) distinguishes every pair of distinct elements."""
+    m -> |m . empty| on the enumerated monoid is equality."""
     m = monoid if monoid is not None else enumerate_styl(alphabet)
-    table = m.multiplication_table()
-    size = len(m)
-    stat = [bin(e.transform[0]).count("1") for e in m.elements]
-    signatures = set()
-    pairs = [(p, q) for p in range(size) for q in range(size)]
-    for i in range(size):
-        sig = tuple(stat[table[table[p][i]][q]] for p, q in pairs)
-        if sig in signatures:
-            return False
-        signatures.add(sig)
-    return True
+    stat = [e.transform[0].bit_count() for e in m.elements]
+    return len(set(syntactic_congruence(m, stat))) == len(m)
 
 
 def plactic_separator(

@@ -384,7 +384,7 @@ def verify_syntactic(n: int, maxlen: int = 6) -> SuiteResult:
         f"{report.pairs_checked} separators constructed and verified"
         + (f" ({report.failures[0]})" if report.failures else ""),
     )
-    ok = syntactic_monoid_check(alphabet)
+    ok = syntactic_monoid_check(alphabet, enumerate_styl(alphabet, max_size=max(n, 6)))
     result.add(
         ok,
         f"n={n}: two-sided congruence of the statistic on the monoid is equality",

@@ -99,6 +99,25 @@ def test_enumerate_monoid_json(capsys):
     assert coranks == {0, 1, 2, 3}
 
 
+def test_enumerate_monoid_json_is_streamed_json_dumps(capsys):
+    from stylic.core import Alphabet
+    from stylic.monoid import enumerate_styl
+
+    code, out, err = run(capsys, "enumerate", "monoid", "-n", "3", "--json")
+    assert code == 0 and err == ""
+    assert out == json.dumps(enumerate_styl(Alphabet(3)).to_json()) + "\n"
+
+
+def test_enumerate_n7_reports_size_and_peak_memory(capsys):
+    code, out, err = run(capsys, "enumerate", "jorder", "-n", "7", "--force")
+    assert code == 0
+    assert out.startswith("graded order on 4140 elements, height 28")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("note: n = 7: 4140 elements, peak RSS ")
+    assert lines[0].endswith(" MiB") and "table" not in lines[0]
+
+
 def test_partition_renderings_round_trip():
     from stylic.monoid import parse_partition, pi
     from stylic.core import parse_word
@@ -179,6 +198,31 @@ def test_non_letter_partitions_are_usage_errors(capsys, text):
     code, _, err = run(capsys, "compute", "delta", text, "-n", "3")
     assert code == 2
     assert err.startswith("error: ") and "is not a letter" in err
+
+
+@pytest.mark.parametrize(
+    "kind, text, n",
+    [("P", "1.+2. 3", "3"), ("N", "1.1_0", "10"), ("N", "1.-2", "3"), ("P", "１２", "3")],
+)
+def test_numeric_letters_are_ascii_digits(capsys, kind, text, n):
+    code, out, err = run(capsys, "compute", kind, text, "-n", n)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bijection", "-n", "-2"),
+        ("bijection", "-n", "0"),
+        ("all", "-n", "0"),
+        ("evacuation", "-n", "2", "--maxlen", "-1"),
+    ],
+)
+def test_verify_rejects_an_empty_check(capsys, args):
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_argparse_usage_exit():

@@ -1,5 +1,11 @@
+import io
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +44,8 @@ from stylic.monoid import (
     zero_tableau,
 )
 from stylic.tableaux import p_tableau, young_leq
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 FIVE_ROW_TABLEAU = NTableau(((1, 2, 3, 4, 5), (2, 4, 5), (4, 5)))  # abcde/bde/de
 
@@ -471,6 +479,29 @@ def test_complete_element_worked_example():
     assert act_word(w, gamma) == frozenset({3, 2, 1})
     assert act_word(u, gamma) == frozenset({2, 1})
     assert act_word(u, gamma) == gamma_minus(act_word(w, gamma), a4)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_write_json_matches_json_dumps(n):
+    monoid = enumerate_styl(Alphabet(n))
+    out = io.StringIO()
+    monoid.write_json(out)
+    assert out.getvalue() == json.dumps(monoid.to_json())
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_streamed_n7_json_stays_small():
+    # Holding the 4140 x 4140 table and its 103 MB of text took about 375 MB.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stylic.cli", "enumerate", "monoid", "-n", "7", "--force", "--json"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    peak_bytes = usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+    assert peak_bytes < 150e6
 
 
 def test_monoid_json_export():

@@ -14,6 +14,7 @@ from stylic.syntactic import (
     left_syntactic_check,
     plactic_left_syntactic_check,
     plactic_separator,
+    syntactic_congruence,
     syntactic_monoid_check,
 )
 from stylic.tableaux import p_tableau
@@ -83,6 +84,49 @@ def test_left_statistic_depends_only_on_the_column():
             assert all(f_decr(x + rep) == f_decr(x + w) for x in contexts)
 
 
+def signature_classes(monoid, stat):
+    """Oracle, O(|M|^3): i ~ j iff stat[p.i.q] == stat[p.j.q] for every
+    context pair (p, q), read off the multiplication table.  Classes are
+    numbered by first occurrence."""
+    table = monoid.multiplication_table()
+    size = len(monoid)
+    pairs = [(p, q) for p in range(size) for q in range(size)]
+    ids = {}
+    return [
+        ids.setdefault(tuple(stat[table[table[p][i]][q]] for p, q in pairs), len(ids))
+        for i in range(size)
+    ]
+
+
+def column_sizes(monoid):
+    return [e.transform[0].bit_count() for e in monoid.elements]
+
+
+STATISTICS = {
+    "column size": column_sizes,
+    "column size >= 2": lambda m: [s >= 2 for s in column_sizes(m)],
+    "full column": lambda m: [s == m.alphabet.n for s in column_sizes(m)],
+    "constant": lambda m: [0] * len(m),
+}
+
+
+@pytest.mark.parametrize("name", STATISTICS)
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_syntactic_congruence_matches_signature_oracle(n, name):
+    monoid = enumerate_styl(Alphabet(n))
+    stat = STATISTICS[name](monoid)
+    classes = syntactic_congruence(monoid, stat)
+    assert classes == signature_classes(monoid, stat)
+    count = len(set(classes))
+    if name == "column size":
+        assert count == len(monoid)
+    elif name == "constant":
+        assert count == 1
+    elif n >= 3:
+        # refinement splits the kernel of stat but stops short of equality
+        assert len(set(stat)) < count < len(monoid)
+
+
 def test_syntactic_monoid_check():
     for n in (1, 2, 3):
         assert syntactic_monoid_check(Alphabet(n))
@@ -149,3 +193,22 @@ def test_equivalent_pair_never_separated():
     assert p_tableau(u) == p_tableau(v)
     for x in all_words(a2, 4):
         assert lambda_shape(x + u) == lambda_shape(x + v)
+
+
+def test_verify_syntactic_runs_the_two_sided_check_at_n7(monkeypatch):
+    # The left and plactic checks take seconds at n = 7; stub them so that
+    # only the two-sided check on the n = 7 monoid runs.
+    from stylic import verify
+    from stylic.syntactic import CongruenceReport
+
+    monkeypatch.setattr(
+        verify, "left_syntactic_check",
+        lambda alphabet, maxlen: CongruenceReport(classes=2 ** alphabet.n, pairs_checked=0),
+    )
+    monkeypatch.setattr(
+        verify, "plactic_left_syntactic_check",
+        lambda alphabet, maxlen: CongruenceReport(classes=0, pairs_checked=0),
+    )
+    result = verify.verify_syntactic(7)
+    assert result.ok
+    assert result.lines[1] == "PASS n=7: two-sided congruence of the statistic on the monoid is equality"
