@@ -1,7 +1,8 @@
 """Command-line surface: compute canonical forms, enumerate the monoid, and
 run the verification suites.
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
+Exit codes: 0 on success, 1 on verification failure, 2 on usage errors and
+when stdout cannot be written (a closed pipe or a full device).
 The alphabet size is always passed explicitly (-n) because the involution
 and evacuation depend on the ambient alphabet, not just on the letters used.
 """
@@ -9,7 +10,9 @@ and evacuation depend on the ambient alphabet, not just on the letters used.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import resource
 import sys
 
@@ -77,14 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _enumeration_cap(args) -> int:
-    cap = ENUMERATION_FORCE_CAP if getattr(args, "force", False) else ENUMERATION_DEFAULT_CAP
+def _enumeration_cap(args) -> None:
+    cap = ENUMERATION_FORCE_CAP if args.force else ENUMERATION_DEFAULT_CAP
     if args.n > cap:
         raise ValueError(
-            f"n = {args.n} exceeds the enumeration ceiling {cap}"
-            + ("" if cap == ENUMERATION_FORCE_CAP else " (use --force for 7)")
+            f"n = {args.n} exceeds the ceiling {cap} of {args.command}"
+            + ("" if args.force else " (use --force for 7)")
         )
-    return cap
 
 
 def _cmd_compute(args) -> int:
@@ -93,6 +95,9 @@ def _cmd_compute(args) -> int:
     if args.kind in ("P", "N", "pi", "theta"):
         word = parse_word(args.input)
         alphabet.check_word(word)
+    elif args.kind in ("delta", "evac"):
+        partition = parse_partition(args.input)
+        alphabet.check_word(partition.ground())
     if args.kind == "P":
         tableau = p_tableau(word)
         print(json.dumps(tableau.to_json()) if args.as_json else tableau.render())
@@ -106,15 +111,9 @@ def _cmd_compute(args) -> int:
         partition = pi(word)
         print(json.dumps(partition.to_json()) if args.as_json else partition.render(digits))
     elif args.kind == "delta":
-        partition = parse_partition(args.input)
-        for x in partition.ground():
-            alphabet.check_letter(x)
         image = delta_direct(partition)
         print(json.dumps(image.to_json()) if args.as_json else image.render(digits))
     elif args.kind == "evac":
-        partition = parse_partition(args.input)
-        for x in partition.ground():
-            alphabet.check_letter(x)
         chain = []
         current = partition
         while current.blocks:
@@ -141,8 +140,7 @@ def _cmd_compute(args) -> int:
         data = json.loads(args.input)
         skew = skew_from_json(data)
         digits = any(str(letter).isdigit() for _, letter in data.get("labels", []))
-        for v in skew.label_map().values():
-            alphabet.check_letter(v)
+        alphabet.check_word(skew.label_map().values())
         partition = jdt(skew)
         print(json.dumps(partition.to_json()) if args.as_json else partition.render(digits))
     return 0
@@ -230,12 +228,7 @@ def _cmd_verify(args) -> int:
     Alphabet(args.n)
     if args.maxlen < 0:
         raise ValueError(f"--maxlen must be nonnegative, got {args.maxlen}")
-    cap = ENUMERATION_FORCE_CAP if args.force else ENUMERATION_DEFAULT_CAP
-    if args.n > cap:
-        raise ValueError(
-            f"n = {args.n} exceeds the verification ceiling {cap}"
-            + ("" if args.force else " (use --force for 7)")
-        )
+    _enumeration_cap(args)
     results = run_suite(args.suite, args.n, maxlen=args.maxlen, seed=args.seed)
     ok = True
     for result in results:
@@ -247,16 +240,18 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = {"compute": _cmd_compute, "enumerate": _cmd_enumerate, "verify": _cmd_verify}
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+        code = command[args.command](args)
+        sys.stdout.flush()
+        return code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # Point stdout at devnull, so that the flush at exit has somewhere to go.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 2
 
 

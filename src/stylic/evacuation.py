@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .core import Alphabet, Word, letters_of, mask_of, render_letter
 from .monoid import SetPartition
@@ -244,34 +244,44 @@ def partition_to_skew(partition: SetPartition) -> SkewPartition:
 # Jeu de taquin.
 
 
+def _move(label: dict[Point, int], hole: Point) -> Optional[Point]:
+    """One hole move on a label map, in place: the smaller label covering
+    the hole slides into it and its cell is the new hole; None when no label
+    covers the hole (a cover of the hole is never inner)."""
+    covers = [p for p in point_covers(hole) if p in label]
+    if not covers:
+        return None
+    mover = min(covers, key=label.__getitem__)
+    label[hole] = label.pop(mover)
+    return mover
+
+
+def _slide(outer: Composition, label: dict[Point, int], hole: Point) -> Composition:
+    """Move the hole until it leaves the shape; the outer ideal it left."""
+    while (cell := _move(label, hole)) is not None:
+        hole = cell
+    return remove_point(outer, hole)
+
+
 def downward_move(skew: SkewPartition) -> SkewPartition:
     """One hole move: an upper hole leaves the shape; otherwise the smaller
     of the labels covering the hole slides into it."""
     if skew.hole is None:
         raise ValueError("downward_move needs a hole")
-    region = skew.region()
     label = skew.label_map()
-    covers = [p for p in point_covers(skew.hole) if p in region]
-    if not covers:
-        return SkewPartition(
-            outer=remove_point(skew.outer, skew.hole),
-            inner=skew.inner,
-            labels=skew.labels,
-        )
-    mover = min(covers, key=lambda p: label[p])
-    new_labels = dict(label)
-    new_labels[skew.hole] = new_labels.pop(mover)
-    return SkewPartition(
-        outer=skew.outer,
-        inner=skew.inner,
-        labels=tuple(new_labels.items()),
-        hole=mover,
-    )
+    hole = _move(label, skew.hole)
+    outer = skew.outer if hole is not None else remove_point(skew.outer, skew.hole)
+    return SkewPartition(outer, skew.inner, tuple(label.items()), hole)
+
+
+def _corners(comp: Composition) -> list[Point]:
+    """The maximal points of an ideal: each row's last point, except a
+    first-column point with a row above it."""
+    return sorted((part, y) for y, part in enumerate(comp, start=1) if part > 1 or y == len(comp))
 
 
 def maximal_inner_points(skew: SkewPartition) -> list[Point]:
-    inner = ideal_points(skew.inner)
-    return sorted(p for p in inner if not any(q in inner for q in point_covers(p)))
+    return _corners(skew.inner)
 
 
 def downward_slide(skew: SkewPartition, start: Point) -> SkewPartition:
@@ -281,54 +291,54 @@ def downward_slide(skew: SkewPartition, start: Point) -> SkewPartition:
         raise ValueError("cannot start a slide on a shape that already has a hole")
     if start not in maximal_inner_points(skew):
         raise ValueError(f"{start} is not a maximal point of the inner ideal")
-    state = SkewPartition(
-        outer=skew.outer,
+    label = skew.label_map()
+    return SkewPartition(
+        outer=_slide(skew.outer, label, start),
         inner=remove_point(skew.inner, start),
-        labels=skew.labels,
-        hole=start,
+        labels=tuple(label.items()),
     )
-    while state.hole is not None:
-        state = downward_move(state)
-    return state
 
 
-Strategy = Union[str, Callable[[list[Point]], Point]]
-
-
-def jdt(skew: SkewPartition, strategy: Strategy = "first", rng: Optional[random.Random] = None) -> SetPartition:
+def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Random] = None) -> SetPartition:
     """Slide until no inner shape remains; the resulting partition does not
-    depend on the choice of starting corners."""
-    state = skew
-    while not state.is_partition():
-        choices = maximal_inner_points(state)
+    depend on the choice of starting corners ("first", "last" or "random")."""
+    if skew.hole is not None:
+        raise ValueError(f"jdt needs a skew shape without a hole, got hole {skew.hole}")
+    if strategy not in ("first", "last", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    outer, inner, label = skew.outer, skew.inner, skew.label_map()
+    while inner:
+        choices = _corners(inner)
         if strategy == "first":
             pick = choices[0]
         elif strategy == "last":
             pick = choices[-1]
-        elif strategy == "random":
-            pick = (rng or random).choice(choices)
         else:
-            pick = strategy(choices)  # type: ignore[operator]
-        state = downward_slide(state, pick)
-    return state.to_partition()
+            pick = (rng or random).choice(choices)
+        outer, inner = _slide(outer, label, pick), remove_point(inner, pick)
+    # The run's one check: an increasing labelling (SetPartition would sort a bad row).
+    return SkewPartition(outer, (), tuple(label.items())).to_partition()
 
 
 def jdt_all_results(skew: SkewPartition) -> set[SetPartition]:
     """Results over every sequence of corner choices (memoized)."""
-    memo: dict[SkewPartition, frozenset[SetPartition]] = {}
+    if skew.hole is not None:
+        raise ValueError(f"jdt needs a skew shape without a hole, got hole {skew.hole}")
+    memo: dict[tuple, frozenset[SetPartition]] = {}
 
-    def rec(state: SkewPartition) -> frozenset[SetPartition]:
-        if state.is_partition():
-            return frozenset([state.to_partition()])
-        if state in memo:
-            return memo[state]
-        out: set[SetPartition] = set()
-        for pick in maximal_inner_points(state):
-            out |= rec(downward_slide(state, pick))
-        memo[state] = frozenset(out)
-        return memo[state]
+    def rec(outer: Composition, inner: Composition, label: dict[Point, int]) -> frozenset[SetPartition]:
+        if not inner:
+            return frozenset([SkewPartition(outer, (), tuple(label.items())).to_partition()])
+        key = (outer, inner, frozenset(label.items()))
+        if key not in memo:
+            out: set[SetPartition] = set()
+            for pick in _corners(inner):
+                moved = dict(label)
+                out |= rec(_slide(outer, moved, pick), remove_point(inner, pick), moved)
+            memo[key] = frozenset(out)
+        return memo[key]
 
-    return set(rec(skew))
+    return set(rec(skew.outer, skew.inner, skew.label_map()))
 
 
 # ---------------------------------------------------------------------------

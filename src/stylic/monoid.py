@@ -298,13 +298,14 @@ def left_insert(x: int, tableau: NTableau) -> NTableau:
     return _ntableau_of(rows)
 
 
+def _partition_of(rows: list[int]) -> SetPartition:
+    return SetPartition(tuple(letters_of(row & ~above) for row, above in zip(rows, rows[1:] + [0])))
+
+
 def to_partition(tableau: NTableau) -> SetPartition:
     """The partition whose blocks are the successive row differences, the
     top row first."""
-    rows = tableau.masks()
-    return SetPartition(
-        tuple(letters_of(row & ~above) for row, above in zip(rows, rows[1:] + [0]))
-    )
+    return _partition_of(tableau.masks())
 
 
 def from_partition(partition: SetPartition) -> NTableau:
@@ -318,8 +319,12 @@ def from_partition(partition: SetPartition) -> NTableau:
 
 
 def pi(w: Word) -> SetPartition:
-    """The set partition of Supp(w) canonically attached to the class of w."""
-    return to_partition(n_tableau(w))
+    """The set partition of Supp(w) canonically attached to the class of w:
+    the row differences of its N-tableau, read off the row masks."""
+    rows: list[int] = []
+    for x in w:
+        _n_insert(rows, x)
+    return _partition_of(rows)
 
 
 def zero_tableau(alphabet: Alphabet) -> NTableau:

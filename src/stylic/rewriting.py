@@ -13,7 +13,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .core import Alphabet, LetterSet, Word, decreasing_word
 from .columns import act_word, column_leq, parse_column, render_column
@@ -166,10 +166,7 @@ def measure_less(after: ColumnWord, before: ColumnWord) -> bool:
     return False
 
 
-Strategy = Union[str, random.Random]
-
-
-def normalize_column_word(word: ColumnWord, strategy: Strategy = "leftmost") -> ColumnWord:
+def normalize_column_word(word: ColumnWord, strategy: str | random.Random = "leftmost") -> ColumnWord:
     """Apply rules until none applies; the normal form is the unique
     weakly increasing column word in the class, independent of strategy."""
     check_column_word(word)

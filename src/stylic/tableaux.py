@@ -8,6 +8,7 @@ insertion kept as an independent cross-check.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -78,25 +79,32 @@ class Tableau:
 EMPTY_TABLEAU = Tableau(())
 
 
+def _row_insert(rows: list[list[int]], x: int) -> None:
+    """Row-insert a letter into plain rows, bottom row first, in place: each
+    row takes the carried letter in place of its least strictly larger one
+    and passes that one up."""
+    for row in rows:
+        j = bisect_right(row, x)
+        if j == len(row):
+            row.append(x)
+            return
+        row[j], x = x, row[j]
+    rows.append([x])
+
+
 def row_insert_into_row(row: Word, x: int) -> tuple[Word, Optional[int]]:
     """Insert x into a weakly increasing row, bumping the smallest element
     strictly greater than x, or appending when there is none."""
-    for j, y in enumerate(row):
-        if y > x:
-            return row[:j] + (x,) + row[j + 1 :], y
-    return row + (x,), None
+    rows = [list(row)]
+    _row_insert(rows, x)
+    return tuple(rows[0]), rows[1][0] if len(rows) > 1 else None
 
 
 def row_insert(tableau: Tableau, x: int) -> Tableau:
     """Schensted row insertion of a letter, starting from the bottom row."""
-    rows = list(tableau.rows)
-    carry: Optional[int] = x
-    for i in range(len(rows)):
-        rows[i], carry = row_insert_into_row(rows[i], carry)
-        if carry is None:
-            return Tableau(tuple(rows))
-    rows.append((carry,))
-    return Tableau(tuple(rows))
+    rows = [list(row) for row in tableau.rows]
+    _row_insert(rows, x)
+    return Tableau(tuple(map(tuple, rows)))
 
 
 def column_insert(tableau: Tableau, x: int) -> Tableau:
@@ -128,10 +136,10 @@ def column_insert(tableau: Tableau, x: int) -> Tableau:
 
 def p_tableau(w: Word) -> Tableau:
     """The insertion tableau P(w), by row insertion of the letters in order."""
-    t = EMPTY_TABLEAU
+    rows: list[list[int]] = []
     for x in w:
-        t = row_insert(t, x)
-    return t
+        _row_insert(rows, x)
+    return Tableau(tuple(map(tuple, rows)))
 
 
 def p_tableau_by_columns(w: Word) -> Tableau:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -185,6 +186,7 @@ def test_usage_errors(capsys):
         '{"outer":[2],"inner":[1],"labels":[[[2,1]]]}',
         '{"outer":[2],"inner":[1],"labels":[[[2,1],"ab"]]}',
         '{"outer":[2],"inner":[1],"labels":[[[2,1],"a"]],"hole":[1]}',
+        '{"outer":[2],"labels":[[[1,1],"a"]],"hole":[2,1]}',
     ],
 )
 def test_malformed_jdt_json_is_a_usage_error(capsys, text):
@@ -229,6 +231,50 @@ def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "Q", "abc", "-n", "3"])
     assert exc.value.code == 2
+
+
+def styl_process(args, stdout):
+    src = str(Path(stylic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "stylic.cli", *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def assert_one_output_error(proc):
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
+def test_closed_stdout_is_an_output_error():
+    # About 3 MB of JSON: far more than a pipe holds, so writing must fail
+    # once the reader has gone.
+    proc = styl_process(["enumerate", "monoid", "-n", "6", "--json"], subprocess.PIPE)
+    assert proc.stdout.read(10) == '{"n": 6, "'
+    proc.stdout.close()
+    assert_one_output_error(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_an_output_error():
+    with open("/dev/full", "w") as full:
+        proc = styl_process(["compute", "P", "dbbaac", "-n", "4"], full)
+        assert_one_output_error(proc)
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so no check in src/ may be one.
+    package = Path(stylic.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 OPTIMIZED_SCRIPT = """

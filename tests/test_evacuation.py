@@ -166,6 +166,22 @@ def test_jdt_worked_example_and_strategies():
     assert jdt_all_results(SKEW) == {expected}
 
 
+def test_jdt_matches_a_walk_of_downward_moves_exhaustive_small(jdt_by_moves):
+    for skew in all_labelled_skews(3, outer_cap=5):
+        for strategy in ("first", "last"):
+            assert jdt(skew, strategy) == jdt_by_moves(skew, strategy)
+
+
+def test_jdt_rejects_a_hole_and_an_unknown_strategy():
+    holed = SkewPartition(outer=(2,), labels=(((1, 1), 1),), hole=(2, 1))
+    with pytest.raises(ValueError, match="without a hole"):
+        jdt(holed)
+    with pytest.raises(ValueError, match="without a hole"):
+        jdt_all_results(holed)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        jdt(SKEW, "middle")
+
+
 def test_jdt_on_partition_is_identity():
     r = parse_partition("15/23/46")
     assert jdt(partition_to_skew(r)) == r

@@ -2,13 +2,24 @@
 on random words and partitions over alphabets larger than the exhaustive
 tests reach."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stylic.columns import act_word, act_word_via_tableau
 from stylic.core import Alphabet
-from stylic.evacuation import delta_direct, delta_jdt, evac, evac_via_pyramid
-from stylic.monoid import SetPartition, left_insert, n_tableau, n_tableau_recursive
+from stylic.evacuation import delta_direct, delta_jdt, evac, evac_via_pyramid, jdt
+from stylic.monoid import (
+    SetPartition,
+    left_insert,
+    n_tableau,
+    n_tableau_recursive,
+    pi,
+    to_partition,
+)
+from stylic.tableaux import p_tableau, p_tableau_by_columns
+from stylic.verify import random_labelled_skew
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -45,6 +56,29 @@ def test_act_word_matches_tableau(case, data):
 def test_n_tableau_matches_recursive(case):
     _, w = case
     assert n_tableau(w) == n_tableau_recursive(w)
+
+
+@SETTINGS
+@given(words())
+def test_p_tableau_matches_column_insertion(case):
+    _, w = case
+    assert p_tableau(w) == p_tableau_by_columns(w)
+
+
+@SETTINGS
+@given(words())
+def test_pi_matches_n_tableau_row_differences(case):
+    _, w = case
+    assert pi(w) == to_partition(n_tableau(w))
+    rows = [set(row) for row in n_tableau_recursive(w).rows] + [set()]
+    assert pi(w) == SetPartition(tuple(tuple(a - b) for a, b in zip(rows, rows[1:])))
+
+
+@SETTINGS
+@given(st.integers(8, 12), st.integers(0, 2**32 - 1), st.sampled_from(["first", "last"]))
+def test_jdt_matches_a_walk_of_downward_moves(jdt_by_moves, n, seed, strategy):
+    skew = random_labelled_skew(random.Random(seed), n)
+    assert jdt(skew, strategy) == jdt_by_moves(skew, strategy)
 
 
 @SETTINGS
