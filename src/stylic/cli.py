@@ -74,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     verify.add_argument("-n", type=int, required=True)
-    verify.add_argument("--maxlen", type=int, default=6)
+    verify.add_argument(
+        "--maxlen", type=int, default=6,
+        help="longest word in the presentation, syntactic and confluence word checks",
+    )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--force", action="store_true", help="allow n = 7")
     return parser
@@ -226,8 +229,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     Alphabet(args.n)
-    if args.maxlen < 0:
-        raise ValueError(f"--maxlen must be nonnegative, got {args.maxlen}")
+    if args.maxlen < 1:
+        raise ValueError(f"--maxlen must be positive, got {args.maxlen}")
     _enumeration_cap(args)
     results = run_suite(args.suite, args.n, maxlen=args.maxlen, seed=args.seed)
     ok = True

@@ -83,26 +83,27 @@ def column_separating_word(c1: LetterSet, c2: LetterSet, alphabet: Alphabet) -> 
 def left_syntactic_check(
     alphabet: Alphabet, maxlen: int, deep_maxlen: Optional[int] = None
 ) -> CongruenceReport:
-    """Partition the words of length <= maxlen by the column their action
-    produces from the empty column, and certify the partition is the left
-    syntactic one: a separating context is constructed and verified (with
-    the decreasing-subsequence statistic evaluated directly) for every pair
-    of distinct columns.
+    """Certify that the left syntactic classes of the decreasing-subsequence
+    statistic are the 2^n columns.  A word's class is the column its action
+    produces from the empty column, and the statistic is that column's size,
+    so words reaching the same column are equivalent.  Each column S is
+    reached by decreasing_word(S), and a separating context is constructed
+    and verified (with the statistic evaluated directly) for every pair of
+    distinct columns.
 
-    With deep_maxlen set, additionally compare against the brute-force
-    partition by statistic profiles over all contexts of length up to
-    deep_maxlen.
+    With deep_maxlen set, additionally compare the partition of the words of
+    length <= maxlen by column against the brute-force partition by
+    statistic profiles over all contexts of length up to deep_maxlen.
     """
-    words = all_words(alphabet, maxlen)
     buckets: dict[LetterSet, Word] = {}
-    for w in words:
-        col = act_word(w, EMPTY_COLUMN)
-        buckets.setdefault(col, w)
-    report = CongruenceReport(classes=len(buckets), pairs_checked=0)
-    if maxlen >= alphabet.n and len(buckets) != 2 ** alphabet.n:
-        report.failures.append(
-            f"expected {2 ** alphabet.n} classes, found {len(buckets)}"
-        )
+    failures: list[str] = []
+    for column in alphabet.subsets():
+        w = decreasing_word(column)
+        if act_word(w, EMPTY_COLUMN) == column:
+            buckets[column] = w
+        else:
+            failures.append(f"{render_word(w)!r} does not reach its own column")
+    report = CongruenceReport(classes=len(buckets), pairs_checked=0, failures=failures)
     for c1, c2 in combinations(sorted(buckets, key=sorted), 2):
         report.pairs_checked += 1
         u, v = buckets[c1], buckets[c2]
@@ -117,6 +118,7 @@ def left_syntactic_check(
                 {"u": render_word(u), "v": render_word(v), "x": render_word(x)}
             )
     if deep_maxlen is not None:
+        words = all_words(alphabet, maxlen)
         contexts = all_words(alphabet, deep_maxlen)
         signature = {
             w: tuple(f_decr(x + w) for x in contexts) for w in words

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterator, Optional
 
-from .core import Alphabet, Word, decreasing_word, render_word, theta
+from .core import Alphabet, Word, decreasing_word, render_letter, render_word, theta
 from .evacuation import (
     Point,
     SkewPartition,
@@ -32,13 +32,15 @@ from .evacuation import (
     remove_from_partition,
 )
 from .monoid import (
+    StylicMonoid,
     all_partitions_of_subsets,
     bell_number,
     enumerate_styl,
     from_partition,
     left_insert,
+    n_insert,
     n_tableau,
-    pi,
+    to_partition,
 )
 from .rewriting import (
     congruence_reaches,
@@ -163,6 +165,75 @@ def random_labelled_skew(rng: random.Random, n: int, outer_cap: int = 10) -> Ske
 
 
 # ---------------------------------------------------------------------------
+# Certificates over the enumerated monoid.  Each is an induction along the
+# Cayley graphs (Froidure & Pin): a fact checked at the identity and on every
+# one-letter step m -> m.x holds for every word, whatever its length.
+
+
+def _edge(monoid: StylicMonoid, m: int, x: int) -> str:
+    return f"{monoid.elements[m].render_word()!r}.{render_letter(x)}"
+
+
+def class_function_counterexample(monoid: StylicMonoid) -> Optional[str]:
+    """The first right Cayley edge m -> m.x on which N-inserting x into the
+    tableau of m misses the tableau of m.x, or None.  None proves that the
+    N-tableau of every word is the tableau of its class."""
+    elements = monoid.elements
+    if elements[monoid.identity].tableau != n_tableau(()):
+        return "the identity's tableau is not empty"
+    for e in elements:
+        for x, step in monoid.right_by_letter.items():
+            if n_insert(e.tableau, x) != elements[step[e.index]].tableau:
+                return f"N-insertion along {_edge(monoid, e.index, x)}"
+    return None
+
+
+def theta_on_classes(monoid: StylicMonoid) -> list[int]:
+    """phi[m]: the class of theta(u_m), with u_m the BFS word of element m,
+    read along the right Cayley graph."""
+    right = monoid.right_by_letter
+    phi = []
+    for e in monoid.elements:
+        m = monoid.identity
+        for y in theta(e.word, monoid.alphabet):
+            m = right[y][m]
+        phi.append(m)
+    return phi
+
+
+def theta_counterexample(monoid: StylicMonoid, phi: list[int]) -> Optional[str]:
+    """The first place where phi fails to be the class map of theta, or None.
+    The checks: phi fixes the identity, phi(m.x) = (n+1-x).phi(m) on every
+    right Cayley edge, read through the left Cayley graph, and phi is an
+    involution.  None proves, by induction on length, that theta(w) lies in
+    class phi(m) for every word w of class m, so theta induces an involutive
+    anti-automorphism of the monoid."""
+    n = monoid.alphabet.n
+    left = monoid.left_by_letter
+    if phi[monoid.identity] != monoid.identity:
+        return "theta does not fix the identity"
+    for e in monoid.elements:
+        m = e.index
+        for x, step in monoid.right_by_letter.items():
+            if phi[step[m]] != left[n + 1 - x][phi[m]]:
+                return f"theta along {_edge(monoid, m, x)}"
+        if phi[phi[m]] != m:
+            return f"theta is not an involution at {e.render_word()!r}"
+    return None
+
+
+def evacuation_counterexample(monoid: StylicMonoid, phi: list[int]) -> Optional[str]:
+    """The first element m with evac(pi_m) != pi_phi(m), or None.  Given the
+    two certificates above, None proves pi(theta(w)) = evac(pi(w)) for every
+    word w."""
+    partitions = [to_partition(e.tableau) for e in monoid.elements]
+    for e in monoid.elements:
+        if evac(partitions[e.index], monoid.alphabet) != partitions[phi[e.index]]:
+            return f"evac at {e.render_word()!r}"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Suites.
 
 
@@ -186,6 +257,13 @@ def verify_bijection(n: int) -> SuiteResult:
             n_tableau(e.tableau.row_word()) == e.tableau for e in monoid.elements
         )
         result.add(stable, f"n={k}: reinserting each row word returns its tableau")
+        failure = class_function_counterexample(monoid)
+        result.add(
+            failure is None,
+            f"n={k}: N-insertion follows all {len(monoid) * k} right Cayley edges, "
+            "so the N-tableau depends only on the class"
+            + (f" (first counterexample: {failure})" if failure else ""),
+        )
         from_partitions = {
             from_partition(r) for r in all_partitions_of_subsets(alphabet)
         }
@@ -255,23 +333,24 @@ def verify_presentation(n: int, maxlen: int = 5, slice_n: int = 3) -> SuiteResul
     return result
 
 
-def verify_evacuation(
-    n: int, maxlen: int = 6, seed: int = 0, random_instances: int = 200
-) -> SuiteResult:
+def verify_evacuation(n: int, seed: int = 0, random_instances: int = 200) -> SuiteResult:
     """Evacuation intertwines the word involution; delta agrees with jeu de
     taquin; the pyramid reconstructs evacuation; sliding is choice-free."""
     result = SuiteResult("evacuation")
     alphabet = Alphabet(n)
 
-    bad = [
-        w
-        for w in all_words(alphabet, maxlen)
-        if pi(theta(w, alphabet)) != evac(pi(w), alphabet)
-    ]
+    monoid = enumerate_styl(alphabet, max_size=max(n, 6))
+    phi = theta_on_classes(monoid)
+    failure = (
+        class_function_counterexample(monoid)
+        or theta_counterexample(monoid, phi)
+        or evacuation_counterexample(monoid, phi)
+    )
     result.add(
-        not bad,
-        f"n={n}, len<={maxlen}: evacuation of the partition matches the reversed word"
-        + (f" (first counterexample: {render_word(bad[0])!r})" if bad else ""),
+        failure is None,
+        f"n={n}: evacuation of the partition matches the reversed word on all "
+        f"{len(monoid)} elements, by induction over {len(monoid) * n} right Cayley edges"
+        + (f" (first counterexample: {failure})" if failure else ""),
     )
 
     partitions = list(all_partitions_of_subsets(alphabet))
@@ -445,7 +524,7 @@ def verify_confluence(n: int, maxlen: int = 6) -> SuiteResult:
 SUITES = {
     "bijection": lambda n, maxlen, seed: verify_bijection(n),
     "presentation": lambda n, maxlen, seed: verify_presentation(n, maxlen),
-    "evacuation": lambda n, maxlen, seed: verify_evacuation(n, maxlen, seed),
+    "evacuation": lambda n, maxlen, seed: verify_evacuation(n, seed),
     "graded": lambda n, maxlen, seed: verify_graded(n),
     "syntactic": lambda n, maxlen, seed: verify_syntactic(n, maxlen),
     "confluence": lambda n, maxlen, seed: verify_confluence(n, maxlen),

@@ -219,6 +219,8 @@ def test_numeric_letters_are_ascii_digits(capsys, kind, text, n):
         ("bijection", "-n", "0"),
         ("all", "-n", "0"),
         ("evacuation", "-n", "2", "--maxlen", "-1"),
+        ("syntactic", "-n", "2", "--maxlen", "0"),
+        ("confluence", "-n", "2", "--maxlen", "0"),
     ],
 )
 def test_verify_rejects_an_empty_check(capsys, args):

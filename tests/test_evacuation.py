@@ -29,15 +29,24 @@ from stylic.evacuation import (
     shift_up_partition,
     skew_from_json,
 )
+from stylic import verify
+from stylic.cli import main
 from stylic.monoid import (
     SetPartition,
     all_partitions_of_subsets,
     all_set_partitions,
     enumerate_styl,
+    n_tableau,
     parse_partition,
     pi,
 )
-from stylic.verify import all_labelled_skews, random_labelled_skew
+from stylic.verify import (
+    all_labelled_skews,
+    random_labelled_skew,
+    theta_on_classes,
+    verify_bijection,
+    verify_evacuation,
+)
 
 # the running example: a skew shape with outer (4,3,3,1), inner (2,1)
 SKEW_LABELS = (
@@ -357,3 +366,117 @@ def test_shift_partition_guards():
     with pytest.raises(ValueError):
         shift_down_partition(parse_partition("a"))
     assert shift_down_partition(parse_partition("b/c")) == parse_partition("a/b")
+
+
+# ---------------------------------------------------------------------------
+# The evacuation certificate over the monoid, against the word ball it
+# replaced and against broken inputs it must reject.
+
+
+def evacuation_by_word_ball(n, maxlen=6, evac=evac):
+    """Oracle: the evacuation identity on every word of length <= maxlen."""
+    alphabet = Alphabet(n)
+    return all(
+        pi(theta(w, alphabet)) == evac(pi(w), alphabet) for w in words_up_to(n, maxlen)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certificate_agrees_with_the_word_ball(n):
+    alphabet = Alphabet(n)
+    monoid = enumerate_styl(alphabet)
+    phi = theta_on_classes(monoid)
+    reached = set()
+    for w in words_up_to(n, 6):
+        m = monoid.class_of_word(w)
+        reached.add(m)
+        assert monoid.class_of_word(theta(w, alphabet)) == phi[m]
+        assert n_tableau(w) == monoid.elements[m].tableau
+    assert len(reached) == len(monoid)  # at n <= 4 the ball covers the monoid
+    assert evacuation_by_word_ball(n)
+    assert verify_evacuation(n).lines[0] == (
+        f"PASS n={n}: evacuation of the partition matches the reversed word on all "
+        f"{len(monoid)} elements, by induction over {len(monoid) * n} right Cayley edges"
+    )
+
+
+def corrupt_one_left_edge(monkeypatch):
+    build = verify.enumerate_styl
+
+    def corrupted(alphabet, max_size):
+        monoid = build(alphabet, max_size=max_size)
+        row = monoid.left_by_letter[1]
+        row[5] = row[6] if row[5] != row[6] else row[7]
+        return monoid
+
+    monkeypatch.setattr(verify, "enumerate_styl", corrupted)
+    return "theta along"
+
+
+def reverse_without_complement(monkeypatch):
+    monkeypatch.setattr(verify, "theta", lambda w, alphabet: tuple(reversed(w)))
+    return "theta along"
+
+
+def complement_shifted_by_one(monkeypatch):
+    monkeypatch.setattr(
+        verify, "theta", lambda w, alphabet: tuple(alphabet.n - x % alphabet.n for x in reversed(w))
+    )
+    return "theta along"
+
+
+def evac_broken_on_one_partition(monkeypatch):
+    target = parse_partition("a/b")  # evacuates to b/c at n = 3
+
+    def broken(partition, alphabet):
+        return target if partition == target else evac(partition, alphabet)
+
+    monkeypatch.setattr(verify, "evac", broken)
+    return "evac at"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        corrupt_one_left_edge,
+        reverse_without_complement,
+        complement_shifted_by_one,
+        evac_broken_on_one_partition,
+    ],
+)
+def test_certificate_fails_on_a_broken_input(monkeypatch, capsys, mutate):
+    reason = mutate(monkeypatch)
+    result = verify_evacuation(3)
+    assert not result.ok and result.render().startswith("[evacuation] FAIL")
+    assert result.lines[0].startswith("FAIL n=3: ")
+    assert f"(first counterexample: {reason}" in result.lines[0]
+    if mutate is not evac_broken_on_one_partition:
+        # Only the certificate reads the monoid and theta.
+        assert all(line.startswith("PASS ") for line in result.lines[1:])
+    assert main(["verify", "evacuation", "-n", "3"]) == 1
+    assert "[evacuation] FAIL" in capsys.readouterr().out
+
+
+def test_word_ball_agrees_with_the_certificate_on_a_broken_evac(monkeypatch):
+    evac_broken_on_one_partition(monkeypatch)
+    assert not evacuation_by_word_ball(3, evac=verify.evac)
+    assert verify_evacuation(3).lines[0].startswith("FAIL ")
+
+
+def test_bijection_certifies_that_the_n_tableau_is_a_class_function(monkeypatch):
+    line = "PASS n=3: N-insertion follows all 45 right Cayley edges, so the N-tableau depends only on the class"
+    assert line[5:] in "\n".join(verify_bijection(3).lines)
+    build = verify.enumerate_styl
+
+    def corrupted(alphabet, max_size):
+        monoid = build(alphabet, max_size=max_size)
+        if alphabet.n == 3:
+            row = monoid.right_by_letter[2]
+            row[4] = row[4] + 1
+        return monoid
+
+    monkeypatch.setattr(verify, "enumerate_styl", corrupted)
+    result = verify_bijection(3)
+    assert not result.ok
+    failed = [line for line in result.lines if line.startswith("FAIL ")]
+    assert len(failed) == 1 and "first counterexample: N-insertion along" in failed[0]

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from stylic.columns import EMPTY_COLUMN, act_word, all_columns
-from stylic.core import Alphabet, decreasing_word, parse_word
+from stylic.core import Alphabet, decreasing_word, parse_word, render_word
 from stylic.monoid import enumerate_styl
 from stylic.syntactic import (
     all_words,
@@ -61,6 +61,34 @@ def test_left_syntactic_check():
     assert report.pairs_checked == 6
     data = report.to_json()
     assert data["classes"] == 4 and data["failures"] == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_left_check_matches_bucketing_the_word_ball(n):
+    # Oracle: the first word, in shortlex order, reaching each column.  At
+    # length <= max(6, n) every column is reached, first by its decreasing
+    # word, so both routes check the same pairs with the same words.
+    alphabet = Alphabet(n)
+    buckets = {}
+    for w in all_words(alphabet, max(6, n)):
+        buckets.setdefault(act_word(w, EMPTY_COLUMN), w)
+    assert buckets == {s: decreasing_word(s) for s in alphabet.subsets()}
+    report = left_syntactic_check(alphabet, 0)
+    assert report.ok and report.classes == len(buckets)
+    assert report.pairs_checked == len(buckets) * (len(buckets) - 1) // 2
+    assert {(d["u"], d["v"]) for d in report.witnesses} == {
+        (render_word(buckets[c1]), render_word(buckets[c2]))
+        for c1, c2 in combinations(sorted(buckets, key=sorted), 2)
+    }
+
+
+def test_left_check_fails_when_a_column_is_not_reached(monkeypatch):
+    import stylic.syntactic
+
+    monkeypatch.setattr(stylic.syntactic, "decreasing_word", lambda s: tuple(sorted(s)))
+    report = left_syntactic_check(Alphabet(3), 6)
+    assert not report.ok and report.classes < 8
+    assert "'ab' does not reach its own column" in report.failures
 
 
 def test_left_classes_examples():
