@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from stylic import verify
+from stylic.cli import main
 from stylic.core import Alphabet, parse_word, render_word, support, theta
 from stylic.evacuation import (
     SkewPartition,
@@ -29,8 +31,6 @@ from stylic.evacuation import (
     shift_up_partition,
     skew_from_json,
 )
-from stylic import verify
-from stylic.cli import main
 from stylic.monoid import (
     SetPartition,
     all_partitions_of_subsets,
@@ -418,13 +418,6 @@ def reverse_without_complement(monkeypatch):
     return "theta along"
 
 
-def complement_shifted_by_one(monkeypatch):
-    monkeypatch.setattr(
-        verify, "theta", lambda w, alphabet: tuple(alphabet.n - x % alphabet.n for x in reversed(w))
-    )
-    return "theta along"
-
-
 def evac_broken_on_one_partition(monkeypatch):
     target = parse_partition("a/b")  # evacuates to b/c at n = 3
 
@@ -436,13 +429,7 @@ def evac_broken_on_one_partition(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mutate",
-    [
-        corrupt_one_left_edge,
-        reverse_without_complement,
-        complement_shifted_by_one,
-        evac_broken_on_one_partition,
-    ],
+    "mutate", [corrupt_one_left_edge, reverse_without_complement, evac_broken_on_one_partition]
 )
 def test_certificate_fails_on_a_broken_input(monkeypatch, capsys, mutate):
     reason = mutate(monkeypatch)
@@ -465,7 +452,7 @@ def test_word_ball_agrees_with_the_certificate_on_a_broken_evac(monkeypatch):
 
 def test_bijection_certifies_that_the_n_tableau_is_a_class_function(monkeypatch):
     line = "PASS n=3: N-insertion follows all 45 right Cayley edges, so the N-tableau depends only on the class"
-    assert line[5:] in "\n".join(verify_bijection(3).lines)
+    assert line in verify_bijection(3).lines
     build = verify.enumerate_styl
 
     def corrupted(alphabet, max_size):
