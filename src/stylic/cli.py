@@ -36,6 +36,10 @@ from .verify import run_suite
 
 ENUMERATION_DEFAULT_CAP = 6
 ENUMERATION_FORCE_CAP = 7
+# The word checks grow about 3.5x per letter of --maxlen.  On a 2-vCPU x86
+# host the slowest suite (presentation) takes about 2 s at 8, and 15 s and
+# 100 MiB at 9.
+VERIFY_MAXLEN_CAP = 8
 
 COMPUTE_KINDS = ("P", "N", "pi", "evac", "theta", "delta", "jdt")
 
@@ -76,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("-n", type=int, required=True)
     verify.add_argument(
         "--maxlen", type=int, default=6,
-        help="longest word in the presentation, syntactic and confluence word checks",
+        help="longest word in the presentation, syntactic and confluence word checks "
+        f"(1 to {VERIFY_MAXLEN_CAP})",
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--force", action="store_true", help="allow n = 7")
@@ -231,6 +236,8 @@ def _cmd_verify(args) -> int:
     Alphabet(args.n)
     if args.maxlen < 1:
         raise ValueError(f"--maxlen must be positive, got {args.maxlen}")
+    if args.maxlen > VERIFY_MAXLEN_CAP:
+        raise ValueError(f"--maxlen {args.maxlen} exceeds the ceiling {VERIFY_MAXLEN_CAP} of verify")
     _enumeration_cap(args)
     results = run_suite(args.suite, args.n, maxlen=args.maxlen, seed=args.seed)
     ok = True

@@ -320,22 +320,29 @@ def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Rando
     return SkewPartition(outer, (), tuple(label.items())).to_partition()
 
 
-def jdt_all_results(skew: SkewPartition) -> set[SetPartition]:
-    """Results over every sequence of corner choices (memoized)."""
+def jdt_all_results(
+    skew: SkewPartition, memo: Optional[dict[tuple, tuple[SetPartition, ...]]] = None
+) -> set[SetPartition]:
+    """Results over every sequence of corner choices, by dynamic programming
+    over the states (outer, inner, labels) that slides reach.  memo maps each
+    state with an inner shape to its results; pass one dict across many skews
+    so that a state reached from several of them is slid once."""
     if skew.hole is not None:
         raise ValueError(f"jdt needs a skew shape without a hole, got hole {skew.hole}")
-    memo: dict[tuple, frozenset[SetPartition]] = {}
+    memo = {} if memo is None else memo
 
-    def rec(outer: Composition, inner: Composition, label: dict[Point, int]) -> frozenset[SetPartition]:
+    def rec(outer: Composition, inner: Composition, label: dict[Point, int]) -> tuple[SetPartition, ...]:
         if not inner:
-            return frozenset([SkewPartition(outer, (), tuple(label.items())).to_partition()])
-        key = (outer, inner, frozenset(label.items()))
+            return (SkewPartition(outer, (), tuple(label.items())).to_partition(),)
+        # The shapes fix the labelled points, so their labels in point order
+        # complete the state.
+        key = (outer, inner, *map(label.__getitem__, sorted(label)))
         if key not in memo:
             out: set[SetPartition] = set()
             for pick in _corners(inner):
                 moved = dict(label)
-                out |= rec(_slide(outer, moved, pick), remove_point(inner, pick), moved)
-            memo[key] = frozenset(out)
+                out.update(rec(_slide(outer, moved, pick), remove_point(inner, pick), moved))
+            memo[key] = tuple(out)
         return memo[key]
 
     return set(rec(skew.outer, skew.inner, skew.label_map()))

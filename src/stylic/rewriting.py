@@ -4,6 +4,12 @@ Two layers: bounded congruence closure over plain words (the Knuth relations,
 plus the idempotent relations x^2 = x), and the quadratic rewriting system on
 words of columns, whose normal forms are exactly the column factorizations of
 insertion tableaux.
+
+The column rewriting runs on tuples of column masks (letter x is bit x - 1)
+through a `PairTable`: each check builds one, and it computes the rule for
+each adjacent pair of columns once, from `column_leq` and
+`column_pair_reduce`.  The functions taking frozenset column words convert
+at the boundary into the same kernel.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Optional
 
-from .core import Alphabet, LetterSet, Word, decreasing_word
+from .core import Alphabet, LetterSet, Word, decreasing_word, letters_of, mask_of
 from .columns import act_word, column_leq, parse_column, render_column
 from .tableaux import Tableau
 
@@ -145,48 +152,116 @@ def flatten_column_word(word: ColumnWord) -> Word:
     return tuple(out)
 
 
+class PairTable(dict):
+    """The rewriting rules on column masks, filled as pairs are met.
+
+    (c1, c2) maps to None when c1 <= c2 in the column order, so that no rule
+    applies, and otherwise to the one or two masks that replace the pair.
+    Each entry comes from `column_leq` and `column_pair_reduce` once, so the
+    multiset check runs on every reducible pair a check meets.  Callers
+    build a table per check, never per module, so a table never outlives
+    the rules it was filled from.
+    """
+
+    def __missing__(self, pair: tuple[int, int]) -> Optional[tuple[int, ...]]:
+        c1, c2 = (frozenset(letters_of(c)) for c in pair)
+        rule = None
+        if not column_leq(c1, c2):
+            reduced, leftover = column_pair_reduce(c1, c2)
+            rule = (mask_of(reduced), mask_of(leftover)) if leftover else (mask_of(reduced),)
+        self[pair] = rule
+        return rule
+
+
+def _masks(word: ColumnWord) -> tuple[int, ...]:
+    return tuple(mask_of(c) for c in word)
+
+
+def _columns(word: tuple[int, ...]) -> ColumnWord:
+    return tuple(frozenset(letters_of(c)) for c in word)
+
+
+def _redexes(word: tuple[int, ...], table: PairTable) -> list[int]:
+    return [i for i in range(len(word) - 1) if table[word[i], word[i + 1]] is not None]
+
+
+def _rewrite(word: tuple[int, ...], i: int, table: PairTable) -> tuple[int, ...]:
+    return word[:i] + table[word[i], word[i + 1]] + word[i + 2:]
+
+
+def _measure_less(after: tuple[int, ...], before: tuple[int, ...], table: PairTable) -> bool:
+    if len(after) != len(before):
+        return len(after) < len(before)
+    for a, b in zip(after, before):
+        if a != b:
+            return table[a, b] is None
+    return False
+
+
+def _normal_forms(
+    word: tuple[int, ...], table: PairTable
+) -> tuple[set[tuple[int, ...]], list[tuple]]:
+    seen = {word}
+    stack = [word]
+    normal_forms: set[tuple[int, ...]] = set()
+    violations: list[tuple] = []
+    while stack:
+        w = stack.pop()
+        slots = _redexes(w, table)
+        if not slots:
+            normal_forms.add(w)
+            continue
+        for i in slots:
+            w2 = _rewrite(w, i, table)
+            if not _measure_less(w2, w, table):
+                violations.append((w, i, w2))
+            if w2 not in seen:
+                seen.add(w2)
+                stack.append(w2)
+    return normal_forms, violations
+
+
 def reducible_positions(word: ColumnWord) -> list[int]:
-    return [i for i in range(len(word) - 1) if not column_leq(word[i], word[i + 1])]
+    return _redexes(_masks(word), PairTable())
 
 
 def rewrite_at(word: ColumnWord, i: int) -> ColumnWord:
-    reduced, leftover = column_pair_reduce(word[i], word[i + 1])
-    middle: ColumnWord = (reduced,) if not leftover else (reduced, leftover)
-    return word[:i] + middle + word[i + 2:]
+    masks = _masks(word)
+    table = PairTable()
+    if table[masks[i], masks[i + 1]] is None:
+        raise ValueError(f"no rule applies at position {i}")
+    return _columns(_rewrite(masks, i, table))
 
 
 def measure_less(after: ColumnWord, before: ColumnWord) -> bool:
     """The termination measure: first by length, then columnwise at the
     first difference in the column order."""
-    if len(after) != len(before):
-        return len(after) < len(before)
-    for a, b in zip(after, before):
-        if a != b:
-            return column_leq(a, b) and a != b
-    return False
+    return _measure_less(_masks(after), _masks(before), PairTable())
 
 
-def normalize_column_word(word: ColumnWord, strategy: str | random.Random = "leftmost") -> ColumnWord:
+def normalize_column_word(
+    word: ColumnWord,
+    strategy: str | random.Random = "leftmost",
+    table: Optional[PairTable] = None,
+) -> ColumnWord:
     """Apply rules until none applies; the normal form is the unique
-    weakly increasing column word in the class, independent of strategy."""
+    weakly increasing column word in the class, independent of strategy
+    ("leftmost", "rightmost" or a random.Random picking among the redexes).
+    Pass one table to share the rules across many words."""
+    if strategy == "leftmost":
+        pick = itemgetter(0)
+    elif strategy == "rightmost":
+        pick = itemgetter(-1)
+    elif isinstance(strategy, random.Random):
+        pick = strategy.choice
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
     check_column_word(word)
-    current = tuple(word)
-    while True:
-        slots = reducible_positions(current)
-        if not slots:
-            break
-        if strategy == "leftmost":
-            i = slots[0]
-        elif strategy == "rightmost":
-            i = slots[-1]
-        elif isinstance(strategy, random.Random):
-            i = strategy.choice(slots)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        current = rewrite_at(current, i)
-    if not all(column_leq(current[i], current[i + 1]) for i in range(len(current) - 1)):
-        raise ValueError("normal form is not a weakly increasing column word")
-    return current
+    table = PairTable() if table is None else table
+    current = _masks(word)
+    while slots := _redexes(current, table):
+        current = _rewrite(current, pick(slots), table)
+    return _columns(current)
 
 
 def all_normal_forms(word: ColumnWord) -> tuple[set[ColumnWord], list[tuple]]:
@@ -194,24 +269,10 @@ def all_normal_forms(word: ColumnWord) -> tuple[set[ColumnWord], list[tuple]]:
     set of normal forms (a singleton, by confluence) and any violations of
     the termination measure encountered."""
     check_column_word(word)
-    seen = {tuple(word)}
-    stack = [tuple(word)]
-    normal_forms: set[ColumnWord] = set()
-    violations: list[tuple] = []
-    while stack:
-        w = stack.pop()
-        slots = reducible_positions(w)
-        if not slots:
-            normal_forms.add(w)
-            continue
-        for i in slots:
-            w2 = rewrite_at(w, i)
-            if not measure_less(w2, w):
-                violations.append((w, i, w2))
-            if w2 not in seen:
-                seen.add(w2)
-                stack.append(w2)
-    return normal_forms, violations
+    forms, violations = _normal_forms(_masks(word), PairTable())
+    return {_columns(w) for w in forms}, [
+        (_columns(before), i, _columns(after)) for before, i, after in violations
+    ]
 
 
 def tableau_column_word(tableau: Tableau) -> ColumnWord:
@@ -239,35 +300,39 @@ class ConfluenceReport:
         }
 
 
-def local_confluence_check(alphabet: Alphabet) -> ConfluenceReport:
+def local_confluence_check(
+    alphabet: Alphabet, table: Optional[PairTable] = None
+) -> ConfluenceReport:
     """Scan every triple of nonempty columns with two overlapping redexes
     and verify both peaks rejoin; also checks that every rewrite step
-    strictly decreases the termination measure."""
-    columns = [c for c in alphabet.subsets() if c]
-    report = ConfluenceReport(0, 0, [], [])
+    strictly decreases the termination measure.  Only the triples whose two
+    pairs both reduce are explored; the others count as scanned."""
+    table = PairTable() if table is None else table
+    columns = range(1, 1 << alphabet.n)
+    report = ConfluenceReport(len(columns) ** 3, 0, [], [])
     for c1 in columns:
         for c2 in columns:
-            left = not column_leq(c1, c2)
+            if table[c1, c2] is None:
+                continue
             for c3 in columns:
-                report.triples += 1
-                if not (left and not column_leq(c2, c3)):
+                if table[c2, c3] is None:
                     continue
                 report.overlapping += 1
-                forms, violations = all_normal_forms((c1, c2, c3))
+                forms, violations = _normal_forms((c1, c2, c3), table)
                 for before, i, after in violations:
                     report.measure_violations.append(
                         {
-                            "before": render_column_word(before),
+                            "before": render_column_word(_columns(before)),
                             "position": i,
-                            "after": render_column_word(after),
+                            "after": render_column_word(_columns(after)),
                         }
                     )
                 if len(forms) != 1:
                     report.nonjoinable.append(
                         {
-                            "peak": render_column_word((c1, c2, c3)),
+                            "peak": render_column_word(_columns((c1, c2, c3))),
                             "normalForms": sorted(
-                                render_column_word(w) for w in forms
+                                render_column_word(_columns(w)) for w in forms
                             ),
                         }
                     )

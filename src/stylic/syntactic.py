@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 from .columns import EMPTY_COLUMN, act_word
 from .core import Alphabet, LetterSet, Word, decreasing_word, render_word
 from .monoid import StylicMonoid, enumerate_styl
-from .tableaux import Shape, longest_strictly_decreasing, p_tableau
+from .tableaux import Shape, Tableau, longest_strictly_decreasing, p_tableau
 
 
 def f_decr(w: Word) -> int:
@@ -177,7 +177,13 @@ def plactic_separator(
     None signals an exhausted search (which would falsify the statement
     being exercised).
     """
-    pu, pv = p_tableau(u), p_tableau(v)
+    return _separator(u, p_tableau(u), v, p_tableau(v), alphabet, extra_cap)
+
+
+def _separator(
+    u: Word, pu: Tableau, v: Word, pv: Tableau, alphabet: Alphabet, extra_cap: int = 0
+) -> Optional[Word]:
+    """plactic_separator given the insertion tableaux pu of u and pv of v."""
     if pu == pv:
         raise ValueError("words have the same insertion tableau")
     if pu.shape() != pv.shape():
@@ -211,7 +217,7 @@ def plactic_left_syntactic_check(alphabet: Alphabet, maxlen: int) -> CongruenceR
     reps = [(t, ws[0]) for t, ws in buckets.items()]
     for (t1, u), (t2, v) in combinations(reps, 2):
         report.pairs_checked += 1
-        x = plactic_separator(u, v, alphabet)
+        x = _separator(u, t1, v, t2, alphabet)
         if x is None:
             report.failures.append(
                 f"no separator found for {render_word(u)!r} vs {render_word(v)!r}"
@@ -222,11 +228,12 @@ def plactic_left_syntactic_check(alphabet: Alphabet, maxlen: int) -> CongruenceR
             )
     contexts = all_words(alphabet, 2)
     for t, ws in buckets.items():
-        rep = ws[0]
-        for w in ws[1:]:
+        rep, rest = ws[0], ws[1:]
+        rep_shapes = [lambda_shape(x + rep) for x in contexts] if rest else []
+        for w in rest:
             report.pairs_checked += 1
-            for x in contexts:
-                if lambda_shape(x + rep) != lambda_shape(x + w):
+            for x, shape in zip(contexts, rep_shapes):
+                if shape != lambda_shape(x + w):
                     report.failures.append(
                         f"equivalent words {render_word(rep)!r}, {render_word(w)!r} "
                         f"separated by {render_word(x)!r}"

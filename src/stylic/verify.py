@@ -43,6 +43,7 @@ from .monoid import (
     to_partition,
 )
 from .rewriting import (
+    PairTable,
     congruence_reaches,
     local_confluence_check,
     normalize_column_word,
@@ -395,9 +396,10 @@ def verify_evacuation(n: int, seed: int = 0, random_instances: int = 200) -> Sui
     k = min(n, 4)
     instances = 0
     ambiguous = 0
+    memo: dict = {}  # slides stay inside the set, so each skew is slid once
     for skew in all_labelled_skews(k, outer_cap=6):
         instances += 1
-        if len(jdt_all_results(skew)) != 1:
+        if len(jdt_all_results(skew, memo)) != 1:
             ambiguous += 1
     result.add(
         ambiguous == 0,
@@ -483,8 +485,9 @@ def verify_confluence(n: int, maxlen: int = 6) -> SuiteResult:
     """Local confluence of the column rewriting system, and normal forms
     equal to tableau column factorizations."""
     result = SuiteResult("confluence")
+    table = PairTable()  # both checks read the same rules
     k = min(n, 4)
-    report = local_confluence_check(Alphabet(k))
+    report = local_confluence_check(Alphabet(k), table)
     detail = ""
     if report.nonjoinable:
         detail = f" (first non-joinable peak: {report.nonjoinable[0]['peak']})"
@@ -508,7 +511,7 @@ def verify_confluence(n: int, maxlen: int = 6) -> SuiteResult:
         letters = tuple(frozenset({x}) for x in w)
         expected = tableau_column_word(p_tableau(w))
         if any(
-            normalize_column_word(letters, strategy) != expected
+            normalize_column_word(letters, strategy, table) != expected
             for strategy in ("leftmost", "rightmost", rng)
         ):
             bad.append(w)

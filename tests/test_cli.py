@@ -229,6 +229,22 @@ def test_verify_rejects_an_empty_check(capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Only sizes that would still finish quickly if the ceiling were missing.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("presentation", "-n", "2", "--maxlen", "9"),
+        ("confluence", "-n", "1", "--maxlen", "12"),
+        ("all", "-n", "1", "--maxlen", "9"),
+    ],
+)
+def test_verify_rejects_maxlen_above_the_ceiling(capsys, args):
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ceiling 8" in err
+
+
 def test_argparse_usage_exit():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "Q", "abc", "-n", "3"])

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from stylic import verify
+from stylic import evacuation, verify
 from stylic.cli import main
 from stylic.core import Alphabet, parse_word, render_word, support, theta
 from stylic.evacuation import (
@@ -202,6 +202,67 @@ def test_jdt_strategy_independence_exhaustive_small():
         assert len(jdt_all_results(skew)) == 1
         count += 1
     assert count == 394
+
+
+@pytest.mark.parametrize("n, outer_cap, count", [(3, 5, 394), (4, 6, 2675)])
+def test_a_shared_memo_gives_the_fresh_memo_results(n, outer_cap, count):
+    shared: dict = {}
+    skews = list(all_labelled_skews(n, outer_cap))
+    for skew in skews:
+        assert jdt_all_results(skew, shared) == jdt_all_results(skew) == {jdt(skew)}
+    # Slides never leave the set, so its skews are exactly the states.
+    assert len(skews) == len(shared) == count
+
+
+def test_the_jdt_check_slides_each_state_and_corner_once(monkeypatch):
+    skews = list(all_labelled_skews(4, outer_cap=6))
+    state_corners = sum(len(evacuation._corners(skew.inner)) for skew in skews)
+    slide, search = evacuation._slide, verify.jdt_all_results
+    slides, memos, searching = [0], set(), [False]
+
+    def counted_slide(outer, label, hole):
+        slides[0] += searching[0]
+        return slide(outer, label, hole)
+
+    def counted_search(skew, memo=None):
+        memos.add(id(memo))
+        searching[0] = True
+        try:
+            return search(skew, memo)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(evacuation, "_slide", counted_slide)
+    monkeypatch.setattr(verify, "jdt_all_results", counted_search)
+    result = verify_evacuation(4)
+    assert "PASS jeu de taquin is choice-independent on all 2675 labelled skews" in "\n".join(result.lines)
+    assert len(memos) == 1
+    assert 0 < slides[0] <= state_corners
+
+
+def test_the_jdt_check_fails_when_the_search_drops_a_corner(monkeypatch, capsys):
+    corners, search = evacuation._corners, verify.jdt_all_results
+
+    def dropping(comp):
+        return corners(comp)[1:]
+
+    def search_without_one_corner(skew, memo=None):
+        # Only the exhaustive search sees the mutation; jdt keeps every
+        # choice, so the other lines of the suite still run.
+        evacuation._corners = dropping
+        try:
+            return search(skew, memo)
+        finally:
+            evacuation._corners = corners
+
+    monkeypatch.setattr(verify, "jdt_all_results", search_without_one_corner)
+    result = verify_evacuation(3)
+    failed = [line for line in result.lines if line.startswith("FAIL ")]
+    assert failed == [
+        "FAIL jeu de taquin is choice-independent on all 1088 labelled skews (letters<=3, outer<=6)"
+    ]
+    assert main(["verify", "evacuation", "-n", "3"]) == 1
+    assert "[evacuation] FAIL" in capsys.readouterr().out
 
 
 def test_skew_row_words():

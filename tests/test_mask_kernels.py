@@ -1,6 +1,6 @@
 """Differential tests: the bitmask kernels against the oracles they replaced,
-on random words and partitions over alphabets larger than the exhaustive
-tests reach."""
+on random words, partitions and column words over alphabets larger than the
+exhaustive tests reach."""
 
 import random
 
@@ -17,6 +17,12 @@ from stylic.monoid import (
     n_tableau_recursive,
     pi,
     to_partition,
+)
+from stylic.rewriting import (
+    all_normal_forms,
+    flatten_column_word,
+    normalize_column_word,
+    tableau_column_word,
 )
 from stylic.tableaux import p_tableau, p_tableau_by_columns
 from stylic.verify import random_labelled_skew
@@ -106,3 +112,15 @@ def test_evac_matches_pyramid_and_is_involution(case):
     image = evac(r, alphabet)
     assert image == evac_via_pyramid(r, alphabet)
     assert evac(image, alphabet) == r
+
+
+@SETTINGS
+@given(st.integers(5, 8), st.data())
+def test_column_rewriting_matches_tableau_columns(n, data):
+    column = st.frozensets(st.integers(1, n), min_size=1)
+    word = tuple(data.draw(st.lists(column, min_size=1, max_size=5)))
+    expected = tableau_column_word(p_tableau(flatten_column_word(word)))
+    assert all_normal_forms(word) == ({expected}, [])
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for strategy in ("leftmost", "rightmost", rng):
+        assert normalize_column_word(word, strategy) == expected

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from stylic import rewriting, verify
+from stylic.cli import main
 from stylic.columns import all_columns, column_leq, parse_column
 from stylic.core import Alphabet, parse_word
 from stylic.monoid import enumerate_styl
@@ -171,3 +173,71 @@ def test_column_word_text_round_trip():
         parse_column_word("(dba")
     with pytest.raises(ValueError):
         parse_column_word("()")
+
+
+def test_normalize_rejects_an_unknown_strategy():
+    # No rule applies to a single column, so the strategy is never consulted.
+    with pytest.raises(ValueError, match="unknown strategy"):
+        normalize_column_word((frozenset({1}),), "bogus")
+    with pytest.raises(ValueError, match="unknown strategy"):
+        normalize_column_word((col("b"), col("a")), "middle")
+
+
+def test_rewrite_at_rejects_a_position_without_a_rule():
+    with pytest.raises(ValueError, match="no rule applies"):
+        rewrite_at((col("ba"), col("b")), 0)
+
+
+def test_mask_kernel_matches_tableau_columns_on_all_short_column_words():
+    # Every column word of length <= 4 over 3 letters, against P of its
+    # flattened word.
+    nonempty = [c for c in all_columns(Alphabet(3)) if c]
+    rng = random.Random(11)
+    table = rewriting.PairTable()
+    count = 0
+    for length in range(1, 5):
+        for word in product(nonempty, repeat=length):
+            count += 1
+            expected = tableau_column_word(p_tableau(flatten_column_word(word)))
+            assert all_normal_forms(word) == ({expected}, [])
+            for strategy in ("leftmost", "rightmost", rng):
+                assert normalize_column_word(word, strategy) == expected
+                assert normalize_column_word(word, strategy, table) == expected
+    assert count == 7 + 7**2 + 7**3 + 7**4
+
+
+def test_confluence_reduces_each_column_pair_once(monkeypatch):
+    reduce = rewriting.column_pair_reduce
+    calls = []
+
+    def counted(c1, c2):
+        calls.append((c1, c2))
+        return reduce(c1, c2)
+
+    monkeypatch.setattr(rewriting, "column_pair_reduce", counted)
+    assert verify.verify_confluence(5).ok
+    assert calls and len(calls) == len(set(calls))
+    assert len(calls) <= 15 * 15  # pairs of nonempty columns at n = 4
+
+
+def one_wrong_pair(monkeypatch):
+    reduce = rewriting.column_pair_reduce
+
+    def wrong(c1, c2):
+        # (b)(a) should become (ba); keep a stray (a) behind instead.
+        if (c1, c2) == (col("b"), col("a")):
+            return col("ba"), col("a")
+        return reduce(c1, c2)
+
+    monkeypatch.setattr(rewriting, "column_pair_reduce", wrong)
+
+
+def test_confluence_fails_on_one_wrong_pair(monkeypatch, capsys):
+    one_wrong_pair(monkeypatch)
+    result = verify.verify_confluence(3)
+    assert not result.ok
+    assert result.lines[0].startswith("FAIL n=3: ")
+    assert "first non-joinable peak" in result.lines[0]
+    assert result.lines[1].startswith("FAIL n=3, len<=6: ")
+    assert main(["verify", "confluence", "-n", "3"]) == 1
+    assert "[confluence] FAIL" in capsys.readouterr().out
