@@ -237,7 +237,9 @@ def _cmd_verify(args) -> int:
     if args.maxlen < 1:
         raise ValueError(f"--maxlen must be positive, got {args.maxlen}")
     if args.maxlen > VERIFY_MAXLEN_CAP:
-        raise ValueError(f"--maxlen {args.maxlen} exceeds the ceiling {VERIFY_MAXLEN_CAP} of verify")
+        raise ValueError(
+            f"--maxlen {args.maxlen} exceeds the ceiling {VERIFY_MAXLEN_CAP} of verify"
+        )
     _enumeration_cap(args)
     results = run_suite(args.suite, args.n, maxlen=args.maxlen, seed=args.seed)
     ok = True

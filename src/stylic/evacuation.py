@@ -331,7 +331,9 @@ def jdt_all_results(
         raise ValueError(f"jdt needs a skew shape without a hole, got hole {skew.hole}")
     memo = {} if memo is None else memo
 
-    def rec(outer: Composition, inner: Composition, label: dict[Point, int]) -> tuple[SetPartition, ...]:
+    def rec(
+        outer: Composition, inner: Composition, label: dict[Point, int]
+    ) -> tuple[SetPartition, ...]:
         if not inner:
             return (SkewPartition(outer, (), tuple(label.items())).to_partition(),)
         # The shapes fix the labelled points, so their labels in point order

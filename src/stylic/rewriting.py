@@ -6,7 +6,7 @@ words of columns, whose normal forms are exactly the column factorizations of
 insertion tableaux.
 
 The column rewriting runs on tuples of column masks (letter x is bit x - 1)
-through a `PairTable`: each check builds one, and it computes the rule for
+through a `PairTable`: a check builds one, and it computes the rule for
 each adjacent pair of columns once, from `column_leq` and
 `column_pair_reduce`.  The functions taking frozenset column words convert
 at the boundary into the same kernel.
@@ -159,8 +159,8 @@ class PairTable(dict):
     applies, and otherwise to the one or two masks that replace the pair.
     Each entry comes from `column_leq` and `column_pair_reduce` once, so the
     multiset check runs on every reducible pair a check meets.  Callers
-    build a table per check, never per module, so a table never outlives
-    the rules it was filled from.
+    build a table for a check or a suite; there is no module-level table,
+    so none outlives the rules it was filled from.
     """
 
     def __missing__(self, pair: tuple[int, int]) -> Optional[tuple[int, ...]]:

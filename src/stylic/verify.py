@@ -396,7 +396,7 @@ def verify_evacuation(n: int, seed: int = 0, random_instances: int = 200) -> Sui
     k = min(n, 4)
     instances = 0
     ambiguous = 0
-    memo: dict = {}  # slides stay inside the set, so each skew is slid once
+    memo: dict = {}  # slides stay inside the set, so each state is slid once
     for skew in all_labelled_skews(k, outer_cap=6):
         instances += 1
         if len(jdt_all_results(skew, memo)) != 1:

@@ -220,7 +220,7 @@ def test_confluence_reduces_each_column_pair_once(monkeypatch):
     assert len(calls) <= 15 * 15  # pairs of nonempty columns at n = 4
 
 
-def one_wrong_pair(monkeypatch):
+def test_confluence_fails_on_one_wrong_pair(monkeypatch, capsys):
     reduce = rewriting.column_pair_reduce
 
     def wrong(c1, c2):
@@ -230,10 +230,6 @@ def one_wrong_pair(monkeypatch):
         return reduce(c1, c2)
 
     monkeypatch.setattr(rewriting, "column_pair_reduce", wrong)
-
-
-def test_confluence_fails_on_one_wrong_pair(monkeypatch, capsys):
-    one_wrong_pair(monkeypatch)
     result = verify.verify_confluence(3)
     assert not result.ok
     assert result.lines[0].startswith("FAIL n=3: ")
