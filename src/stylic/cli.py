@@ -32,7 +32,7 @@ from .monoid import (
     render_letter,
 )
 from .tableaux import p_tableau
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 ENUMERATION_DEFAULT_CAP = 6
 ENUMERATION_FORCE_CAP = 7
@@ -65,18 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--force", action="store_true", help="allow n = 7")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument(
-        "suite",
-        choices=(
-            "bijection",
-            "presentation",
-            "evacuation",
-            "graded",
-            "syntactic",
-            "confluence",
-            "all",
-        ),
-    )
+    verify.add_argument("suite", choices=(*SUITES, "all"))
     verify.add_argument("-n", type=int, required=True)
     verify.add_argument(
         "--maxlen", type=int, default=6,

@@ -560,13 +560,19 @@ def pyramid_by_completion(partition: SetPartition) -> EvacuationPyramid:
     return EvacuationPyramid(tuple(rows))
 
 
+def evac_from_pyramid(
+    pyramid: EvacuationPyramid, partition: SetPartition, alphabet: Alphabet
+) -> SetPartition:
+    """Read the evacuated partition off the right side of its pyramid."""
+    letters = sorted(alphabet.theta_letter(x) for x in partition.ground())
+    return partition_from_chain(pyramid.right_side(), letters)
+
+
 def evac_via_pyramid(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
     """Read the evacuated partition off the right side of the pyramid."""
     if not partition.blocks:
         return partition
-    pyramid = build_pyramid(partition)
-    letters = sorted(alphabet.theta_letter(x) for x in partition.ground())
-    return partition_from_chain(pyramid.right_side(), letters)
+    return evac_from_pyramid(build_pyramid(partition), partition, alphabet)
 
 
 # ---------------------------------------------------------------------------

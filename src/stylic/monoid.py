@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, TextIO
 
@@ -393,12 +394,6 @@ class StylicMonoid:
         self.alphabet = alphabet
         n = alphabet.n
         size = 1 << n
-        self._mask_count = size
-        act = {
-            x: tuple(act_mask(x, m) for m in range(size)) for x in alphabet.letters
-        }
-        self._letter_transforms = act
-
         identity = tuple(range(size))
         elements: list[StylicElement] = []
         index: dict[tuple[int, ...], int] = {}
@@ -414,7 +409,9 @@ class StylicMonoid:
         # Breadth-first closure: `elements` is the queue, so right[x][i] is
         # appended in index order, as the child of element i by letter x.
         add((), identity, -1, 0)
-        precompose = {x: itemgetter(*act[x]) for x in alphabet.letters}
+        precompose = {
+            x: itemgetter(*(act_mask(x, m) for m in range(size))) for x in alphabet.letters
+        }
         right: dict[int, list[int]] = {x: [] for x in alphabet.letters}
         i = 0
         while i < len(elements):
@@ -428,13 +425,9 @@ class StylicMonoid:
             i += 1
 
         self.elements = elements
-        self._index = index
         self.identity = 0
-        self.zero = self.class_of_word(decreasing_word(alphabet.full_set))
 
-        expected = sum(
-            _binomial(n, k) * bell_number(k) for k in range(n + 1)
-        )
+        expected = sum(comb(n, k) * bell_number(k) for k in range(n + 1))
         if not len(elements) == expected == bell_number(n + 1):
             raise ValueError(
                 f"closure found {len(elements)} transformations, "
@@ -449,19 +442,21 @@ class StylicMonoid:
                 row[e.index] = right[e.via_letter][row[e.parent]]
         self.right_by_letter = right
         self.left_by_letter = left
-        self._table: Optional[list[tuple[int, ...]]] = None
+        self.zero = self.class_of_word(decreasing_word(alphabet.full_set))
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _times(self, m: int, w: Word) -> int:
+        """The element m.w, read along the right Cayley graph: the monoid's
+        one product."""
+        for x in w:
+            m = self.right_by_letter[x][m]
+        return m
+
     def class_of_word(self, w: Word) -> int:
         self.alphabet.check_word(w)
-        transform = []
-        for m in range(self._mask_count):
-            for x in reversed(w):
-                m = self._letter_transforms[x][m]
-            transform.append(m)
-        return self._index[tuple(transform)]
+        return self._times(self.identity, w)
 
     def _rows(self, first: tuple) -> Iterator[tuple]:
         """The multiplication-table rows in index order, given row 0 (the
@@ -484,21 +479,15 @@ class StylicMonoid:
             yield row
 
     def multiplication_table(self) -> list[tuple[int, ...]]:
-        """table[i][j] = index of the product element_i * element_j."""
-        if self._table is None:
-            self._table = list(self._rows(tuple(range(len(self.elements)))))
-        return self._table
+        """table[i][j] = index of the product element_i * element_j, derived
+        afresh on each call."""
+        return list(self._rows(tuple(range(len(self.elements)))))
 
     def multiply(self, i: int, j: int) -> int:
-        return self.multiplication_table()[i][j]
+        return self._times(i, self.elements[j].word)
 
     def idempotents(self) -> list[int]:
-        out = []
-        for e in self.elements:
-            t = e.transform
-            if all(t[t[m]] == t[m] for m in range(self._mask_count)):
-                out.append(e.index)
-        return out
+        return [i for i in range(len(self.elements)) if self.multiply(i, i) == i]
 
     def supports(self) -> list[LetterSet]:
         return [e.tableau.supp() for e in self.elements]
@@ -610,15 +599,6 @@ class StylicMonoid:
             lines.append(f"  e{u} -> e{v};")
         lines.append("}")
         return "\n".join(lines)
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(min(k, n - k)):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def enumerate_styl(alphabet: Alphabet, max_size: int = DEFAULT_ENUMERATION_LIMIT) -> StylicMonoid:

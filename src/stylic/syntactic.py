@@ -165,9 +165,7 @@ def syntactic_monoid_check(alphabet: Alphabet, monoid: Optional[StylicMonoid] = 
     return len(set(syntactic_congruence(m, stat))) == len(m)
 
 
-def plactic_separator(
-    u: Word, v: Word, alphabet: Alphabet, extra_cap: int = 0
-) -> Optional[Word]:
+def plactic_separator(u: Word, v: Word, alphabet: Alphabet) -> Optional[Word]:
     """For words with distinct insertion tableaux, a left context x with
     lambda_shape(xu) != lambda_shape(xv): the empty word when the shapes
     already differ, otherwise a power of the decreasing word of all letters
@@ -177,12 +175,10 @@ def plactic_separator(
     None signals an exhausted search (which would falsify the statement
     being exercised).
     """
-    return _separator(u, p_tableau(u), v, p_tableau(v), alphabet, extra_cap)
+    return _separator(u, p_tableau(u), v, p_tableau(v), alphabet)
 
 
-def _separator(
-    u: Word, pu: Tableau, v: Word, pv: Tableau, alphabet: Alphabet, extra_cap: int = 0
-) -> Optional[Word]:
+def _separator(u: Word, pu: Tableau, v: Word, pv: Tableau, alphabet: Alphabet) -> Optional[Word]:
     """plactic_separator given the insertion tableaux pu of u and pv of v."""
     if pu == pv:
         raise ValueError("words have the same insertion tableau")
@@ -196,7 +192,7 @@ def _separator(
     p = next(i for i in range(len(du)) if du[i] != dv[i])
     b = max(du[p], dv[p])
     y = tuple(x for x in sorted(alphabet.letters, reverse=True) if x >= b)
-    cap = nc + 1 + alphabet.n + extra_cap
+    cap = nc + 1 + alphabet.n
     for m in range(1, cap + 1):
         x = y * m
         if lambda_shape(x + u) != lambda_shape(x + v):

@@ -513,6 +513,29 @@ def test_word_ball_agrees_with_the_certificate_on_a_broken_evac(monkeypatch):
     assert verify_evacuation(3).lines[0].startswith("FAIL ")
 
 
+def test_the_suite_evacuates_each_partition_once_and_builds_each_pyramid_once(monkeypatch):
+    # n = 5 has 203 partitions, 202 of them nonempty: the table of evac
+    # serves the involution, pyramid and delta lines, the certificate
+    # evacuates each element once more, and the pyramid loop builds each
+    # pyramid once.  Both modules are patched, so hidden calls count too.
+    calls = {"evac": 0, "build_pyramid": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    for name in calls:
+        wrapped = counted(name, getattr(evacuation, name))
+        monkeypatch.setattr(evacuation, name, wrapped)
+        monkeypatch.setattr(verify, name, wrapped)
+    assert verify_evacuation(5).ok
+    assert 0 < calls["evac"] <= 2 * 203
+    assert 0 < calls["build_pyramid"] <= 202
+
+
 def test_bijection_certifies_that_the_n_tableau_is_a_class_function(monkeypatch):
     line = "PASS n=3: N-insertion follows all 45 right Cayley edges, so the N-tableau depends only on the class"
     assert line in verify_bijection(3).lines

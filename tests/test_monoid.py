@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -327,6 +328,29 @@ def test_multiplication_table_matches_composed_transforms(n):
     table = monoid.multiplication_table()
     assert all(type(row) is tuple and len(row) == size for row in table)
     assert table == [tuple(compose(i, j) for j in range(size)) for i in range(size)]
+    assert all(monoid.multiply(i, j) == compose(i, j) for i in range(size) for j in range(size))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_idempotents_match_the_transform_oracle(n):
+    monoid = enumerate_styl(Alphabet(n))
+    expected = []
+    for e in monoid.elements:
+        t = e.transform
+        if all(t[t[m]] == t[m] for m in range(1 << n)):
+            expected.append(e.index)
+    assert monoid.idempotents() == expected
+
+
+def test_one_product_allocates_no_table():
+    monoid = enumerate_styl(Alphabet(6))
+    tracemalloc.start()
+    try:
+        monoid.multiply(3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("fewer", [True, False])
