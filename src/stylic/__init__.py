@@ -13,6 +13,7 @@ from .core import (
     inflate,
     parse_word,
     render_word,
+    shift_down_word,
     support,
     theta,
 )

@@ -25,6 +25,7 @@ from .evacuation import (
     skew_from_json,
 )
 from .monoid import (
+    ENUMERATION_CEILING,
     enumerate_styl,
     n_tableau,
     parse_partition,
@@ -35,7 +36,7 @@ from .tableaux import p_tableau
 from .verify import SUITES, run_suite
 
 ENUMERATION_DEFAULT_CAP = 6
-ENUMERATION_FORCE_CAP = 7
+ENUMERATION_FORCE_CAP = ENUMERATION_CEILING
 # The word checks grow about 3.5x per letter of --maxlen.  On a 2-vCPU x86
 # host the slowest suite (presentation) takes about 2 s at 8, and 15 s and
 # 100 MiB at 9.
@@ -151,9 +152,13 @@ def _peak_rss_mib() -> float:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.dot and args.what != "jorder":
+        raise ValueError(f"--dot draws the jorder diagram, not {args.what}")
+    if args.dot and args.as_json:
+        raise ValueError("--dot and --json are two formats; choose one")
     _enumeration_cap(args)
     alphabet = Alphabet(args.n)
-    monoid = enumerate_styl(alphabet, max_size=args.n)
+    monoid = enumerate_styl(alphabet)
     wrote_table = args.what == "monoid" and args.as_json
     if args.what == "monoid":
         if args.as_json:
@@ -238,6 +243,13 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream that cannot be written at devnull, so that the flush
+    at exit has somewhere to go."""
+    with contextlib.suppress(OSError, ValueError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -247,12 +259,14 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = f"error: {exc}"
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        # Point stdout at devnull, so that the flush at exit has somewhere to go.
-        with contextlib.suppress(OSError, ValueError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message = f"error: cannot write output: {exc}"
+        _to_devnull(sys.stdout)
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:  # the error line is lost too, and the exit code stays 2
+        _to_devnull(sys.stderr)
     return 2
 
 

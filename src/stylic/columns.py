@@ -6,29 +6,24 @@ word of its elements; the empty column is the identity state and renders as
     x . gamma = (gamma \\ y) | {x},   y = min{z in gamma : z >= x},
 with a plain union when no such y exists.  `act_mask` is the single
 implementation of it, on column masks; `act_letter`, `act_word` and the
-enumerated monoid all go through it, and tableau insertion is kept as an
-oracle.  The column order extends both the alphabet order on singletons and
-reverse inclusion.
+enumerated monoid all go through it.  The tests cross-check it against the
+first column of the insertion tableau.  The column order extends both the
+alphabet order on singletons and reverse inclusion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .core import (
     Alphabet,
     LetterSet,
     Word,
-    decreasing_word,
     letters_of,
     mask_of,
     render_letter,
     support,
 )
-from .tableaux import p_tableau
-
-Column = frozenset
 
 EMPTY_COLUMN: LetterSet = frozenset()
 
@@ -55,12 +50,6 @@ def act_word(w: Word, column: LetterSet) -> LetterSet:
     return frozenset(letters_of(mask))
 
 
-def act_word_via_tableau(w: Word, column: LetterSet) -> LetterSet:
-    """Oracle: w.gamma is the first column of P(w r(gamma))."""
-    t = p_tableau(w + decreasing_word(column))
-    return t.first_column()
-
-
 def all_columns(alphabet: Alphabet) -> list[LetterSet]:
     """All 2^n columns, in bitmask order."""
     return list(alphabet.subsets())
@@ -81,20 +70,6 @@ def column_leq(c1: LetterSet, c2: LetterSet) -> bool:
     return all(a <= b for a, b in zip(s1, s2))
 
 
-def column_leq_bruteforce(c1: LetterSet, c2: LetterSet) -> bool:
-    """c1 <= c2 iff there is a regressive injection from c2 into c1
-    (f(x) <= x for all x); exhaustive search, for cross-checking."""
-    if not c2:
-        return True
-    if len(c1) < len(c2):
-        return False
-    targets = sorted(c2)
-    for image in permutations(sorted(c1), len(targets)):
-        if all(f <= x for f, x in zip(image, targets)):
-            return True
-    return False
-
-
 def gamma_minus(column: LetterSet, alphabet: Alphabet) -> LetterSet:
     """Shift every letter down by one, dropping the smallest letter."""
     for x in column:
@@ -110,16 +85,6 @@ def gamma_plus(column: LetterSet, alphabet: Alphabet) -> LetterSet:
     for x in column:
         alphabet.check_letter(x)
     return frozenset(x + 1 for x in column)
-
-
-def below(column: LetterSet, x: int) -> LetterSet:
-    """The elements of the column strictly smaller than x."""
-    return frozenset(y for y in column if y < x)
-
-
-def above(column: LetterSet, x: int) -> LetterSet:
-    """The elements of the column strictly larger than x."""
-    return frozenset(y for y in column if y > x)
 
 
 def fixpoints(w: Word, alphabet: Alphabet) -> set[LetterSet]:
@@ -174,17 +139,6 @@ def kernel_interval(w: Word, delta: LetterSet, alphabet: Alphabet) -> KernelInte
     if members != interval:
         raise ValueError("fibre is not an interval of the column order")
     return KernelInterval(minimum=delta, maximum=maximum, members=members)
-
-
-def split_action_check(w: Word, column: LetterSet, pivot: int) -> bool:
-    """For a letter in w.gamma but not in Supp(w), the action splits at that
-    letter:  w.gamma = w_< . gamma_< + {pivot} + w_> . gamma_>."""
-    image = act_word(w, column)
-    if pivot not in image or pivot in support(w):
-        raise ValueError("pivot must lie in w.gamma but not in Supp(w)")
-    lower = act_word(tuple(x for x in w if x < pivot), below(column, pivot))
-    upper = act_word(tuple(x for x in w if x > pivot), above(column, pivot))
-    return image == lower | upper | {pivot}
 
 
 def render_column(column: LetterSet) -> str:

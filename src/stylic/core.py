@@ -20,8 +20,6 @@ Letter = int
 Word = tuple[int, ...]
 LetterSet = frozenset[int]
 
-EMPTY_WORD: Word = ()
-
 # Word-level operations accept alphabets up to this size; monoid enumeration
 # enforces much tighter limits of its own.
 MAX_ALPHABET = 12
@@ -137,15 +135,6 @@ def shift_down_word(w: Word) -> Word:
     return tuple(x - 1 for x in w)
 
 
-def shift_up_word(w: Word) -> Word:
-    """Send each letter to the one following it."""
-    return tuple(x + 1 for x in w)
-
-
-def increasing_word(s: LetterSet) -> Word:
-    return tuple(sorted(s))
-
-
 def decreasing_word(s: LetterSet) -> Word:
     return tuple(sorted(s, reverse=True))
 
@@ -165,10 +154,6 @@ def render_word(w: Word) -> str:
     if all(1 <= x <= 26 for x in w):
         return "".join(render_letter(x) for x in w)
     return ".".join(str(x) for x in w)
-
-
-def render_letter_set(s: LetterSet) -> str:
-    return "".join(render_letter(x) for x in sorted(s))
 
 
 def parse_word(text: str) -> Word:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Alphabet, Word, letters_of, mask_of, render_letter
+from .core import Alphabet, Word, letters_of, mask_of, parse_word, render_letter
 from .monoid import SetPartition
 
 Composition = tuple[int, ...]
@@ -204,9 +204,9 @@ def _int_tuple(value: object, what: str, length: Optional[int] = None) -> tuple[
 def skew_from_json(data: object) -> SkewPartition:
     """Read {"outer": [...], "inner": [...], "labels": [[[x, y], letter],
     ...], "hole": [x, y]}, the form `SkewPartition.to_json` writes; inner
-    and hole may be left out.  Raises ValueError on any other shape."""
-    from .core import parse_word
-
+    and hole may be left out.  A letter is a positive JSON integer or a
+    string holding one letter, such as "b".  Raises ValueError on any other
+    shape."""
     if not isinstance(data, dict):
         raise ValueError(f"skew shape must be a JSON object, got {data!r}")
     keys = {"outer", "inner", "labels", "hole"}
@@ -219,7 +219,12 @@ def skew_from_json(data: object) -> SkewPartition:
         if not isinstance(item, list) or len(item) != 2:
             raise ValueError(f"a label must be [[x, y], letter], got {item!r}")
         point, letter = item
-        word = parse_word(str(letter))
+        if isinstance(letter, str):
+            word = parse_word(letter)
+        elif type(letter) is int and letter >= 1:
+            word = (letter,)
+        else:
+            raise ValueError(f"label {letter!r} is not a positive integer or a string")
         if len(word) != 1:
             raise ValueError(f"label {letter!r} is not one letter")
         labels.append((_int_tuple(point, "a label point", 2), word[0]))
@@ -263,40 +268,10 @@ def _slide(outer: Composition, label: dict[Point, int], hole: Point) -> Composit
     return remove_point(outer, hole)
 
 
-def downward_move(skew: SkewPartition) -> SkewPartition:
-    """One hole move: an upper hole leaves the shape; otherwise the smaller
-    of the labels covering the hole slides into it."""
-    if skew.hole is None:
-        raise ValueError("downward_move needs a hole")
-    label = skew.label_map()
-    hole = _move(label, skew.hole)
-    outer = skew.outer if hole is not None else remove_point(skew.outer, skew.hole)
-    return SkewPartition(outer, skew.inner, tuple(label.items()), hole)
-
-
 def _corners(comp: Composition) -> list[Point]:
     """The maximal points of an ideal: each row's last point, except a
     first-column point with a row above it."""
     return sorted((part, y) for y, part in enumerate(comp, start=1) if part > 1 or y == len(comp))
-
-
-def maximal_inner_points(skew: SkewPartition) -> list[Point]:
-    return _corners(skew.inner)
-
-
-def downward_slide(skew: SkewPartition, start: Point) -> SkewPartition:
-    """Open a hole at a maximal point of the inner shape and move it until
-    it leaves through an upper corner."""
-    if skew.hole is not None:
-        raise ValueError("cannot start a slide on a shape that already has a hole")
-    if start not in maximal_inner_points(skew):
-        raise ValueError(f"{start} is not a maximal point of the inner ideal")
-    label = skew.label_map()
-    return SkewPartition(
-        outer=_slide(skew.outer, label, start),
-        inner=remove_point(skew.inner, start),
-        labels=tuple(label.items()),
-    )
 
 
 def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Random] = None) -> SetPartition:
@@ -576,12 +551,7 @@ def evac_via_pyramid(partition: SetPartition, alphabet: Alphabet) -> SetPartitio
 
 
 # ---------------------------------------------------------------------------
-# Removals and alphabet shifts.
-
-
-def remove_letter(w: Word, x: int) -> Word:
-    """The word with every occurrence of x removed."""
-    return tuple(y for y in w if y != x)
+# Removing the largest letter.
 
 
 def remove_from_partition(partition: SetPartition, z: int) -> SetPartition:
@@ -591,13 +561,3 @@ def remove_from_partition(partition: SetPartition, z: int) -> SetPartition:
         raise ValueError("only the largest letter of the ground set can be removed")
     blocks = [tuple(x for x in b if x != z) for b in partition.blocks]
     return SetPartition(tuple(b for b in blocks if b))
-
-
-def shift_down_partition(partition: SetPartition) -> SetPartition:
-    if any(x <= 1 for x in partition.ground()):
-        raise ValueError("cannot shift down a partition containing the smallest letter")
-    return SetPartition(tuple(tuple(x - 1 for x in b) for b in partition.blocks))
-
-
-def shift_up_partition(partition: SetPartition) -> SetPartition:
-    return SetPartition(tuple(tuple(x + 1 for x in b) for b in partition.blocks))

@@ -15,23 +15,21 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, TextIO
 
-from .columns import act_mask, act_word, gamma_minus
+from .columns import act_mask
 from .core import (
     Alphabet,
     LetterSet,
     Word,
     decreasing_word,
-    increasing_word,
     letters_of,
     mask_of,
     render_letter,
     render_word,
-    shift_down_word,
-    support,
-    theta,
 )
 
-DEFAULT_ENUMERATION_LIMIT = 6
+# The largest alphabet the closure enumerates: Bell(8) = 4140 elements at
+# n = 7, against Bell(9) = 21147 at n = 8.
+ENUMERATION_CEILING = 7
 
 
 def bell_number(k: int) -> int:
@@ -245,15 +243,6 @@ def delta_word(w: Word) -> Word:
     return tuple(out)
 
 
-def d_operator(target: LetterSet, source: LetterSet) -> LetterSet:
-    """{up(c, target) : c in source, defined}; a subset of target."""
-    row = mask_of(target)
-    image = 0
-    for c in source:
-        image |= up(c, row)
-    return frozenset(letters_of(image))
-
-
 def n_insert(tableau: NTableau, x: int) -> NTableau:
     """N-insertion of a letter, bottom row first; bumped copies cascade up."""
     rows = tableau.masks()
@@ -267,15 +256,6 @@ def n_tableau(w: Word) -> NTableau:
     for x in w:
         _n_insert(rows, x)
     return _ntableau_of(rows)
-
-
-def n_tableau_recursive(w: Word) -> NTableau:
-    """Oracle: the first row is Supp(w) and the rest is the N-tableau of the
-    bumped-letter word."""
-    if not w:
-        return EMPTY_NTABLEAU
-    rest = n_tableau_recursive(delta_word(w))
-    return NTableau((increasing_word(support(w)),) + rest.rows)
 
 
 def left_insert(x: int, tableau: NTableau) -> NTableau:
@@ -334,11 +314,6 @@ def zero_tableau(alphabet: Alphabet) -> NTableau:
     return n_tableau(decreasing_word(alphabet.full_set))
 
 
-def theta_tableau(tableau: NTableau, alphabet: Alphabet) -> NTableau:
-    """The image of a class under the order-reversing anti-automorphism."""
-    return n_tableau(theta(tableau.row_word(), alphabet))
-
-
 # ---------------------------------------------------------------------------
 # The enumerated monoid of column transformations.
 
@@ -385,11 +360,11 @@ class StylicMonoid:
     """The finite monoid of transformations of the column space induced by
     the left action of words, enumerated by closure over the generators."""
 
-    def __init__(self, alphabet: Alphabet, max_size: int = DEFAULT_ENUMERATION_LIMIT):
-        if alphabet.n > max_size:
+    def __init__(self, alphabet: Alphabet):
+        if alphabet.n > ENUMERATION_CEILING:
             raise ValueError(
-                f"enumeration limited to alphabets of size {max_size} "
-                f"(requested {alphabet.n}); raise max_size explicitly to override"
+                f"enumeration limited to alphabets of size {ENUMERATION_CEILING} "
+                f"(requested {alphabet.n})"
             )
         self.alphabet = alphabet
         n = alphabet.n
@@ -488,9 +463,6 @@ class StylicMonoid:
 
     def idempotents(self) -> list[int]:
         return [i for i in range(len(self.elements)) if self.multiply(i, i) == i]
-
-    def supports(self) -> list[LetterSet]:
-        return [e.tableau.supp() for e in self.elements]
 
     def j_order(self) -> JOrder:
         """Compute the two-sided-ideal order; certifies antisymmetry and the
@@ -601,33 +573,6 @@ class StylicMonoid:
         return "\n".join(lines)
 
 
-def enumerate_styl(alphabet: Alphabet, max_size: int = DEFAULT_ENUMERATION_LIMIT) -> StylicMonoid:
+def enumerate_styl(alphabet: Alphabet) -> StylicMonoid:
     """Enumerate the monoid of column transformations on the given alphabet."""
-    return StylicMonoid(alphabet, max_size=max_size)
-
-
-def complete_elements_bijection_check(alphabet: Alphabet) -> bool:
-    """Elements with full support number Bell(n), and dropping the first
-    bumped-letter word one alphabet step down intertwines the two actions:
-    u = shift_down(delta(w)) satisfies u.g = (w.g)^- on columns avoiding the
-    largest letter."""
-    n = alphabet.n
-    monoid = enumerate_styl(alphabet)
-    full = alphabet.full_set
-    complete = [e for e in monoid.elements if e.tableau.supp() == full]
-    if len(complete) != bell_number(n):
-        return False
-    if n == 1:
-        return True
-
-    small = Alphabet(n - 1)
-    small_monoid = enumerate_styl(small)
-    small_columns = list(small.subsets())
-    images = set()
-    for e in complete:
-        u = shift_down_word(delta_word(e.word))
-        for g in small_columns:
-            if act_word(u, g) != gamma_minus(act_word(e.word, g), alphabet):
-                return False
-        images.add(small_monoid.class_of_word(u))
-    return len(images) == len(complete) == len(small_monoid)
+    return StylicMonoid(alphabet)

@@ -8,14 +8,13 @@ insertion tableaux.
 The column rewriting runs on tuples of column masks (letter x is bit x - 1)
 through a `PairTable`: a check builds one, and it computes the rule for
 each adjacent pair of columns once, from `column_leq` and
-`column_pair_reduce`.  The functions taking frozenset column words convert
-at the boundary into the same kernel.
+`column_pair_reduce`.  `normalize_column_word` takes frozenset columns and
+converts at the boundary into the same kernel.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .core import Alphabet, LetterSet, Word, decreasing_word, letters_of, mask_of
-from .columns import act_word, column_leq, parse_column, render_column
+from .columns import act_word, column_leq, render_column
 from .tableaux import Tableau
 
 Relation = tuple[Word, Word]
@@ -104,12 +103,6 @@ def congruence_equal(u: Word, v: Word, relations: Iterable[Relation], maxlen: in
     return bytes(v) in seen
 
 
-def congruence_class(u: Word, relations: Iterable[Relation], maxlen: int) -> tuple[set[Word], bool]:
-    """Every word reachable from u within the cap, plus a pruning flag."""
-    seen, pruned = _bfs(u, relations, maxlen)
-    return {tuple(s) for s in seen}, pruned
-
-
 def congruence_reaches(
     u: Word, targets: Iterable[Word], relations: Iterable[Relation], maxlen: int
 ) -> tuple[set[Word], bool]:
@@ -143,13 +136,6 @@ def check_column_word(word: ColumnWord) -> None:
     for c in word:
         if not c:
             raise ValueError("column words may not contain the empty column")
-
-
-def flatten_column_word(word: ColumnWord) -> Word:
-    out: list[int] = []
-    for c in word:
-        out.extend(decreasing_word(c))
-    return tuple(out)
 
 
 class PairTable(dict):
@@ -190,6 +176,8 @@ def _rewrite(word: tuple[int, ...], i: int, table: PairTable) -> tuple[int, ...]
 
 
 def _measure_less(after: tuple[int, ...], before: tuple[int, ...], table: PairTable) -> bool:
+    """The termination measure: first by length, then columnwise at the
+    first difference in the column order."""
     if len(after) != len(before):
         return len(after) < len(before)
     for a, b in zip(after, before):
@@ -201,6 +189,9 @@ def _measure_less(after: tuple[int, ...], before: tuple[int, ...], table: PairTa
 def _normal_forms(
     word: tuple[int, ...], table: PairTable
 ) -> tuple[set[tuple[int, ...]], list[tuple]]:
+    """Explore every rewrite order from the given word; returns the set of
+    normal forms (a singleton, by confluence) and the steps (before,
+    position, after) that do not decrease the termination measure."""
     seen = {word}
     stack = [word]
     normal_forms: set[tuple[int, ...]] = set()
@@ -219,24 +210,6 @@ def _normal_forms(
                 seen.add(w2)
                 stack.append(w2)
     return normal_forms, violations
-
-
-def reducible_positions(word: ColumnWord) -> list[int]:
-    return _redexes(_masks(word), PairTable())
-
-
-def rewrite_at(word: ColumnWord, i: int) -> ColumnWord:
-    masks = _masks(word)
-    table = PairTable()
-    if table[masks[i], masks[i + 1]] is None:
-        raise ValueError(f"no rule applies at position {i}")
-    return _columns(_rewrite(masks, i, table))
-
-
-def measure_less(after: ColumnWord, before: ColumnWord) -> bool:
-    """The termination measure: first by length, then columnwise at the
-    first difference in the column order."""
-    return _measure_less(_masks(after), _masks(before), PairTable())
 
 
 def normalize_column_word(
@@ -262,17 +235,6 @@ def normalize_column_word(
     while slots := _redexes(current, table):
         current = _rewrite(current, pick(slots), table)
     return _columns(current)
-
-
-def all_normal_forms(word: ColumnWord) -> tuple[set[ColumnWord], list[tuple]]:
-    """Explore every rewrite order from the given column word; returns the
-    set of normal forms (a singleton, by confluence) and any violations of
-    the termination measure encountered."""
-    check_column_word(word)
-    forms, violations = _normal_forms(_masks(word), PairTable())
-    return {_columns(w) for w in forms}, [
-        (_columns(before), i, _columns(after)) for before, i, after in violations
-    ]
 
 
 def tableau_column_word(tableau: Tableau) -> ColumnWord:
@@ -343,15 +305,3 @@ def render_column_word(word: ColumnWord) -> str:
     if not word:
         return "1"
     return "".join(f"({render_column(c)})" for c in word)
-
-
-def parse_column_word(text: str) -> ColumnWord:
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    groups = re.findall(r"\(([^()]*)\)", text)
-    if "".join(f"({g})" for g in groups) != text:
-        raise ValueError(f"bad column word {text!r}: expected (..)(..) groups")
-    word = tuple(parse_column(g) for g in groups)
-    check_column_word(word)
-    return word

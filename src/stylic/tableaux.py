@@ -2,16 +2,14 @@
 
 Rows are stored bottom-up (index 0 is the bottom row).  Rows weakly increase
 left to right, columns strictly increase bottom to top, and row lengths
-weakly decrease going up.  P(w) is computed by row insertion, with column
-insertion kept as an independent cross-check.
+weakly decrease going up.  P(w) is computed by row insertion; the tests
+cross-check it against column insertion.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
 
 from .core import LetterSet, Word, render_letter
 
@@ -92,63 +90,12 @@ def _row_insert(rows: list[list[int]], x: int) -> None:
     rows.append([x])
 
 
-def row_insert_into_row(row: Word, x: int) -> tuple[Word, Optional[int]]:
-    """Insert x into a weakly increasing row, bumping the smallest element
-    strictly greater than x, or appending when there is none."""
-    rows = [list(row)]
-    _row_insert(rows, x)
-    return tuple(rows[0]), rows[1][0] if len(rows) > 1 else None
-
-
-def row_insert(tableau: Tableau, x: int) -> Tableau:
-    """Schensted row insertion of a letter, starting from the bottom row."""
-    rows = [list(row) for row in tableau.rows]
-    _row_insert(rows, x)
-    return Tableau(tuple(map(tuple, rows)))
-
-
-def column_insert(tableau: Tableau, x: int) -> Tableau:
-    """Schensted column insertion of a letter, starting from the first column."""
-    rows = [list(row) for row in tableau.rows]
-    carry: Optional[int] = x
-    j = 0
-    while carry is not None:
-        heights = [i for i, row in enumerate(rows) if len(row) > j]
-        bumped_at = None
-        for i in heights:
-            if rows[i][j] >= carry:
-                bumped_at = i
-                break
-        if bumped_at is None:
-            # carry exceeds the whole column: it lands on top.
-            top = len(heights)
-            if top == len(rows):
-                rows.append([])
-            if len(rows[top]) != j:
-                raise ValueError("column insertion must add a corner cell")
-            rows[top].append(carry)
-            carry = None
-        else:
-            rows[bumped_at][j], carry = carry, rows[bumped_at][j]
-            j += 1
-    return Tableau(tuple(tuple(row) for row in rows))
-
-
 def p_tableau(w: Word) -> Tableau:
     """The insertion tableau P(w), by row insertion of the letters in order."""
     rows: list[list[int]] = []
     for x in w:
         _row_insert(rows, x)
     return Tableau(tuple(map(tuple, rows)))
-
-
-def p_tableau_by_columns(w: Word) -> Tableau:
-    """P(w) by column insertion of the letters from right to left; agrees
-    with p_tableau and serves as its oracle."""
-    t = EMPTY_TABLEAU
-    for x in reversed(w):
-        t = column_insert(t, x)
-    return t
 
 
 def longest_strictly_decreasing(w: Word) -> int:
@@ -161,22 +108,6 @@ def longest_strictly_decreasing(w: Word) -> int:
     for x in w:
         best[x] = max(best.get(x, 0), 1 + max((v for y, v in best.items() if y > x), default=0))
     return max(best.values(), default=0)
-
-
-def longest_strictly_decreasing_bruteforce(w: Word) -> int:
-    """Exponential enumeration of all subsequences; oracle for small words."""
-    if len(w) > 12:
-        raise ValueError("brute-force subsequence scan is gated to length <= 12")
-    best = 0
-    for k in range(len(w), 0, -1):
-        if k <= best:
-            break
-        for positions in combinations(range(len(w)), k):
-            seq = [w[p] for p in positions]
-            if all(seq[i] > seq[i + 1] for i in range(k - 1)):
-                best = k
-                break
-    return best
 
 
 def young_leq(lam: Shape, mu: Shape) -> bool:

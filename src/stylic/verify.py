@@ -241,7 +241,7 @@ def verify_bijection(n: int) -> SuiteResult:
     result = SuiteResult("bijection")
     for k in range(1, n + 1):
         alphabet = Alphabet(k)
-        monoid = enumerate_styl(alphabet, max_size=max(k, 6))
+        monoid = enumerate_styl(alphabet)
         expected = bell_number(k + 1)
         result.add(
             len(monoid) == expected,
@@ -288,7 +288,7 @@ def verify_presentation(n: int, maxlen: int = 5) -> SuiteResult:
     result = SuiteResult("presentation")
     for k in range(1, n + 1):
         alphabet = Alphabet(k)
-        monoid = enumerate_styl(alphabet, max_size=max(k, 6))
+        monoid = enumerate_styl(alphabet)
         bad = [
             (l, r)
             for l, r in stylic_relations(alphabet)
@@ -301,7 +301,7 @@ def verify_presentation(n: int, maxlen: int = 5) -> SuiteResult:
         )
     k = min(n, PRESENTATION_SLICE)
     alphabet = Alphabet(k)
-    monoid = enumerate_styl(alphabet, max_size=max(k, 6))
+    monoid = enumerate_styl(alphabet)
     classes: dict[int, list[Word]] = {}
     for w in all_words(alphabet, maxlen):
         classes.setdefault(monoid.class_of_word(w), []).append(w)
@@ -338,7 +338,7 @@ def verify_evacuation(n: int, seed: int = 0) -> SuiteResult:
     result = SuiteResult("evacuation")
     alphabet = Alphabet(n)
 
-    monoid = enumerate_styl(alphabet, max_size=max(n, 6))
+    monoid = enumerate_styl(alphabet)
     phi = theta_on_classes(monoid)
     failure = (
         class_function_counterexample(monoid)
@@ -424,7 +424,7 @@ def verify_graded(n: int) -> SuiteResult:
     graded partial order ranked by box count."""
     result = SuiteResult("graded")
     alphabet = Alphabet(n)
-    monoid = enumerate_styl(alphabet, max_size=max(n, 6))
+    monoid = enumerate_styl(alphabet)
     bad = 0
     for e in monoid.elements:
         for x in alphabet.letters:
@@ -464,7 +464,7 @@ def verify_syntactic(n: int, maxlen: int = 6) -> SuiteResult:
         f"{report.pairs_checked} separators constructed and verified"
         + (f" ({report.failures[0]})" if report.failures else ""),
     )
-    ok = syntactic_monoid_check(alphabet, enumerate_styl(alphabet, max_size=max(n, 6)))
+    ok = syntactic_monoid_check(alphabet, enumerate_styl(alphabet))
     result.add(
         ok,
         f"n={n}: two-sided congruence of the statistic on the monoid is equality",

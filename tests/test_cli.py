@@ -187,10 +187,39 @@ def test_usage_errors(capsys):
         '{"outer":[2],"inner":[1],"labels":[[[2,1],"ab"]]}',
         '{"outer":[2],"inner":[1],"labels":[[[2,1],"a"]],"hole":[1]}',
         '{"outer":[2],"labels":[[[1,1],"a"]],"hole":[2,1]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],true]]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],null]]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],1.5]]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],[2]]]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],0]]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],-2]]}',
+        '{"outer":[2],"inner":[1],"labels":[[[2,1],4]]}',
     ],
 )
 def test_malformed_jdt_json_is_a_usage_error(capsys, text):
     code, out, err = run(capsys, "compute", "jdt", text, "-n", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integer_jdt_labels_are_letters(capsys):
+    skew = '{"outer":[2],"inner":[1],"labels":[[[2,1],10]]}'
+    code, out, err = run(capsys, "compute", "jdt", skew, "-n", "12")
+    assert (code, out, err) == (0, "10\n", "")
+    skew = '{"outer":[2],"inner":[1],"labels":[[[2,1],2]]}'
+    assert run(capsys, "compute", "jdt", skew, "-n", "2") == (0, "2\n", "")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("monoid", "-n", "2", "--dot"),
+        ("idempotents", "-n", "2", "--dot"),
+        ("jorder", "-n", "2", "--dot", "--json"),
+    ],
+)
+def test_dot_draws_only_the_jorder_diagram(capsys, args):
+    code, out, err = run(capsys, "enumerate", *args)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -251,12 +280,12 @@ def test_argparse_usage_exit():
     assert exc.value.code == 2
 
 
-def styl_process(args, stdout):
+def styl_process(args, stdout, stderr=subprocess.PIPE):
     src = str(Path(stylic.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.Popen(
         [sys.executable, "-m", "stylic.cli", *args],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        stdout=stdout, stderr=stderr, text=True, env=env,
     )
 
 
@@ -276,6 +305,28 @@ def test_closed_stdout_is_an_output_error():
     assert_one_output_error(proc)
 
 
+def test_closed_stdout_and_stderr_on_one_pipe_is_an_output_error():
+    # The error line cannot be written either; the exit code stays 2.
+    proc = styl_process(
+        ["enumerate", "monoid", "-n", "6", "--json"], subprocess.PIPE, subprocess.STDOUT
+    )
+    assert proc.stdout.read(10) == '{"n": 6, "'
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
+
+
+def test_closed_stderr_keeps_the_usage_error_code():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = styl_process(
+            ["compute", "delta", "(empty)", "-n", "3"], subprocess.DEVNULL, write_end
+        )
+    finally:
+        os.close(write_end)
+    assert proc.wait(timeout=120) == 2
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_is_an_output_error():
     with open("/dev/full", "w") as full:
@@ -293,6 +344,40 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def public_definitions_nothing_uses(package):
+    """The public top-level functions and classes of the package's modules
+    that no other code in the package names and `__init__` does not import."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
+    exported = {
+        alias.asname or alias.name
+        for node in trees.pop("__init__").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for tree in trees.values():
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    return [
+        f"{module}.{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used | exported
+    ]
+
+
+def test_every_public_definition_is_used_or_exported():
+    # Oracles and test helpers live in tests/, not in the package.
+    package = Path(stylic.__file__).resolve().parent
+    assert public_definitions_nothing_uses(package) == []
 
 
 OPTIMIZED_SCRIPT = """

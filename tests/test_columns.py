@@ -1,25 +1,20 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from stylic.columns import (
     EMPTY_COLUMN,
-    above,
     act_letter,
     act_word,
-    act_word_via_tableau,
     all_columns,
-    below,
     column_leq,
-    column_leq_bruteforce,
     fixpoints,
     gamma_minus,
     gamma_plus,
     kernel_interval,
     parse_column,
     render_column,
-    split_action_check,
 )
 from stylic.core import Alphabet, parse_word, support
 from stylic.tableaux import p_tableau
@@ -32,6 +27,41 @@ def words_up_to(n, maxlen):
 
 def col(text):
     return parse_column(text)
+
+
+def column_leq_bruteforce(c1, c2):
+    """c1 <= c2 iff there is a regressive injection from c2 into c1
+    (f(x) <= x for all x); exhaustive search."""
+    if not c2:
+        return True
+    if len(c1) < len(c2):
+        return False
+    targets = sorted(c2)
+    for image in permutations(sorted(c1), len(targets)):
+        if all(f <= x for f, x in zip(image, targets)):
+            return True
+    return False
+
+
+def below(column, x):
+    """The elements of the column strictly smaller than x."""
+    return frozenset(y for y in column if y < x)
+
+
+def above(column, x):
+    """The elements of the column strictly larger than x."""
+    return frozenset(y for y in column if y > x)
+
+
+def split_action_check(w, column, pivot):
+    """For a letter in w.gamma but not in Supp(w), the action splits at that
+    letter:  w.gamma = w_< . gamma_< + {pivot} + w_> . gamma_>."""
+    image = act_word(w, column)
+    if pivot not in image or pivot in support(w):
+        raise ValueError("pivot must lie in w.gamma but not in Supp(w)")
+    lower = act_word(tuple(x for x in w if x < pivot), below(column, pivot))
+    upper = act_word(tuple(x for x in w if x > pivot), above(column, pivot))
+    return image == lower | upper | {pivot}
 
 
 def test_act_letter_examples():
@@ -59,7 +89,7 @@ def test_act_word_is_action():
                 assert act_word(u + v, gamma) == act_word(u, act_word(v, gamma))
 
 
-def test_act_word_matches_tableau_insertion():
+def test_act_word_matches_tableau_insertion(act_word_via_tableau):
     a3 = Alphabet(3)
     for gamma in all_columns(a3):
         for w in words_up_to(3, 4):

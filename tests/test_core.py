@@ -9,10 +9,9 @@ from stylic.core import (
     increasing_rearrangement,
     inflate,
     parse_word,
-    render_letter_set,
+    render_letter,
     render_word,
     shift_down_word,
-    shift_up_word,
     support,
     theta,
 )
@@ -21,6 +20,15 @@ from stylic.core import (
 def words_up_to(n, maxlen):
     for length in range(maxlen + 1):
         yield from product(range(1, n + 1), repeat=length)
+
+
+def shift_up_word(w):
+    """Send each letter to the one following it."""
+    return tuple(x + 1 for x in w)
+
+
+def render_letter_set(s):
+    return "".join(render_letter(x) for x in sorted(s))
 
 
 def test_alphabet_bounds():

@@ -8,27 +8,24 @@ from stylic.cli import main
 from stylic.core import Alphabet, parse_word, render_word, support, theta
 from stylic.evacuation import (
     SkewPartition,
+    _corners,
+    _slide,
     build_pyramid,
     composition_covers,
     delta_direct,
     delta_jdt,
-    downward_move,
-    downward_slide,
     e_of,
     evac,
     evac_via_pyramid,
     interval_middles,
     jdt,
     jdt_all_results,
-    maximal_inner_points,
     partition_chain,
     partition_from_chain,
     partition_to_skew,
     pyramid_by_completion,
     remove_from_partition,
-    remove_letter,
-    shift_down_partition,
-    shift_up_partition,
+    remove_point,
     skew_from_json,
 )
 from stylic.monoid import (
@@ -59,6 +56,36 @@ SKEW = SkewPartition(outer=(4, 3, 3, 1), inner=(2, 1), labels=SKEW_LABELS)
 def words_up_to(n, maxlen):
     for length in range(maxlen + 1):
         yield from product(range(1, n + 1), repeat=length)
+
+
+def downward_slide(skew, start):
+    """Open a hole at a maximal point of the inner shape and move it until
+    it leaves through an upper corner."""
+    if skew.hole is not None:
+        raise ValueError("cannot start a slide on a shape that already has a hole")
+    if start not in _corners(skew.inner):
+        raise ValueError(f"{start} is not a maximal point of the inner ideal")
+    label = skew.label_map()
+    return SkewPartition(
+        outer=_slide(skew.outer, label, start),
+        inner=remove_point(skew.inner, start),
+        labels=tuple(label.items()),
+    )
+
+
+def remove_letter(w, x):
+    """The word with every occurrence of x removed."""
+    return tuple(y for y in w if y != x)
+
+
+def shift_down_partition(partition):
+    if any(x <= 1 for x in partition.ground()):
+        raise ValueError("cannot shift down a partition containing the smallest letter")
+    return SetPartition(tuple(tuple(x - 1 for x in b) for b in partition.blocks))
+
+
+def shift_up_partition(partition):
+    return SetPartition(tuple(tuple(x + 1 for x in b) for b in partition.blocks))
 
 
 def test_composition_covers():
@@ -115,7 +142,7 @@ def test_delta_direct_small_cases():
         e_of(SetPartition(()))
 
 
-def test_downward_move_swaps_hole_with_smaller_cover():
+def test_downward_move_swaps_hole_with_smaller_cover(downward_move):
     # hole in the first column with two labels covering it: the smaller one
     # (here 3, not the 7 above) slides into the hole
     with_hole = SkewPartition(
@@ -132,14 +159,14 @@ def test_downward_move_swaps_hole_with_smaller_cover():
     assert moved.label_map()[(1, 3)] == 3
 
 
-def test_downward_move_upper_hole_is_removed():
+def test_downward_move_upper_hole_is_removed(downward_move):
     upper = SkewPartition(outer=(2,), labels=(((1, 1), 1),), hole=(2, 1))
     done = downward_move(upper)
     assert done.hole is None and done.outer == (1,)
     assert done.label_map() == {(1, 1): 1}
 
 
-def test_downward_move_single_cover():
+def test_downward_move_single_cover(downward_move):
     single = SkewPartition(outer=(2,), labels=(((2, 1), 2),), hole=(1, 1))
     moved = downward_move(single)
     assert moved.hole == (2, 1) and moved.label_map() == {(1, 1): 2}
@@ -164,7 +191,7 @@ def test_downward_slides_follow_the_trails():
 def test_downward_slide_rejects_bad_start():
     with pytest.raises(ValueError):
         downward_slide(SKEW, (1, 1))  # not maximal in the inner shape
-    assert maximal_inner_points(SKEW) == [(1, 2), (2, 1)]
+    assert _corners(SKEW.inner) == [(1, 2), (2, 1)]
 
 
 def test_jdt_worked_example_and_strategies():
@@ -466,8 +493,8 @@ def test_certificate_agrees_with_the_word_ball(n):
 def corrupt_one_left_edge(monkeypatch):
     build = verify.enumerate_styl
 
-    def corrupted(alphabet, max_size):
-        monoid = build(alphabet, max_size=max_size)
+    def corrupted(alphabet):
+        monoid = build(alphabet)
         row = monoid.left_by_letter[1]
         row[5] = row[6] if row[5] != row[6] else row[7]
         return monoid
@@ -541,8 +568,8 @@ def test_bijection_certifies_that_the_n_tableau_is_a_class_function(monkeypatch)
     assert line in verify_bijection(3).lines
     build = verify.enumerate_styl
 
-    def corrupted(alphabet, max_size):
-        monoid = build(alphabet, max_size=max_size)
+    def corrupted(alphabet):
+        monoid = build(alphabet)
         if alphabet.n == 3:
             row = monoid.right_by_letter[2]
             row[4] = row[4] + 1

@@ -15,8 +15,9 @@ from stylic.core import (
     Alphabet,
     canonical_inflation_exponents,
     decreasing_word,
-    increasing_word,
     inflate,
+    letters_of,
+    mask_of,
     parse_word,
     shift_down_word,
     support,
@@ -28,18 +29,14 @@ from stylic.monoid import (
     SetPartition,
     all_partitions_of_subsets,
     bell_number,
-    complete_elements_bijection_check,
-    d_operator,
     delta_word,
     enumerate_styl,
     from_partition,
     left_insert,
     n_insert,
     n_tableau,
-    n_tableau_recursive,
     parse_partition,
     pi,
-    theta_tableau,
     to_partition,
     up,
     zero_tableau,
@@ -54,6 +51,47 @@ FIVE_ROW_TABLEAU = NTableau(((1, 2, 3, 4, 5), (2, 4, 5), (4, 5)))  # abcde/bde/d
 def words_up_to(n, maxlen):
     for length in range(maxlen + 1):
         yield from product(range(1, n + 1), repeat=length)
+
+
+def d_operator(target, source):
+    """{up(c, target) : c in source, defined}; a subset of target."""
+    row = mask_of(target)
+    image = 0
+    for c in source:
+        image |= up(c, row)
+    return frozenset(letters_of(image))
+
+
+def theta_tableau(tableau, alphabet):
+    """The image of a class under the order-reversing anti-automorphism."""
+    return n_tableau(theta(tableau.row_word(), alphabet))
+
+
+def complete_elements_bijection_check(alphabet):
+    """Elements with full support number Bell(n), and dropping the first
+    bumped-letter word one alphabet step down intertwines the two actions:
+    u = shift_down(delta(w)) satisfies u.g = (w.g)^- on columns avoiding the
+    largest letter."""
+    n = alphabet.n
+    monoid = enumerate_styl(alphabet)
+    full = alphabet.full_set
+    complete = [e for e in monoid.elements if e.tableau.supp() == full]
+    if len(complete) != bell_number(n):
+        return False
+    if n == 1:
+        return True
+
+    small = Alphabet(n - 1)
+    small_monoid = enumerate_styl(small)
+    small_columns = list(small.subsets())
+    images = set()
+    for e in complete:
+        u = shift_down_word(delta_word(e.word))
+        for g in small_columns:
+            if act_word(u, g) != gamma_minus(act_word(e.word, g), alphabet):
+                return False
+        images.add(small_monoid.class_of_word(u))
+    return len(images) == len(complete) == len(small_monoid)
 
 
 def test_bell_numbers():
@@ -104,7 +142,7 @@ def test_n_tableau_examples():
     assert n_tableau(FIVE_ROW_TABLEAU.row_word()) == FIVE_ROW_TABLEAU
 
 
-def test_n_tableau_recursive_agrees():
+def test_n_tableau_recursive_agrees(n_tableau_recursive):
     for w in words_up_to(3, 6):
         assert n_tableau(w) == n_tableau_recursive(w)
 
@@ -196,10 +234,8 @@ def test_enumerate_small_sizes():
 
 
 def test_enumeration_limit():
-    with pytest.raises(ValueError):
-        enumerate_styl(Alphabet(7))
-    # explicit override allows it (not exercised at size 7 here)
-    assert len(enumerate_styl(Alphabet(4), max_size=4)) == 52
+    with pytest.raises(ValueError, match="limited to alphabets of size 7"):
+        enumerate_styl(Alphabet(8))
 
 
 def test_multiplication():
@@ -445,12 +481,12 @@ def test_delta_of_decreasing_row_words():
         xs = support(x)
         # the word x u_k ... u_1, supports nested downward from sets[0]
         word = x + tuple(
-            letter for i in range(k - 1, -1, -1) for letter in increasing_word(sets[i])
+            letter for i in range(k - 1, -1, -1) for letter in sorted(sets[i])
         )
         rhs = delta_word(x)
         for i in range(k - 1, -1, -1):
             target = (sets[i + 1] if i + 1 < k else frozenset()) | xs
-            rhs = rhs + increasing_word(d_operator(target, sets[i]))
+            rhs = rhs + tuple(sorted(d_operator(target, sets[i])))
         assert monoid.class_of_word(delta_word(word)) == monoid.class_of_word(rhs)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -9,20 +10,22 @@ from stylic.columns import all_columns, column_leq, parse_column
 from stylic.core import Alphabet, parse_word
 from stylic.monoid import enumerate_styl
 from stylic.rewriting import (
-    all_normal_forms,
+    PairTable,
+    _bfs,
+    _columns,
+    _masks,
+    _measure_less,
+    _normal_forms,
+    _redexes,
+    _rewrite,
+    check_column_word,
     column_pair_reduce,
-    congruence_class,
     congruence_equal,
     congruence_reaches,
-    flatten_column_word,
     knuth_relations,
     local_confluence_check,
-    measure_less,
     normalize_column_word,
-    parse_column_word,
     render_column_word,
-    rewrite_at,
-    reducible_positions,
     stylic_relations,
     tableau_column_word,
 )
@@ -65,8 +68,8 @@ def test_congruence_equal_worked_example():
 
 def test_congruence_class_small():
     a1 = Alphabet(1)
-    reached, pruned = congruence_class((1, 1), stylic_relations(a1), 4)
-    assert reached == {(1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)}
+    reached, pruned = _bfs((1, 1), stylic_relations(a1), 4)
+    assert {tuple(s) for s in reached} == {(1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)}
     assert pruned  # the idempotent relation could have grown past the cap
 
 
@@ -86,13 +89,26 @@ def col(text):
     return parse_column(text)
 
 
+def parse_column_word(text):
+    """Read "(dba)(ba)(c)"; "1" or "" is the empty column word."""
+    text = text.strip()
+    if text in ("", "1"):
+        return ()
+    groups = re.findall(r"\(([^()]*)\)", text)
+    if "".join(f"({g})" for g in groups) != text:
+        raise ValueError(f"bad column word {text!r}: expected (..)(..) groups")
+    word = tuple(parse_column(g) for g in groups)
+    check_column_word(word)
+    return word
+
+
 def test_column_pair_reduce_examples():
     assert column_pair_reduce(col("b"), col("a")) == (col("ba"), frozenset())
     assert column_pair_reduce(col("ca"), col("b")) == (col("ca"), col("b"))
     assert column_pair_reduce(col("a"), col("a")) == (col("a"), col("a"))
 
 
-def test_column_pair_reduce_properties():
+def test_column_pair_reduce_properties(flatten_column_word):
     a4 = Alphabet(4)
     nonempty = [c for c in all_columns(a4) if c]
     for c1 in nonempty:
@@ -132,17 +148,18 @@ def test_normal_forms_match_tableau_columns():
         assert normalize_column_word(letters, rng) == expected
 
 
-def test_rewrite_steps_decrease_the_measure_and_preserve_the_class():
+def test_rewrite_steps_decrease_the_measure_and_preserve_the_class(flatten_column_word):
     rng = random.Random(5)
     nonempty = [c for c in all_columns(Alphabet(3)) if c]
+    table = PairTable()
     for _ in range(300):
-        word = tuple(rng.choice(nonempty) for _ in range(rng.randint(1, 4)))
-        slots = reducible_positions(word)
-        for i in slots:
-            after = rewrite_at(word, i)
-            assert measure_less(after, word)
-            assert p_tableau(flatten_column_word(after)) == p_tableau(
-                flatten_column_word(word)
+        columns = tuple(rng.choice(nonempty) for _ in range(rng.randint(1, 4)))
+        word = _masks(columns)
+        for i in _redexes(word, table):
+            after = _rewrite(word, i, table)
+            assert _measure_less(after, word, table)
+            assert p_tableau(flatten_column_word(_columns(after))) == p_tableau(
+                flatten_column_word(columns)
             )
 
 
@@ -160,7 +177,7 @@ def test_all_normal_forms_unique():
     rng = random.Random(1)
     for _ in range(100):
         word = tuple(rng.choice(nonempty) for _ in range(rng.randint(1, 4)))
-        forms, violations = all_normal_forms(word)
+        forms, violations = _normal_forms(_masks(word), PairTable())
         assert len(forms) == 1 and not violations
 
 
@@ -183,12 +200,13 @@ def test_normalize_rejects_an_unknown_strategy():
         normalize_column_word((col("b"), col("a")), "middle")
 
 
-def test_rewrite_at_rejects_a_position_without_a_rule():
-    with pytest.raises(ValueError, match="no rule applies"):
-        rewrite_at((col("ba"), col("b")), 0)
+def test_no_rule_applies_to_a_pair_in_column_order():
+    word = _masks((col("ba"), col("b")))
+    assert PairTable()[word] is None
+    assert _redexes(word, PairTable()) == []
 
 
-def test_mask_kernel_matches_tableau_columns_on_all_short_column_words():
+def test_mask_kernel_matches_tableau_columns_on_all_short_column_words(flatten_column_word):
     # Every column word of length <= 4 over 3 letters, against P of its
     # flattened word.
     nonempty = [c for c in all_columns(Alphabet(3)) if c]
@@ -199,7 +217,7 @@ def test_mask_kernel_matches_tableau_columns_on_all_short_column_words():
         for word in product(nonempty, repeat=length):
             count += 1
             expected = tableau_column_word(p_tableau(flatten_column_word(word)))
-            assert all_normal_forms(word) == ({expected}, [])
+            assert _normal_forms(_masks(word), table) == ({_masks(expected)}, [])
             for strategy in ("leftmost", "rightmost", rng):
                 assert normalize_column_word(word, strategy) == expected
                 assert normalize_column_word(word, strategy, table) == expected

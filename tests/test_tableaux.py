@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -7,13 +7,9 @@ from stylic.core import parse_word
 from stylic.tableaux import (
     EMPTY_TABLEAU,
     Tableau,
-    column_insert,
+    _row_insert,
     longest_strictly_decreasing,
-    longest_strictly_decreasing_bruteforce,
     p_tableau,
-    p_tableau_by_columns,
-    row_insert,
-    row_insert_into_row,
     young_leq,
 )
 
@@ -25,25 +21,47 @@ def words_up_to(n, maxlen):
         yield from product(range(1, n + 1), repeat=length)
 
 
-def column_insert_into_column(column, x):
-    """Insert x into a single column: the new column and the letter it
-    bumps (None when x lands on top). The new column is x.column."""
-    t = column_insert(Tableau(tuple((y,) for y in sorted(column))), x)
-    assert t.first_column() == act_letter(x, column)
-    rest = t.columns()[1:]
-    return t.first_column(), (rest[0][0] if rest else None)
+def longest_strictly_decreasing_bruteforce(w):
+    """Exponential enumeration of all subsequences, for small words."""
+    if len(w) > 12:
+        raise ValueError("brute-force subsequence scan is gated to length <= 12")
+    best = 0
+    for k in range(len(w), 0, -1):
+        if k <= best:
+            break
+        for positions in combinations(range(len(w)), k):
+            seq = [w[p] for p in positions]
+            if all(seq[i] > seq[i + 1] for i in range(k - 1)):
+                best = k
+                break
+    return best
 
 
-def test_column_insert_into_column():
+def test_column_insert_into_column(column_insert):
+    def column_insert_into_column(column, x):
+        """Insert x into a single column: the new column and the letter it
+        bumps (None when x lands on top). The new column is x.column."""
+        t = column_insert(Tableau(tuple((y,) for y in sorted(column))), x)
+        assert t.first_column() == act_letter(x, column)
+        rest = t.columns()[1:]
+        return t.first_column(), (rest[0][0] if rest else None)
+
     assert column_insert_into_column(frozenset({3, 1}), 2) == (frozenset({2, 1}), 3)
     assert column_insert_into_column(frozenset({3, 1}), 4) == (frozenset({4, 3, 1}), None)
     assert column_insert_into_column(frozenset({1}), 1) == (frozenset({1}), 1)
 
 
 def test_row_insert_into_row():
-    assert row_insert_into_row((1, 1, 3), 2) == ((1, 1, 2), 3)
-    assert row_insert_into_row((1, 1, 2), 2) == ((1, 1, 2, 2), None)
-    assert row_insert_into_row((), 1) == ((1,), None)
+    # the row takes x in place of its least strictly larger letter, which
+    # starts a new row above; with none larger, x is appended
+    for row, x, expected in [
+        ((1, 1, 3), 2, [[1, 1, 2], [3]]),
+        ((1, 1, 2), 2, [[1, 1, 2, 2]]),
+        ((), 1, [[1]]),
+    ]:
+        rows = [list(row)]
+        _row_insert(rows, x)
+        assert rows == expected
 
 
 def test_p_tableau_examples():
@@ -67,7 +85,7 @@ def test_shapes():
     assert p_tableau(parse_word("cabd")).shape() == (3, 1)
 
 
-def test_row_and_column_insertion_agree():
+def test_row_and_column_insertion_agree(p_tableau_by_columns):
     for w in words_up_to(3, 6):
         assert p_tableau(w) == p_tableau_by_columns(w)
 
@@ -83,7 +101,7 @@ def test_insertion_words_recover_tableau():
         assert p_tableau(t.column_word()) == t
 
 
-def test_two_sided_insertion_of_products():
+def test_two_sided_insertion_of_products(column_insert):
     words = list(words_up_to(3, 3))
     for u in words:
         for v in words:
@@ -91,11 +109,11 @@ def test_two_sided_insertion_of_products():
             by_columns = p_tableau(v)
             for x in reversed(u):
                 by_columns = column_insert(by_columns, x)
-            by_rows = p_tableau(u)
+            by_rows = [list(row) for row in p_tableau(u).rows]
             for x in v:
-                by_rows = row_insert(by_rows, x)
+                _row_insert(by_rows, x)
             assert by_columns == expected
-            assert by_rows == expected
+            assert Tableau(tuple(map(tuple, by_rows))) == expected
 
 
 def test_longest_strictly_decreasing_examples():
