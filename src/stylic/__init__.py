@@ -11,6 +11,7 @@ from .core import (
     canonical_inflation_exponents,
     increasing_rearrangement,
     inflate,
+    parse_letter,
     parse_word,
     render_word,
     shift_down_word,

@@ -135,7 +135,10 @@ def _cmd_compute(args) -> int:
                 print(f"delta^{i}: {r.render(digits)}")
             print(f"evac:    {result.render(digits)}")
     elif args.kind == "jdt":
-        data = json.loads(args.input)
+        try:
+            data = json.loads(args.input)
+        except RecursionError:
+            raise ValueError("skew JSON is nested too deeply") from None
         skew = skew_from_json(data)
         digits = any(str(letter).isdigit() for _, letter in data.get("labels", []))
         alphabet.check_word(skew.label_map().values())

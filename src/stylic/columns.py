@@ -21,6 +21,7 @@ from .core import (
     Word,
     letters_of,
     mask_of,
+    parse_alpha_letter,
     render_letter,
     support,
 )
@@ -154,11 +155,7 @@ def parse_column(text: str) -> LetterSet:
     text = text.strip()
     if text in ("", "1"):
         return frozenset()
-    letters = []
-    for ch in text:
-        if not ("a" <= ch <= "z"):
-            raise ValueError(f"bad column letter {ch!r}")
-        letters.append(ord(ch) - ord("a") + 1)
+    letters = [parse_alpha_letter(ch) for ch in text]
     if letters != sorted(letters, reverse=True):
         raise ValueError(f"column {text!r} is not strictly decreasing")
     return frozenset(letters)

@@ -166,19 +166,27 @@ def parse_word(text: str) -> Word:
         return tuple(_parse_int_letter(part) for part in text.split("."))
     if text.isascii() and text.isdigit():
         return tuple(_parse_int_letter(ch) for ch in text)
-    return tuple(_parse_alpha_letter(ch) for ch in text)
+    return tuple(parse_alpha_letter(ch) for ch in text)
 
 
-def _parse_alpha_letter(ch: str) -> int:
+def parse_letter(token: str) -> int:
+    """One letter: a lowercase a-z, or a positive number in ASCII digits
+    ("10" is the letter 10)."""
+    if token.isascii() and token.isdigit():
+        return _parse_int_letter(token)
+    return parse_alpha_letter(token)
+
+
+def parse_alpha_letter(ch: str) -> int:
     if len(ch) == 1 and "a" <= ch <= "z":
         return ord(ch) - ord("a") + 1
-    raise ValueError(f"bad letter {ch!r}: expected a lowercase letter a-z")
+    raise ValueError(f"{ch!r} is not a letter: expected a lowercase letter a-z")
 
 
 def _parse_int_letter(token: str) -> int:
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"bad numeric letter {token!r}: expected ASCII digits")
+        raise ValueError(f"{token!r} is not a letter: expected ASCII digits")
     value = int(token)
     if value < 1:
-        raise ValueError(f"letters are positive integers, got {value}")
+        raise ValueError(f"{token!r} is not a letter: letters are positive integers")
     return value

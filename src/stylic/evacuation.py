@@ -16,11 +16,17 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Alphabet, Word, letters_of, mask_of, parse_word, render_letter
+from .core import Alphabet, Word, letters_of, mask_of, parse_letter, render_letter
 from .monoid import SetPartition
+from .tableaux import young_leq
 
 Composition = tuple[int, ...]
 Point = tuple[int, int]  # (x, y), both 1-based
+
+# The largest outer ideal `skew_from_json` reads.  Jeu de taquin on a skew
+# shape of one label over a single column of this height, the slowest case,
+# takes about 0.4 s on a 2-vCPU x86 host; the time grows with its square.
+SKEW_CEILING = 4000
 
 
 def check_composition(comp: Composition) -> None:
@@ -35,15 +41,11 @@ def ideal_points(comp: Composition) -> frozenset[Point]:
     )
 
 
-def preceq(p: Point, q: Point) -> bool:
-    """The plane order: within a row move right, within the first column
-    move up."""
-    return (p[1] == q[1] and p[0] <= q[0]) or (p[0] == 1 and p[1] <= q[1])
-
-
 def point_covers(p: Point) -> list[Point]:
-    """The at most two points covering p: its right neighbour, and the point
-    above when p sits in the first column."""
+    """The plane order by its covers: the at most two points covering p are
+    its right neighbour, and the point above when p sits in the first
+    column.  Every point but (1, 1) covers exactly one point, so an
+    interval of the order is a chain."""
     x, y = p
     covers = [(x + 1, y)]
     if x == 1:
@@ -75,12 +77,6 @@ def interval_middles(c1: Composition, c3: Composition) -> set[Composition]:
     return middles
 
 
-def contains_ideal(outer: Composition, inner: Composition) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(i <= o for i, o in zip(inner, outer))
-
-
 def remove_point(comp: Composition, p: Point) -> Composition:
     """Remove a maximal point from an ideal, keeping it an ideal."""
     x, y = p
@@ -108,7 +104,7 @@ class SkewPartition:
     def __post_init__(self) -> None:
         check_composition(self.outer)
         check_composition(self.inner)
-        if not contains_ideal(self.outer, self.inner):
+        if not young_leq(self.inner, self.outer):
             raise ValueError("inner ideal must be contained in the outer ideal")
         object.__setattr__(self, "labels", tuple(sorted(self.labels)))
         region = self.region()
@@ -123,13 +119,17 @@ class SkewPartition:
         values = [v for _, v in self.labels]
         if len(set(values)) != len(values):
             raise ValueError("labels must be distinct letters")
+        # Labels increase along every cover, and across the hole from the
+        # point it covers to the points covering it; the region is convex,
+        # so this orders every comparable pair.
         label = dict(self.labels)
-        for p in expected:
-            for q in expected:
-                if p != q and preceq(p, q) and label[p] >= label[q]:
-                    raise ValueError(
-                        f"labelling is not increasing: {p}:{label[p]} vs {q}:{label[q]}"
-                    )
+        for p, v in self.labels:
+            for c in point_covers(p):
+                for q in point_covers(c) if c == self.hole else (c,):
+                    if q in label and v >= label[q]:
+                        raise ValueError(
+                            f"labelling is not increasing: {p}:{v} vs {q}:{label[q]}"
+                        )
 
     def region(self) -> frozenset[Point]:
         return ideal_points(self.outer) - ideal_points(self.inner)
@@ -164,21 +164,6 @@ class SkewPartition:
             blocks.append(tuple(sorted(v for (px, py), v in label.items() if py == y)))
         return SetPartition(tuple(blocks))
 
-    def render(self) -> str:
-        lines = []
-        for y in range(len(self.outer), 0, -1):
-            cells = []
-            label = self.label_map()
-            for x in range(1, self.outer[y - 1] + 1):
-                if (x, y) in ideal_points(self.inner):
-                    cells.append("*")
-                elif (x, y) == self.hole:
-                    cells.append("o")
-                else:
-                    cells.append(render_letter(label[(x, y)]))
-            lines.append(" ".join(cells))
-        return "\n".join(lines)
-
     def to_json(self) -> dict:
         data = {
             "outer": list(self.outer),
@@ -205,8 +190,9 @@ def skew_from_json(data: object) -> SkewPartition:
     """Read {"outer": [...], "inner": [...], "labels": [[[x, y], letter],
     ...], "hole": [x, y]}, the form `SkewPartition.to_json` writes; inner
     and hole may be left out.  A letter is a positive JSON integer or a
-    string holding one letter, such as "b".  Raises ValueError on any other
-    shape."""
+    string holding one letter, such as "b" or "10".  Raises ValueError on
+    any other shape, on an outer ideal above SKEW_CEILING points, and when
+    outer minus inner does not hold one point per label plus the hole."""
     if not isinstance(data, dict):
         raise ValueError(f"skew shape must be a JSON object, got {data!r}")
     keys = {"outer", "inner", "labels", "hole"}
@@ -220,21 +206,24 @@ def skew_from_json(data: object) -> SkewPartition:
             raise ValueError(f"a label must be [[x, y], letter], got {item!r}")
         point, letter = item
         if isinstance(letter, str):
-            word = parse_word(letter)
-        elif type(letter) is int and letter >= 1:
-            word = (letter,)
-        else:
+            letter = parse_letter(letter.strip())
+        elif type(letter) is not int or letter < 1:
             raise ValueError(f"label {letter!r} is not a positive integer or a string")
-        if len(word) != 1:
-            raise ValueError(f"label {letter!r} is not one letter")
-        labels.append((_int_tuple(point, "a label point", 2), word[0]))
+        labels.append((_int_tuple(point, "a label point", 2), letter))
     hole = _int_tuple(data["hole"], "hole", 2) if "hole" in data else None
-    return SkewPartition(
-        outer=_int_tuple(data["outer"], "outer"),
-        inner=_int_tuple(data.get("inner", []), "inner"),
-        labels=tuple(labels),
-        hole=hole,  # type: ignore[arg-type]
-    )
+    outer = _int_tuple(data["outer"], "outer")
+    inner = _int_tuple(data.get("inner", []), "inner")
+    check_composition(outer)
+    check_composition(inner)
+    if sum(outer) > SKEW_CEILING:
+        raise ValueError(f"outer ideal of size {sum(outer)} exceeds the ceiling {SKEW_CEILING}")
+    points = len(labels) + (hole is not None)
+    if sum(outer) - sum(inner) != points:
+        raise ValueError(
+            f"outer minus inner has {sum(outer) - sum(inner)} points, "
+            f"but the labels and hole fill {points}"
+        )
+    return SkewPartition(outer, inner, tuple(labels), hole)  # type: ignore[arg-type]
 
 
 def partition_to_skew(partition: SetPartition) -> SkewPartition:

@@ -23,9 +23,11 @@ from .core import (
     decreasing_word,
     letters_of,
     mask_of,
+    parse_word,
     render_letter,
     render_word,
 )
+from .tableaux import Tableau
 
 # The largest alphabet the closure enumerates: Bell(8) = 4140 elements at
 # n = 7, against Bell(9) = 21147 at n = 8.
@@ -46,8 +48,9 @@ def bell_number(k: int) -> int:
 
 
 @dataclass(frozen=True)
-class NTableau:
-    rows: tuple[Word, ...]
+class NTableau(Tableau):
+    """Nested rows whose minima strictly increase force strictly increasing
+    columns, so every N-tableau is a semistandard `Tableau`."""
 
     def __post_init__(self) -> None:
         prev: Optional[frozenset] = None
@@ -69,34 +72,11 @@ class NTableau:
         """The rows as bitmasks, bottom row first."""
         return [mask_of(row) for row in self.rows]
 
-    def row_word(self) -> Word:
-        """Rows read left to right, topmost first."""
-        out: list[int] = []
-        for row in reversed(self.rows):
-            out.extend(row)
-        return tuple(out)
-
     def boxes(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
-
-    def first_column(self) -> LetterSet:
-        return frozenset(row[0] for row in self.rows)
-
     def supp(self) -> LetterSet:
         return frozenset(self.rows[0]) if self.rows else frozenset()
-
-    def render(self) -> str:
-        if not self.rows:
-            return "(empty tableau)"
-        return "\n".join(
-            " ".join(render_letter(x) for x in row) for row in reversed(self.rows)
-        )
-
-    def to_json(self) -> dict:
-        return {"rows": [[render_letter(x) for x in row] for row in self.rows]}
 
 
 EMPTY_NTABLEAU = NTableau(())
@@ -154,26 +134,12 @@ def parse_partition(text: str) -> SetPartition:
     text = text.strip()
     if not text or text == "(empty)":
         return EMPTY_PARTITION
-    numeric = any(ch.isdigit() for ch in text)
-    blocks = []
-    for token in text.split("/"):
-        token = token.strip()
-        if not token:
-            raise ValueError("empty partition block")
-        pieces = token.split(".") if numeric and "." in token else list(token)
-        for piece in pieces:
-            if numeric:
-                valid = piece.isascii() and piece.isdigit() and int(piece) > 0
-            else:
-                valid = "a" <= piece <= "z"
-            if not valid:
-                raise ValueError(
-                    f"{piece!r} in partition block {token!r} is not a letter"
-                    + (" (a partition with digits is written in numbers only)" if numeric else "")
-                )
-        blocks.append(
-            tuple(int(p) if numeric else ord(p) - ord("a") + 1 for p in pieces)
-        )
+    letter = next((ch for ch in text if ch.isalpha()), None)
+    if letter is not None and any(ch.isdigit() for ch in text):
+        raise ValueError(f"{letter!r} is not a letter of a partition written in numbers")
+    blocks = [parse_word(token) for token in text.split("/")]
+    if not all(blocks):
+        raise ValueError("empty partition block")
     return SetPartition(tuple(blocks))
 
 

@@ -19,7 +19,6 @@ from .evacuation import (
     Point,
     SkewPartition,
     build_pyramid,
-    contains_ideal,
     delta_direct,
     delta_jdt,
     evac,
@@ -27,7 +26,7 @@ from .evacuation import (
     ideal_points,
     jdt,
     jdt_all_results,
-    preceq,
+    point_covers,
     pyramid_by_completion,
     remove_from_partition,
 )
@@ -56,7 +55,7 @@ from .syntactic import (
     plactic_left_syntactic_check,
     syntactic_monoid_check,
 )
-from .tableaux import p_tableau
+from .tableaux import p_tableau, young_leq
 
 # The alphabet size at which the presentation suite connects equal-action
 # words by rewriting, and the number of random skews on which the evacuation
@@ -101,15 +100,13 @@ def compositions_up_to(total: int) -> list[tuple[int, ...]]:
 def increasing_labellings(
     region: frozenset[Point], letters: tuple[int, ...]
 ) -> Iterator[tuple[tuple[Point, int], ...]]:
-    """All bijective labellings of the region increasing for the plane order."""
-    # Lexicographic point order extends the plane order, so comparable pairs
-    # from combinations() always arrive smaller-first.
+    """All bijective labellings of the region increasing for the plane order,
+    that is along each cover inside the region (a skew region is convex)."""
     points = sorted(region)
+    covers = [(p, q) for p in points for q in point_covers(p) if q in region]
     for perm in permutations(letters):
         lab = dict(zip(points, perm))
-        if all(
-            lab[p] < lab[q] for p, q in combinations(points, 2) if preceq(p, q)
-        ):
+        if all(lab[p] < lab[q] for p, q in covers):
             yield tuple(sorted(lab.items()))
 
 
@@ -122,7 +119,7 @@ def all_labelled_skews(n: int, outer_cap: int) -> Iterator[SkewPartition]:
             continue
         pts_outer = ideal_points(outer)
         for inner in comps:
-            if not inner or not contains_ideal(outer, inner):
+            if not inner or not young_leq(inner, outer):
                 continue
             region = pts_outer - ideal_points(inner)
             m = len(region)
@@ -158,11 +155,8 @@ def random_labelled_skew(rng: random.Random, n: int, outer_cap: int = 10) -> Ske
         remaining = set(region)
         labels = {}
         for letter in letters:
-            minimal = [
-                p
-                for p in remaining
-                if not any(q != p and preceq(q, p) for q in remaining)
-            ]
+            covered = {q for p in remaining for q in point_covers(p)}
+            minimal = [p for p in remaining if p not in covered]
             p = rng.choice(minimal)
             remaining.discard(p)
             labels[p] = letter

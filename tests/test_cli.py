@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,30 @@ def test_integer_jdt_labels_are_letters(capsys):
     assert run(capsys, "compute", "jdt", skew, "-n", "2") == (0, "2\n", "")
 
 
+def test_string_jdt_labels_are_one_letter(capsys):
+    skew = '{"outer":[3],"inner":[2],"labels":[[[3,1],"10"]]}'
+    assert run(capsys, "compute", "jdt", skew, "-n", "12") == (0, "10\n", "")
+    skew = '{"outer":[3],"inner":[2],"labels":[[[3,1],"j"]]}'
+    assert run(capsys, "compute", "jdt", skew, "-n", "12") == (0, "j\n", "")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 50000,
+        '{"outer":[100000000],"inner":[99999999],"labels":[[[100000000,1],"b"]]}',
+        '{"outer":[100000000],"labels":[]}',
+        '{"outer":[3],"labels":[]}',
+    ],
+)
+def test_jdt_input_beyond_its_bounds_is_a_quick_usage_error(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "jdt", text, "-n", "3")
+    assert time.perf_counter() - start < 0.2
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -342,6 +367,22 @@ def test_no_assert_in_the_package():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_only_core_converts_letters_and_characters():
+    # The letter text format is decided in core; no other module does
+    # arithmetic on character codes.
+    package = Path(stylic.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("ord", "chr")
     ]
     assert found == []
 

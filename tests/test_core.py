@@ -8,6 +8,8 @@ from stylic.core import (
     decreasing_word,
     increasing_rearrangement,
     inflate,
+    parse_alpha_letter,
+    parse_letter,
     parse_word,
     render_letter,
     render_word,
@@ -139,6 +141,23 @@ def test_word_text_round_trip():
         parse_word("aB")
     with pytest.raises(ValueError):
         parse_word("0.1")
+
+
+def test_one_letter_is_a_to_z_or_a_positive_number():
+    assert [parse_letter(t) for t in ("a", "z", "1", "10", "007")] == [1, 26, 1, 10, 7]
+    assert parse_alpha_letter("j") == 10
+    for token in ("0", "00", "", "ab", "A", "-1", "+2", " 3", "1.2", "１", "é"):
+        with pytest.raises(ValueError, match="is not a letter"):
+            parse_letter(token)
+    for token in ("1", "", "ab", "A"):
+        with pytest.raises(ValueError, match="is not a letter"):
+            parse_alpha_letter(token)
+
+
+@pytest.mark.parametrize("text", ["0", "1.0", "aB", "a.b", "1..2", "1.-2", "a$"])
+def test_word_errors_name_the_letter(text):
+    with pytest.raises(ValueError, match="is not a letter"):
+        parse_word(text)
 
 
 def test_letter_set_rendering():

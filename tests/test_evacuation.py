@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from collections import Counter
+from itertools import permutations, product, takewhile
 
 import pytest
 
@@ -17,6 +18,7 @@ from stylic.evacuation import (
     e_of,
     evac,
     evac_via_pyramid,
+    ideal_points,
     interval_middles,
     jdt,
     jdt_all_results,
@@ -37,8 +39,11 @@ from stylic.monoid import (
     parse_partition,
     pi,
 )
+from stylic.tableaux import young_leq
 from stylic.verify import (
     all_labelled_skews,
+    compositions_up_to,
+    increasing_labellings,
     random_labelled_skew,
     theta_on_classes,
     verify_bijection,
@@ -450,6 +455,129 @@ def test_skew_validation_and_json():
         SkewPartition(outer=(1,), labels=(((1, 1), 1),), hole=(2, 1))
     data = SKEW.to_json()
     assert skew_from_json(data) == SKEW
+
+
+def preceq(p, q):
+    """The plane order pair by pair: within a row move right, within the
+    first column move up.  The package reads it only through its covers."""
+    return (p[1] == q[1] and p[0] <= q[0]) or (p[0] == 1 and p[1] <= q[1])
+
+
+def increasing_by_all_pairs(labels):
+    return all(u < v for (p, u), (q, v) in permutations(labels, 2) if preceq(p, q))
+
+
+def random_composition(rng, size):
+    parts = []
+    while size > 0:
+        parts.append(rng.randint(1, size))
+        size -= parts[-1]
+    return tuple(parts)
+
+
+def test_the_cover_check_matches_the_all_pairs_check():
+    rng = random.Random(7)
+    verdicts = Counter()
+    for trial in range(3000):
+        outer = random_composition(rng, rng.randint(1, 7))
+        inner = tuple(takewhile(bool, (rng.randint(0, part) for part in outer)))
+        region = sorted(ideal_points(outer) - ideal_points(inner))
+        hole = rng.choice(region) if trial % 2 and region else None
+        points = [p for p in region if p != hole]
+        letters = rng.sample(range(1, 10), len(points))
+        labels = tuple(zip(points, letters))
+        try:
+            SkewPartition(outer, inner, labels, hole)
+            accepted = True
+        except ValueError as exc:
+            assert "not increasing" in str(exc)
+            accepted = False
+        assert accepted == increasing_by_all_pairs(labels), (outer, inner, labels, hole)
+        verdicts[accepted, hole is not None] += 1
+    assert len(verdicts) == 4 and min(verdicts.values()) > 100
+
+
+def test_increasing_labellings_match_the_all_pairs_filter():
+    for outer in compositions_up_to(5):
+        for inner in compositions_up_to(sum(outer)):
+            if not young_leq(inner, outer):
+                continue
+            region = ideal_points(outer) - ideal_points(inner)
+            letters = tuple(range(1, len(region) + 1))
+            points = sorted(region)
+            expected = [
+                tuple(zip(points, perm))
+                for perm in permutations(letters)
+                if increasing_by_all_pairs(tuple(zip(points, perm)))
+            ]
+            assert list(increasing_labellings(region, letters)) == expected
+
+
+def random_labelled_skew_by_all_pairs(rng, n, outer_cap=10):
+    """`random_labelled_skew` finding each minimal point by comparing every
+    pair of remaining points."""
+    while True:
+        size = rng.randint(2, outer_cap)
+        outer = []
+        while size > 0:
+            part = rng.randint(1, size)
+            outer.append(part)
+            size -= part
+        inner = tuple(rng.randint(0, part) for part in outer)
+        while inner and inner[-1] == 0:
+            inner = inner[:-1]
+        if any(p == 0 for p in inner):
+            continue
+        region = ideal_points(tuple(outer)) - ideal_points(inner)
+        if not inner or not 1 <= len(region) <= n:
+            continue
+        letters = sorted(rng.sample(range(1, n + 1), len(region)))
+        remaining = set(region)
+        labels = {}
+        for letter in letters:
+            minimal = [
+                p for p in remaining if not any(q != p and preceq(q, p) for q in remaining)
+            ]
+            p = rng.choice(minimal)
+            remaining.discard(p)
+            labels[p] = letter
+        return SkewPartition(tuple(outer), inner, tuple(sorted(labels.items())))
+
+
+@pytest.mark.parametrize("n, outer_cap", [(6, 10), (4, 7)])
+def test_random_skews_are_the_all_pairs_draws(n, outer_cap):
+    for seed in range(100):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            skew = random_labelled_skew(rng, n, outer_cap)
+            assert skew == random_labelled_skew_by_all_pairs(oracle_rng, n, outer_cap), seed
+
+
+def test_skew_json_bounds_the_shape_before_building_it():
+    size = evacuation.SKEW_CEILING
+    column = {"outer": [1] * size, "inner": [1] * (size - 1), "labels": [[[1, size], 1]]}
+    assert skew_from_json(column).outer == (1,) * size
+    for data in (
+        {"outer": [size + 1], "inner": [size], "labels": [[[size + 1, 1], 1]]},
+        {"outer": [100000000], "inner": [99999999], "labels": [[[100000000, 1], 1]]},
+    ):
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            skew_from_json(data)
+    for data in (
+        {"outer": [3], "inner": [1], "labels": [[[3, 1], 1]]},
+        {"outer": [2], "labels": [[[1, 1], 1], [[2, 1], 2]], "hole": [2, 1]},
+        {"outer": [2], "inner": [3], "labels": []},
+    ):
+        with pytest.raises(ValueError, match="points"):
+            skew_from_json(data)
+
+
+def test_skew_json_reads_string_labels_as_one_letter():
+    data = {"outer": [3], "inner": [1], "labels": [[[2, 1], "b"], [[3, 1], "10"]]}
+    assert skew_from_json(data).label_map() == {(2, 1): 2, (3, 1): 10}
+    for letter in ("0", "ab", "1.2", "B", ""):
+        with pytest.raises(ValueError, match="is not a letter"):
+            skew_from_json({"outer": [2], "inner": [1], "labels": [[[2, 1], letter]]})
 
 
 def test_shift_partition_guards():

@@ -41,7 +41,7 @@ from stylic.monoid import (
     up,
     zero_tableau,
 )
-from stylic.tableaux import p_tableau, young_leq
+from stylic.tableaux import Tableau, p_tableau, young_leq
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -156,6 +156,16 @@ def test_ntableau_validation():
         NTableau(((1, 2), (1,)))  # minima not increasing
 
 
+def test_every_n_tableau_is_a_semistandard_tableau():
+    for n in range(1, 6):
+        for e in enumerate_styl(Alphabet(n)).elements:
+            plain = Tableau(e.tableau.rows)  # runs the semistandard checks
+            assert isinstance(e.tableau, Tableau) and e.tableau != plain
+            assert (e.tableau.shape(), e.tableau.row_word()) == (plain.shape(), plain.row_word())
+            assert e.tableau.render() == plain.render()
+            assert e.tableau.to_json() == plain.to_json()
+
+
 def test_left_insert_examples():
     assert left_insert(1, NTableau(((2,),))) == NTableau(((1, 2),))
     t = NTableau(((1, 2), (2,)))
@@ -225,6 +235,49 @@ def test_parse_partition_numbers_and_letters():
 def test_parse_partition_rejects_non_letters(text):
     with pytest.raises(ValueError, match="is not a letter"):
         parse_partition(text)
+
+
+def parse_partition_by_pieces(text):
+    """The partition reader with its own letter rules, which `parse_partition`
+    replaced by one check for mixed letters and digits and `parse_word` on
+    each block: digits anywhere make every block numeric."""
+    text = text.strip()
+    if not text or text == "(empty)":
+        return SetPartition(())
+    numeric = any(ch.isdigit() for ch in text)
+    blocks = []
+    for token in text.split("/"):
+        token = token.strip()
+        if not token:
+            raise ValueError("empty partition block")
+        pieces = token.split(".") if numeric and "." in token else list(token)
+        for piece in pieces:
+            if numeric:
+                valid = piece.isascii() and piece.isdigit() and int(piece) > 0
+            else:
+                valid = "a" <= piece <= "z"
+            if not valid:
+                raise ValueError(f"{piece!r} in partition block {token!r} is not a letter")
+        blocks.append(tuple(int(p) if numeric else ord(p) - ord("a") + 1 for p in pieces))
+    return SetPartition(tuple(blocks))
+
+
+def read_partition(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def test_parse_partition_matches_the_piecewise_reader():
+    # 111,111 strings: every text of length <= 5 over ten characters that
+    # mix letters, digits, zero, dots, slashes, a blank and an upper case.
+    chars = "ab19./ 0xA"
+    for length in range(6):
+        for chars_of in product(chars, repeat=length):
+            text = "".join(chars_of)
+            expected = read_partition(parse_partition_by_pieces, text)
+            assert read_partition(parse_partition, text) == expected, text
 
 
 def test_enumerate_small_sizes():
