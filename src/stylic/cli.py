@@ -148,8 +148,15 @@ def _cmd_compute(args) -> int:
 
 
 def _peak_rss_mib() -> float:
-    """Peak resident memory of this process; ru_maxrss is in KiB on Linux
-    and in bytes on macOS."""
+    """Peak resident memory of this process.  On Linux ru_maxrss carries
+    over the high-water mark of the process that spawned this one, so
+    VmHWM in /proc/self/status comes first where it exists; ru_maxrss is
+    in KiB on Linux and in bytes on macOS."""
+    with contextlib.suppress(OSError):
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / (1 << 10)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 

@@ -286,9 +286,14 @@ def zero_tableau(alphabet: Alphabet) -> NTableau:
 
 @dataclass(frozen=True)
 class StylicElement:
+    """One element of the monoid: its BFS word, its N-tableau, and the
+    transformation of the column space it induces.  Entry m of `transform`
+    is the column mask word.m; with at most 7 letters each mask is below
+    256, so the transformation is a byte string of 2^n bytes."""
+
     index: int
     word: Word
-    transform: tuple[int, ...]
+    transform: bytes
     tableau: NTableau
     parent: int
     via_letter: int
@@ -335,33 +340,28 @@ class StylicMonoid:
         self.alphabet = alphabet
         n = alphabet.n
         size = 1 << n
-        identity = tuple(range(size))
-        elements: list[StylicElement] = []
-        index: dict[tuple[int, ...], int] = {}
-
-        def add(word: Word, transform: tuple[int, ...], parent: int, via: int) -> int:
-            i = len(elements)
-            elements.append(
-                StylicElement(i, word, transform, n_tableau(word), parent, via)
-            )
-            index[transform] = i
-            return i
+        elements: list[StylicElement] = [
+            StylicElement(0, (), bytes(range(size)), EMPTY_NTABLEAU, -1, 0)
+        ]
+        index: dict[bytes, int] = {elements[0].transform: 0}
 
         # Breadth-first closure: `elements` is the queue, so right[x][i] is
         # appended in index order, as the child of element i by letter x.
-        add((), identity, -1, 0)
         precompose = {
             x: itemgetter(*(act_mask(x, m) for m in range(size))) for x in alphabet.letters
         }
         right: dict[int, list[int]] = {x: [] for x in alphabet.letters}
         i = 0
         while i < len(elements):
-            t = elements[i].transform
+            e = elements[i]
             for x in alphabet.letters:
-                child = precompose[x](t)
+                child = bytes(precompose[x](e.transform))
                 j = index.get(child)
                 if j is None:
-                    j = add(elements[i].word + (x,), child, i, x)
+                    j = index[child] = len(elements)
+                    elements.append(
+                        StylicElement(j, e.word + (x,), child, n_insert(e.tableau, x), i, x)
+                    )
                 right[x].append(j)
             i += 1
 
@@ -401,22 +401,31 @@ class StylicMonoid:
 
     def _rows(self, first: tuple) -> Iterator[tuple]:
         """The multiplication-table rows in index order, given row 0 (the
-        identity's row, j -> j).  Row p.y is row p read through left
-        multiplication by y: (p.y).j = p.(y.j).  A row is kept only while a
-        later element is still to be read off it."""
-        # Elements are in index order, so each parent maps to its last child.
-        last_child = {e.parent: e.index for e in self.elements[1:]}
-        through = {x: itemgetter(*row) for x, row in self.left_by_letter.items()}
+        identity's row, j -> j).  Row q.y is row q read through left
+        multiplication by y: (q.y).j = q.(y.j).  Row i is read off its
+        latest source, the largest q < i with q.y = i for some letter y (the
+        BFS parent is one), and a row is kept only until its last use."""
+        size = len(self.elements)
+        # Later q overwrite earlier ones, so each i keeps its largest source.
+        source = {
+            i: (q, y)
+            for q in range(size)
+            for y, step in self.right_by_letter.items()
+            if (i := step[q]) > q
+        }
+        last_use = {source[i][0]: i for i in range(1, size)}
+        through = {y: itemgetter(*step) for y, step in self.left_by_letter.items()}
         kept: dict[int, tuple] = {}
-        for e in self.elements:
-            if e.index == 0:
+        for i in range(size):
+            if i == 0:
                 row = first
             else:
-                row = through[e.via_letter](kept[e.parent])
-                if last_child[e.parent] == e.index:
-                    del kept[e.parent]
-            if e.index in last_child:
-                kept[e.index] = row
+                q, y = source[i]
+                row = through[y](kept[q])
+                if last_use[q] == i:
+                    del kept[q]
+            if i in last_use:
+                kept[i] = row
             yield row
 
     def multiplication_table(self) -> list[tuple[int, ...]]:
@@ -442,7 +451,7 @@ class StylicMonoid:
         size = len(self.elements)
         boxes = [e.tableau.boxes() for e in self.elements]
         steps = [*self.left_by_letter.values(), *self.right_by_letter.values()]
-        down = [0] * size
+        down: list[DownSet] = [DownSet()] * size
         hasse: list[tuple[int, int]] = []
         for v in sorted(range(size), key=boxes.__getitem__, reverse=True):
             children = {step[v] for step in steps}
@@ -456,7 +465,7 @@ class StylicMonoid:
                     )
                 below |= down[u]
                 dominated |= down[u] ^ 1 << u
-            down[v] = below | 1 << v
+            down[v] = DownSet(below | 1 << v)
             for u in children:
                 if not dominated >> u & 1:
                     hasse.append((u, v))
@@ -475,42 +484,54 @@ class StylicMonoid:
                 f"expected 0 to {height}"
             )
         return JOrder(
-            down_sets=[DownSet(d) for d in down],
+            down_sets=down,
             hasse_edges=hasse,
             coranks=boxes,
             height=height,
         )
 
-    def to_json(self, with_table: bool = True) -> dict:
-        idem = set(self.idempotents())
-        data = {
+    def _head_json(self) -> dict:
+        return {
             "n": self.alphabet.n,
             "size": len(self.elements),
             "identity": self.identity,
             "zero": self.zero,
-            "elements": [
-                {
-                    "index": e.index,
-                    "word": e.render_word(),
-                    "support": "".join(render_letter(x) for x in sorted(e.tableau.supp())),
-                    "rows": e.tableau.to_json()["rows"],
-                    "corank": e.tableau.boxes(),
-                    "idempotent": e.index in idem,
-                }
-                for e in self.elements
-            ],
         }
-        if with_table:
-            data["table"] = self.multiplication_table()
-        return data
+
+    @staticmethod
+    def _element_json(e: StylicElement, idem: set[int]) -> dict:
+        return {
+            "index": e.index,
+            "word": e.render_word(),
+            "support": "".join(render_letter(x) for x in sorted(e.tableau.supp())),
+            "rows": e.tableau.to_json()["rows"],
+            "corank": e.tableau.boxes(),
+            "idempotent": e.index in idem,
+        }
+
+    def to_json(self) -> dict:
+        """The whole export as one dict, table included; `write_json`
+        writes the same text without holding it."""
+        idem = set(self.idempotents())
+        return {
+            **self._head_json(),
+            "elements": [self._element_json(e, idem) for e in self.elements],
+            "table": self.multiplication_table(),
+        }
 
     def write_json(self, out: TextIO) -> None:
-        """Write json.dumps(self.to_json()) to out, the table one row at a
-        time as it is derived; neither the table nor its text is held.  Row
-        0 holds the indices as strings, so every row is a tuple of shared
-        strings and writing it only joins them."""
-        head = json.dumps(self.to_json(with_table=False))
-        out.write(head[:-1] + ', "table": [')
+        """Write json.dumps(self.to_json()) to out, one element and one
+        table row at a time as each is derived; neither the element list,
+        the table nor their text is held.  Row 0 holds the indices as
+        strings, so every row is a tuple of shared strings and writing it
+        only joins them."""
+        idem = set(self.idempotents())
+        out.write(json.dumps(self._head_json())[:-1] + ', "elements": [')
+        separator = ""
+        for e in self.elements:
+            out.write(separator + json.dumps(self._element_json(e, idem)))
+            separator = ", "
+        out.write('], "table": [')
         separator = ""
         for row in self._rows(tuple(map(str, range(len(self.elements))))):
             out.write(f"{separator}[{', '.join(row)}]")

@@ -120,6 +120,32 @@ def test_enumerate_n7_reports_size_and_peak_memory(capsys):
     assert lines[0].endswith(" MiB") and "table" not in lines[0]
 
 
+# Touches 120 MB, frees it, then runs a command and prints its stderr.
+BALLAST_LAUNCHER = """
+import resource, subprocess, sys
+ballast = b"x" * (120 << 20)
+del ballast
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak * (1 if sys.platform == "darwin" else 1024))
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)
+"""
+
+
+def test_peak_memory_note_is_the_commands_own():
+    # On Linux ru_maxrss carries over the launcher's high-water mark.
+    src = str(Path(stylic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, "-m", "stylic.cli", "enumerate", "jorder", "-n", "7", "--force"]
+    done = subprocess.run(
+        [sys.executable, "-c", BALLAST_LAUNCHER, *command],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert int(done.stdout) > 100e6
+    note = done.stderr.strip()
+    assert note.startswith("note: n = 7: 4140 elements, peak RSS ") and note.endswith(" MiB")
+    assert float(note.split()[-2]) < 60
+
+
 def test_partition_renderings_round_trip():
     from stylic.monoid import parse_partition, pi
     from stylic.core import parse_word

@@ -166,6 +166,13 @@ def test_every_n_tableau_is_a_semistandard_tableau():
             assert e.tableau.to_json() == plain.to_json()
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closure_tableaux_are_the_tableaux_of_their_words(n):
+    # The closure N-inserts one letter into the parent's tableau.
+    for e in enumerate_styl(Alphabet(n)).elements:
+        assert e.tableau == n_tableau(e.word)
+
+
 def test_left_insert_examples():
     assert left_insert(1, NTableau(((2,),))) == NTableau(((1, 2),))
     t = NTableau(((1, 2), (2,)))
@@ -394,7 +401,7 @@ def composer(monoid):
 
     def compose(i, j):
         ti, tj = monoid.elements[i].transform, monoid.elements[j].transform
-        return index[tuple(ti[m] for m in tj)]
+        return index[bytes(ti[m] for m in tj)]
 
     return compose
 
@@ -594,7 +601,7 @@ def test_complete_element_worked_example():
     assert act_word(u, gamma) == gamma_minus(act_word(w, gamma), a4)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_write_json_matches_json_dumps(n):
     monoid = enumerate_styl(Alphabet(n))
     out = io.StringIO()
@@ -602,19 +609,50 @@ def test_write_json_matches_json_dumps(n):
     assert out.getvalue() == json.dumps(monoid.to_json())
 
 
+class NullWriter:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_write_json_holds_little_beyond_the_monoid():
+    # Holding the element dicts and the BFS frontier of rows took 1.99 MB.
+    monoid = enumerate_styl(Alphabet(6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        monoid.write_json(NullWriter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.2e6
+
+
+# Runs a command and prints its exit code and peak RSS as wait4 reports
+# them.  A fresh interpreter keeps the high-water mark that the command
+# inherits small, where pytest's own could be large.
+WAIT4_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_streamed_n7_json_stays_small():
-    # Holding the 4140 x 4140 table and its 103 MB of text took about 375 MB.
+    # Holding the 4140 x 4140 table and its 103 MB of text took about 375 MB;
+    # holding the element list, the BFS frontier of rows and tuple
+    # transforms took about 46 MB.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "stylic.cli", "enumerate", "monoid", "-n", "7", "--force", "--json"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    peak_bytes = usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)
-    assert peak_bytes < 150e6
+    command = [sys.executable, "-m", "stylic.cli", "enumerate", "monoid", "-n", "7", "--force", "--json"]
+    out = subprocess.run(
+        [sys.executable, "-c", WAIT4_LAUNCHER, *command],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    code, peak = map(int, out.split())
+    assert code == 0
+    peak_bytes = peak * (1 if sys.platform == "darwin" else 1024)
+    assert peak_bytes < 40e6
 
 
 def test_monoid_json_export():
