@@ -51,8 +51,11 @@ class Alphabet:
             raise ValueError(f"letter {x!r} outside alphabet of size {self.n}")
 
     def check_word(self, w: Word) -> None:
-        for x in w:
-            self.check_letter(x)
+        """One range test on the whole word; the letters are walked one by
+        one only to name the first that fails."""
+        if w and not (1 <= min(w) and max(w) <= self.n):
+            for x in w:
+                self.check_letter(x)
 
     def theta_letter(self, x: int) -> int:
         self.check_letter(x)
@@ -92,8 +95,7 @@ def theta(w: Word, alphabet: Alphabet) -> Word:
     This is an involutive anti-automorphism: theta(uv) = theta(v) theta(u).
     """
     alphabet.check_word(w)
-    n = alphabet.n
-    return tuple(n + 1 - x for x in reversed(w))
+    return tuple(map((alphabet.n + 1).__sub__, reversed(w)))
 
 
 def support(w: Word) -> LetterSet:

@@ -16,16 +16,18 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Alphabet, Word, letters_of, mask_of, parse_letter, render_letter
+from .core import Alphabet, Word, parse_letter, render_letter
 from .monoid import SetPartition
 from .tableaux import young_leq
 
 Composition = tuple[int, ...]
 Point = tuple[int, int]  # (x, y), both 1-based
 
-# The largest outer ideal `skew_from_json` reads.  Jeu de taquin on a skew
-# shape of one label over a single column of this height, the slowest case,
-# takes about 0.4 s on a 2-vCPU x86 host; the time grows with its square.
+# The largest outer ideal `skew_from_json` reads.  On a single column of this
+# height, the slowest case, `styl compute jdt -n 12` takes about 1.1 s on a
+# 2-vCPU x86 host, interpreter start included: 1.07-1.18 s with 1 label and
+# 1.04-1.37 s with 12 labels over 5 runs each.  The time grows with the
+# square of the height.
 SKEW_CEILING = 4000
 
 
@@ -350,7 +352,7 @@ def e_of(partition: SetPartition) -> int:
     to the right, as long as it is a block minimum."""
     if not partition.blocks:
         raise ValueError("empty partition")
-    return _e_of([mask_of(b) for b in partition.blocks]) + 1
+    return _e_of(partition.masks()) + 1
 
 
 def delta_direct(partition: SetPartition) -> SetPartition:
@@ -358,8 +360,8 @@ def delta_direct(partition: SetPartition) -> SetPartition:
     down one block."""
     if not partition.blocks:
         raise ValueError("empty partition")
-    blocks = [mask_of(b) for b in partition.blocks]
-    return SetPartition(tuple(letters_of(b) for b in _delta(blocks, _e_of(blocks))))
+    blocks = partition.masks()
+    return SetPartition._from_masks(_delta(blocks, _e_of(blocks)))
 
 
 def delta_jdt(partition: SetPartition) -> SetPartition:
@@ -383,13 +385,15 @@ def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
     reversal of the alphabet, has the same shape, and the map is an
     involution.
     """
-    for x in partition.ground():
-        alphabet.check_letter(x)
+    blocks = partition.masks()
+    if sum(blocks) >> alphabet.n:  # the blocks are disjoint: sum is union
+        for x in partition.ground():
+            alphabet.check_letter(x)
+    sizes = list(map(int.bit_count, blocks))
     # Walk the delta iterates, then unwind the recursion.  The removed minima
     # increase, so each reversed letter is the largest placed so far and
     # never changes the order of the blocks by their minima.
     steps = []
-    blocks = [mask_of(b) for b in partition.blocks]
     while blocks:
         e = _e_of(blocks)
         steps.append((blocks[0] & -blocks[0], e))
@@ -400,8 +404,8 @@ def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
             blocks.append(replaced)
         else:
             blocks[e] |= replaced
-    result = SetPartition(tuple(letters_of(b) for b in blocks))
-    if result.shape() != partition.shape():
+    result = SetPartition._from_masks(blocks)
+    if list(map(int.bit_count, blocks)) != sizes:
         raise ValueError(
             f"evacuation changed the shape {partition.shape()} to {result.shape()}"
         )

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional, TextIO
+from operator import ge, itemgetter
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .columns import act_mask
 from .core import (
@@ -47,26 +47,71 @@ def bell_number(k: int) -> int:
     return row[0]
 
 
+def _check_row_masks(rows: Sequence[int]) -> None:
+    """The N-tableau invariant on row masks, bottom row first: every row is
+    nonempty, lies inside the row below it, and has a larger minimum."""
+    below, below_low = -1, 0  # the bottom row may hold any letter
+    for row in rows:
+        if row < 1:
+            raise ValueError("N-tableau rows must be nonempty")
+        if row & ~below:
+            raise ValueError("each row must be contained in the row below")
+        low = row & -row
+        if low <= below_low:
+            raise ValueError("row minima must strictly increase")
+        below, below_low = row, low
+
+
+def _check_block_masks(blocks: Sequence[int]) -> None:
+    """The set-partition invariant on block masks: every block is nonempty,
+    disjoint from the blocks before it, and has a larger minimum."""
+    seen = prev_low = 0
+    for block in blocks:
+        if block < 1:
+            raise ValueError("partition blocks must be nonempty")
+        if block & seen:
+            raise ValueError("partition blocks must be disjoint")
+        low = block & -block
+        if low <= prev_low:
+            raise ValueError("partition blocks must be ordered by their minima")
+        seen |= block
+        prev_low = low
+
+
+def _check_least_letter(x: int) -> None:
+    """Refuse the least entry of a row or block when it is below 1: it is
+    not a letter and has no bit in a mask."""
+    if x < 1:
+        raise ValueError(f"{x!r} is not a letter: letters are positive integers")
+
+
 @dataclass(frozen=True)
 class NTableau(Tableau):
     """Nested rows whose minima strictly increase force strictly increasing
-    columns, so every N-tableau is a semistandard `Tableau`."""
+    columns, so every N-tableau is a semistandard `Tableau`.
+
+    The kernels build N-tableaux from row masks through `_from_masks`, which
+    runs only the mask-level check.  The masks are not kept: the enumerated
+    monoid holds thousands of N-tableaux."""
 
     def __post_init__(self) -> None:
-        prev: Optional[frozenset] = None
-        prev_min: Optional[int] = None
+        masks: list[int] = []
         for row in self.rows:
-            if not row:
-                raise ValueError("N-tableau rows must be nonempty")
-            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+            if not row or any(map(ge, row, row[1:])):
+                _check_row_masks(masks)  # a fault in an earlier row comes first
+                if not row:
+                    raise ValueError("N-tableau rows must be nonempty")
                 raise ValueError(f"row {row} is not strictly increasing")
-            s = frozenset(row)
-            if prev is not None:
-                if not s <= prev:
-                    raise ValueError("each row must be contained in the row below")
-                if row[0] <= prev_min:
-                    raise ValueError("row minima must strictly increase")
-            prev, prev_min = s, row[0]
+            _check_least_letter(row[0])
+            masks.append(mask_of(row))
+        _check_row_masks(masks)
+
+    @classmethod
+    def _from_masks(cls, rows: Sequence[int]) -> NTableau:
+        _check_row_masks(rows)
+        tableau = object.__new__(cls)
+        object.__setattr__(tableau, "rows", tuple(map(letters_of, rows)))
+        return tableau
 
     def masks(self) -> list[int]:
         """The rows as bitmasks, bottom row first."""
@@ -85,22 +130,41 @@ EMPTY_NTABLEAU = NTableau(())
 @dataclass(frozen=True)
 class SetPartition:
     """Partition of a subset of the alphabet; blocks are kept sorted and
-    ordered by their minima."""
+    ordered by their minima.
+
+    The blocks are kept as masks too; the kernels build a partition from
+    block masks through `_from_masks`, which runs only the mask-level check
+    and sorts nothing."""
 
     blocks: tuple[Word, ...]
 
     def __post_init__(self) -> None:
         if any(not b for b in self.blocks):
             raise ValueError("partition blocks must be nonempty")
-        normalized = tuple(
-            sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0])
-        )
-        object.__setattr__(self, "blocks", normalized)
-        seen: set[int] = set()
+        masks = []
         for b in self.blocks:
-            if len(set(b)) != len(b) or seen & set(b):
+            _check_least_letter(min(b))
+            mask = mask_of(b)
+            if mask.bit_count() != len(b):
                 raise ValueError("partition blocks must be disjoint")
-            seen |= set(b)
+            masks.append(mask)
+        masks.sort(key=lambda mask: mask & -mask)
+        self._set_masks(masks)
+
+    @classmethod
+    def _from_masks(cls, blocks: Sequence[int]) -> SetPartition:
+        partition = object.__new__(cls)
+        partition._set_masks(blocks)
+        return partition
+
+    def _set_masks(self, blocks: Sequence[int]) -> None:
+        _check_block_masks(blocks)
+        object.__setattr__(self, "blocks", tuple(map(letters_of, blocks)))
+        object.__setattr__(self, "_masks", tuple(blocks))
+
+    def masks(self) -> list[int]:
+        """The blocks as bitmasks, in order."""
+        return list(self._masks)
 
     def ground(self) -> LetterSet:
         return frozenset(x for b in self.blocks for x in b)
@@ -180,20 +244,20 @@ def up(x: int, row: int) -> int:
     return above & -above
 
 
-def _n_insert(rows: list[int], x: int) -> None:
-    """N-insert a letter into row masks, bottom row first: each row absorbs
-    the carried letter and passes up a copy of its least larger letter."""
-    for i, row in enumerate(rows):
-        bumped = up(x, row)
-        rows[i] = row | 1 << (x - 1)
-        if not bumped:
-            return
-        x = bumped.bit_length()
-    rows.append(1 << (x - 1))
-
-
-def _ntableau_of(rows: list[int]) -> NTableau:
-    return NTableau(tuple(letters_of(row) for row in rows))
+def _n_insert(rows: list[int], w: Word) -> None:
+    """N-insert the letters of a word into row masks, bottom row first: each
+    row absorbs the carried letter and passes up a copy of its least larger
+    letter."""
+    for x in w:
+        bit = 1 << (x - 1)
+        for i, row in enumerate(rows):
+            rows[i] = row | bit
+            above = row & -(bit << 1)
+            if not above:
+                break
+            bit = above & -above
+        else:
+            rows.append(bit)
 
 
 def delta_word(w: Word) -> Word:
@@ -212,16 +276,15 @@ def delta_word(w: Word) -> Word:
 def n_insert(tableau: NTableau, x: int) -> NTableau:
     """N-insertion of a letter, bottom row first; bumped copies cascade up."""
     rows = tableau.masks()
-    _n_insert(rows, x)
-    return _ntableau_of(rows)
+    _n_insert(rows, (x,))
+    return NTableau._from_masks(rows)
 
 
 def n_tableau(w: Word) -> NTableau:
     """The N-tableau of a word, by N-inserting its letters left to right."""
     rows: list[int] = []
-    for x in w:
-        _n_insert(rows, x)
-    return _ntableau_of(rows)
+    _n_insert(rows, w)
+    return NTableau._from_masks(rows)
 
 
 def left_insert(x: int, tableau: NTableau) -> NTableau:
@@ -242,16 +305,18 @@ def left_insert(x: int, tableau: NTableau) -> NTableau:
         rows[i] |= bit
         if i > r and bumps[i] and bumps[i] == bumps[i - 1]:
             rows[i] &= ~bumps[i]
-    return _ntableau_of(rows)
+    return NTableau._from_masks(rows)
 
 
 def _partition_of(rows: list[int]) -> SetPartition:
-    return SetPartition(tuple(letters_of(row & ~above) for row, above in zip(rows, rows[1:] + [0])))
+    """The row differences, bottom row first: each keeps its row's minimum,
+    so they come out ordered by their minima."""
+    return SetPartition._from_masks([row & ~above for row, above in zip(rows, rows[1:] + [0])])
 
 
 def to_partition(tableau: NTableau) -> SetPartition:
     """The partition whose blocks are the successive row differences, the
-    top row first."""
+    bottom row first."""
     return _partition_of(tableau.masks())
 
 
@@ -259,18 +324,17 @@ def from_partition(partition: SetPartition) -> NTableau:
     """Rows are the unions of the block tails: row i = B_i | B_{i+1} | ..."""
     rows = []
     running = 0
-    for block in reversed(partition.blocks):
-        running |= mask_of(block)
+    for block in reversed(partition.masks()):
+        running |= block
         rows.append(running)
-    return _ntableau_of(rows[::-1])
+    return NTableau._from_masks(rows[::-1])
 
 
 def pi(w: Word) -> SetPartition:
     """The set partition of Supp(w) canonically attached to the class of w:
     the row differences of its N-tableau, read off the row masks."""
     rows: list[int] = []
-    for x in w:
-        _n_insert(rows, x)
+    _n_insert(rows, w)
     return _partition_of(rows)
 
 

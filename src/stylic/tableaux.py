@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import gt, le
 
 from .core import LetterSet, Word, render_letter
 
@@ -25,13 +26,12 @@ class Tableau:
         for i, row in enumerate(rows):
             if not row:
                 raise ValueError("tableau rows must be nonempty")
-            if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+            if any(map(gt, row, row[1:])):
                 raise ValueError(f"row {i + 1} is not weakly increasing: {row}")
-        for i in range(len(rows) - 1):
-            below, above = rows[i], rows[i + 1]
+        for below, above in zip(rows, rows[1:]):
             if len(above) > len(below):
                 raise ValueError("row lengths must weakly decrease bottom to top")
-            if any(above[j] <= below[j] for j in range(len(above))):
+            if any(map(le, above, below)):
                 raise ValueError("columns must strictly increase bottom to top")
 
     def shape(self) -> Shape:

@@ -32,12 +32,12 @@ from .evacuation import (
 )
 from .monoid import (
     StylicMonoid,
+    _n_insert,
     all_partitions_of_subsets,
     bell_number,
     enumerate_styl,
     from_partition,
     left_insert,
-    n_insert,
     n_tableau,
     to_partition,
 )
@@ -178,14 +178,18 @@ def _edge(monoid: StylicMonoid, m: int, x: int) -> str:
 def class_function_counterexample(monoid: StylicMonoid) -> Optional[str]:
     """The first right Cayley edge m -> m.x on which N-inserting x into the
     tableau of m misses the tableau of m.x, or None.  None proves that the
-    N-tableau of every word is the tableau of its class."""
+    N-tableau of every word is the tableau of its class.  The tableaux are
+    compared as row masks, which determine them."""
     elements = monoid.elements
     if elements[monoid.identity].tableau != n_tableau(()):
         return "the identity's tableau is not empty"
-    for e in elements:
+    rows = [e.tableau.masks() for e in elements]
+    for m, source in enumerate(rows):
         for x, step in monoid.right_by_letter.items():
-            if n_insert(e.tableau, x) != elements[step[e.index]].tableau:
-                return f"N-insertion along {_edge(monoid, e.index, x)}"
+            inserted = source.copy()
+            _n_insert(inserted, (x,))
+            if inserted != rows[step[m]]:
+                return f"N-insertion along {_edge(monoid, m, x)}"
     return None
 
 
