@@ -94,8 +94,7 @@ def _cmd_compute(args) -> int:
         word = parse_word(args.input)
         alphabet.check_word(word)
     elif args.kind in ("delta", "evac"):
-        partition = parse_partition(args.input)
-        alphabet.check_word(partition.ground())
+        partition = parse_partition(args.input, alphabet)
     if args.kind == "P":
         tableau = p_tableau(word)
         print(json.dumps(tableau.to_json()) if args.as_json else tableau.render())

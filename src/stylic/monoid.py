@@ -191,10 +191,12 @@ class SetPartition:
 EMPTY_PARTITION = SetPartition(())
 
 
-def parse_partition(text: str) -> SetPartition:
+def parse_partition(text: str, alphabet: Alphabet | None = None) -> SetPartition:
     """Parse slash-separated blocks: "ac/b/de", "13/28/457/6" or "1.10/2".
     A partition is written all in letters a-z or all in positive numbers,
-    one digit each unless a block separates them with dots."""
+    one digit each unless a block separates them with dots.  Given an
+    alphabet, the letters are checked against it before any block mask is
+    built: a mask is as wide as its largest letter."""
     text = text.strip()
     if not text or text == "(empty)":
         return EMPTY_PARTITION
@@ -204,6 +206,11 @@ def parse_partition(text: str) -> SetPartition:
     blocks = [parse_word(token) for token in text.split("/")]
     if not all(blocks):
         raise ValueError("empty partition block")
+    if alphabet is not None:
+        letters = [x for b in blocks for x in b]
+        if len(set(letters)) < len(letters):  # reported before the alphabet
+            raise ValueError("partition blocks must be disjoint")
+        alphabet.check_word(letters)
     return SetPartition(tuple(blocks))
 
 
@@ -273,11 +280,17 @@ def delta_word(w: Word) -> Word:
     return tuple(out)
 
 
+def n_insert_rows(rows: Sequence[int], x: int) -> list[int]:
+    """The row masks, bottom row first, after N-inserting the letter x;
+    the given rows are left as they are."""
+    inserted = list(rows)
+    _n_insert(inserted, (x,))
+    return inserted
+
+
 def n_insert(tableau: NTableau, x: int) -> NTableau:
     """N-insertion of a letter, bottom row first; bumped copies cascade up."""
-    rows = tableau.masks()
-    _n_insert(rows, (x,))
-    return NTableau._from_masks(rows)
+    return NTableau._from_masks(n_insert_rows(tableau.masks(), x))
 
 
 def n_tableau(w: Word) -> NTableau:

@@ -32,12 +32,12 @@ from .evacuation import (
 )
 from .monoid import (
     StylicMonoid,
-    _n_insert,
     all_partitions_of_subsets,
     bell_number,
     enumerate_styl,
     from_partition,
     left_insert,
+    n_insert_rows,
     n_tableau,
     to_partition,
 )
@@ -186,9 +186,7 @@ def class_function_counterexample(monoid: StylicMonoid) -> Optional[str]:
     rows = [e.tableau.masks() for e in elements]
     for m, source in enumerate(rows):
         for x, step in monoid.right_by_letter.items():
-            inserted = source.copy()
-            _n_insert(inserted, (x,))
-            if inserted != rows[step[m]]:
+            if n_insert_rows(source, x) != rows[step[m]]:
                 return f"N-insertion along {_edge(monoid, m, x)}"
     return None
 

@@ -282,6 +282,24 @@ def test_non_letter_partitions_are_usage_errors(capsys, text):
     assert err.startswith("error: ") and "is not a letter" in err
 
 
+@pytest.mark.parametrize("kind", ["delta", "evac"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.10000000000", "letter 10000000000 outside alphabet of size 5"),
+        ("2/10000000000.1", "letter 10000000000 outside alphabet of size 5"),
+        ("1.1.10000000000", "partition blocks must be disjoint"),
+        ("6/6", "partition blocks must be disjoint"),
+    ],
+)
+def test_partition_letters_are_bounded_before_any_mask(capsys, kind, text, message):
+    # A block mask is as wide as its largest letter.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", kind, text, "-n", "5")
+    assert time.perf_counter() - start < 0.2
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "kind, text, n",
     [("P", "1.+2. 3", "3"), ("N", "1.1_0", "10"), ("N", "1.-2", "3"), ("P", "１２", "3")],
