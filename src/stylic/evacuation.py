@@ -65,13 +65,25 @@ def composition_covers(comp: Composition) -> list[Composition]:
     return out
 
 
-def is_composition_cover(lower: Composition, upper: Composition) -> bool:
-    return upper in composition_covers(lower)
+def _cover_row(lower: Composition, upper: Composition) -> int:
+    """The row, counted from 1, of the point that upper adds to lower when
+    upper is one of composition_covers(lower), else 0.  Compares parts and
+    builds no cover; the caller vouches that lower is a composition."""
+    k = len(lower)
+    if len(upper) == k + 1:
+        return k + 1 if upper[k] == 1 and upper[:k] == lower else 0
+    if len(upper) != k:
+        return 0
+    for i, part in enumerate(lower):
+        if upper[i] != part:
+            bumped = upper[i] == part + 1 and upper[i + 1 :] == lower[i + 1 :]
+            return i + 1 if bumped else 0
+    return 0
 
 
 def interval_middles(c1: Composition, c3: Composition) -> set[Composition]:
     """The middle compositions of a length-2 interval; always one or two."""
-    middles = {m for m in composition_covers(c1) if is_composition_cover(m, c3)}
+    middles = {m for m in composition_covers(c1) if _cover_row(m, c3)}
     if not middles:
         raise ValueError(f"{c1} -> .. -> {c3} is not a length-2 interval")
     if len(middles) > 2:
@@ -441,14 +453,12 @@ def partition_from_chain(chain: list[Composition], letters: list[int]) -> SetPar
     if len(steps) - 1 != len(letters):
         raise ValueError("chain length does not match the number of letters")
     blocks: dict[int, list[int]] = {}
+    # steps[0] is (), so each accepted step leaves a composition behind.
     for j in range(1, len(steps)):
         prev, cur = steps[j - 1], steps[j]
-        if not is_composition_cover(prev, cur):
+        y = _cover_row(prev, cur)
+        if not y:
             raise ValueError(f"chain step {prev} -> {cur} is not a covering move")
-        if len(cur) == len(prev) + 1:
-            y = len(cur)
-        else:
-            y = next(i + 1 for i in range(len(prev)) if cur[i] != prev[i])
         blocks.setdefault(y, []).append(letters[j - 1])
     ordered = [tuple(blocks[y]) for y in sorted(blocks)]
     return SetPartition(tuple(ordered))
@@ -471,17 +481,19 @@ class EvacuationPyramid:
         return [self.chains[m - j][j] for j in range(m + 1)]
 
     def validate_covers(self) -> None:
+        """Every arrow is a covering move.  Each chain starts at (), so the
+        lower end of each arrow has been accepted as a composition."""
         m = self.size
         for i in range(m + 1):
             chain = self.chains[i]
             for j in range(len(chain) - 1):
-                if not is_composition_cover(chain[j], chain[j + 1]):
+                if not _cover_row(chain[j], chain[j + 1]):
                     raise ValueError(f"chain {i} step {j} is not a covering move")
         for i in range(m):
             for j in range(m - i):
                 lower = self.chains[i + 1][j]
                 upper = self.chains[i][j + 1]
-                if not is_composition_cover(lower, upper):
+                if not _cover_row(lower, upper):
                     raise ValueError(
                         f"cross arrow ({i + 1},{j}) -> ({i},{j + 1}) is not a covering move"
                     )

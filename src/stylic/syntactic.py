@@ -94,6 +94,7 @@ def left_syntactic_check(
     With deep_maxlen set, additionally compare the partition of the words of
     length <= maxlen by column against the brute-force partition by
     statistic profiles over all contexts of length up to deep_maxlen.
+    maxlen bounds only that comparison; without deep_maxlen it is unread.
     """
     buckets: dict[LetterSet, Word] = {}
     failures: list[str] = []

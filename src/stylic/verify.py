@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, permutations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import Alphabet, Word, decreasing_word, render_letter, render_word, theta
 from .evacuation import (
@@ -232,12 +233,13 @@ def evacuation_counterexample(monoid: StylicMonoid, phi: list[int]) -> Optional[
 # Suites.
 
 
-def verify_bijection(n: int) -> SuiteResult:
-    """Cardinality Bell(n+1), canonical tableaux, and the 2^n idempotents."""
+def verify_bijection(monoids: Sequence[StylicMonoid]) -> SuiteResult:
+    """Cardinality Bell(n+1), canonical tableaux, and the 2^n idempotents, on
+    the monoids for the alphabet sizes 1..n."""
     result = SuiteResult("bijection")
-    for k in range(1, n + 1):
-        alphabet = Alphabet(k)
-        monoid = enumerate_styl(alphabet)
+    for monoid in monoids:
+        alphabet = monoid.alphabet
+        k = alphabet.n
         expected = bell_number(k + 1)
         result.add(
             len(monoid) == expected,
@@ -278,13 +280,14 @@ def verify_bijection(n: int) -> SuiteResult:
     return result
 
 
-def verify_presentation(n: int, maxlen: int = 5) -> SuiteResult:
-    """The defining relations hold, and at desk scale the bounded rewriting
-    closure connects every pair of equal-action words."""
+def verify_presentation(monoids: Sequence[StylicMonoid], maxlen: int = 5) -> SuiteResult:
+    """The defining relations hold in the monoids for the alphabet sizes
+    1..n, and at desk scale the bounded rewriting closure connects every
+    pair of equal-action words."""
     result = SuiteResult("presentation")
-    for k in range(1, n + 1):
-        alphabet = Alphabet(k)
-        monoid = enumerate_styl(alphabet)
+    for monoid in monoids:
+        alphabet = monoid.alphabet
+        k = alphabet.n
         bad = [
             (l, r)
             for l, r in stylic_relations(alphabet)
@@ -295,9 +298,9 @@ def verify_presentation(n: int, maxlen: int = 5) -> SuiteResult:
             f"n={k}: all {len(stylic_relations(alphabet))} defining relations "
             "hold in the enumerated monoid",
         )
-    k = min(n, PRESENTATION_SLICE)
-    alphabet = Alphabet(k)
-    monoid = enumerate_styl(alphabet)
+    monoid = monoids[min(len(monoids), PRESENTATION_SLICE) - 1]
+    alphabet = monoid.alphabet
+    k = alphabet.n
     classes: dict[int, list[Word]] = {}
     for w in all_words(alphabet, maxlen):
         classes.setdefault(monoid.class_of_word(w), []).append(w)
@@ -328,13 +331,13 @@ def verify_presentation(n: int, maxlen: int = 5) -> SuiteResult:
     return result
 
 
-def verify_evacuation(n: int, seed: int = 0) -> SuiteResult:
+def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
     """Evacuation intertwines the word involution; delta agrees with jeu de
     taquin; the pyramid reconstructs evacuation; sliding is choice-free."""
     result = SuiteResult("evacuation")
-    alphabet = Alphabet(n)
+    alphabet = monoid.alphabet
+    n = alphabet.n
 
-    monoid = enumerate_styl(alphabet)
     phi = theta_on_classes(monoid)
     failure = (
         class_function_counterexample(monoid)
@@ -415,12 +418,12 @@ def verify_evacuation(n: int, seed: int = 0) -> SuiteResult:
     return result
 
 
-def verify_graded(n: int) -> SuiteResult:
+def verify_graded(monoid: StylicMonoid) -> SuiteResult:
     """Left insertion realizes left multiplication; the ideal order is a
     graded partial order ranked by box count."""
     result = SuiteResult("graded")
-    alphabet = Alphabet(n)
-    monoid = enumerate_styl(alphabet)
+    alphabet = monoid.alphabet
+    n = alphabet.n
     bad = 0
     for e in monoid.elements:
         for x in alphabet.letters:
@@ -447,20 +450,21 @@ def verify_graded(n: int) -> SuiteResult:
     return result
 
 
-def verify_syntactic(n: int, maxlen: int = 6) -> SuiteResult:
+def verify_syntactic(monoid: StylicMonoid, maxlen: int = 6) -> SuiteResult:
     """Left classes of the decreasing-subsequence statistic are the columns,
     with constructed separators; the two-sided congruence on the enumerated
     monoid is equality; the shape statistic separates distinct tableaux."""
     result = SuiteResult("syntactic")
-    alphabet = Alphabet(n)
-    report = left_syntactic_check(alphabet, max(maxlen, n))
+    alphabet = monoid.alphabet
+    n = alphabet.n
+    report = left_syntactic_check(alphabet, maxlen)
     result.add(
         report.ok and report.classes == 2 ** n,
         f"n={n}: {report.classes} left classes (expected {2 ** n}), "
         f"{report.pairs_checked} separators constructed and verified"
         + (f" ({report.failures[0]})" if report.failures else ""),
     )
-    ok = syntactic_monoid_check(alphabet, enumerate_styl(alphabet))
+    ok = syntactic_monoid_check(alphabet, monoid)
     result.add(
         ok,
         f"n={n}: two-sided congruence of the statistic on the monoid is equality",
@@ -519,19 +523,32 @@ def verify_confluence(n: int, maxlen: int = 6) -> SuiteResult:
     return result
 
 
+# Each entry runs one suite at alphabet size n, taking the monoids it
+# certifies from `build`.
 SUITES = {
-    "bijection": lambda n, maxlen, seed: verify_bijection(n),
-    "presentation": lambda n, maxlen, seed: verify_presentation(n, maxlen),
-    "evacuation": lambda n, maxlen, seed: verify_evacuation(n, seed),
-    "graded": lambda n, maxlen, seed: verify_graded(n),
-    "syntactic": lambda n, maxlen, seed: verify_syntactic(n, maxlen),
-    "confluence": lambda n, maxlen, seed: verify_confluence(n, maxlen),
+    "bijection": lambda build, n, maxlen, seed: verify_bijection(
+        [build(k) for k in range(1, n + 1)]
+    ),
+    "presentation": lambda build, n, maxlen, seed: verify_presentation(
+        [build(k) for k in range(1, n + 1)], maxlen
+    ),
+    "evacuation": lambda build, n, maxlen, seed: verify_evacuation(build(n), seed),
+    "graded": lambda build, n, maxlen, seed: verify_graded(build(n)),
+    "syntactic": lambda build, n, maxlen, seed: verify_syntactic(build(n), maxlen),
+    "confluence": lambda build, n, maxlen, seed: verify_confluence(n, maxlen),
 }
 
 
 def run_suite(name: str, n: int, maxlen: int = 6, seed: int = 0) -> list[SuiteResult]:
-    if name == "all":
-        return [SUITES[s](n, maxlen, seed) for s in SUITES]
-    if name not in SUITES:
+    """Run one suite, or every suite in order for "all".  The run owns the
+    monoids: it enumerates each alphabet size at most once, when a suite
+    first needs it, and every suite reads that same monoid."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[name](n, maxlen, seed)]
+
+    @cache
+    def build(k: int) -> StylicMonoid:
+        return enumerate_styl(Alphabet(k))
+
+    names = SUITES if name == "all" else [name]
+    return [SUITES[s](build, n, maxlen, seed) for s in names]

@@ -1,4 +1,6 @@
 import ast
+import copy
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import stylic
+from stylic import verify
 from stylic.cli import main
 
 
@@ -190,6 +193,78 @@ def test_verify_confluence(capsys):
     code, out, _ = run(capsys, "verify", "confluence", "-n", "3")
     assert code == 0
     assert "343" in out
+
+
+def count_builds(monkeypatch):
+    """Patch the builder that `verify` enumerates through; return the list
+    of (monoid, copy of its Cayley graphs when built) that it fills."""
+    build = verify.enumerate_styl
+    built = []
+
+    def counted(alphabet):
+        monoid = build(alphabet)
+        graphs = (monoid.right_by_letter, monoid.left_by_letter)
+        built.append((monoid, copy.deepcopy(graphs)))
+        return monoid
+
+    monkeypatch.setattr(verify, "enumerate_styl", counted)
+    return built
+
+
+def test_verify_all_enumerates_each_alphabet_size_once(monkeypatch, capsys):
+    built = count_builds(monkeypatch)
+    assert main(["verify", "all", "-n", "5"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert [m.alphabet.n for m, _ in built] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "suite, sizes",
+    [
+        ("all", [1, 2, 3, 4]),
+        ("bijection", [1, 2, 3, 4]),
+        ("presentation", [1, 2, 3, 4]),
+        ("evacuation", [4]),
+        ("graded", [4]),
+        ("syntactic", [4]),
+        ("confluence", []),
+    ],
+)
+def test_a_run_enumerates_what_its_suites_read_and_leaves_it_unchanged(monkeypatch, suite, sizes):
+    built = count_builds(monkeypatch)
+    results = verify.run_suite(suite, 4)
+    assert all(result.ok for result in results)
+    assert [m.alphabet.n for m, _ in built] == sizes
+    for monoid, graphs in built:
+        assert (monoid.right_by_letter, monoid.left_by_letter) == graphs
+
+
+def test_verify_all_at_n7_builds_seven_monoids_and_hands_them_to_every_suite(monkeypatch, capsys):
+    # The suites are stubbed to record what they are handed; the n = 5 test
+    # above runs the real ones, which enumerate nothing themselves.
+    built = count_builds(monkeypatch)
+    handed = {}
+    for name in verify.SUITES:
+        def suite(first, *rest, name=name):
+            handed[name] = first
+            return verify.SuiteResult(name)
+
+        monkeypatch.setattr(verify, f"verify_{name}", suite)
+    assert main(["verify", "all", "-n", "7", "--force"]) == 0
+    monoids = [m for m, _ in built]
+    assert [m.alphabet.n for m in monoids] == list(range(1, 8))
+    assert handed["bijection"] == handed["presentation"] == monoids
+    assert all(handed[name] is monoids[-1] for name in ("evacuation", "graded", "syntactic"))
+    assert handed["confluence"] == 7
+
+
+def test_every_suite_keeps_the_name_the_benchmark_traces():
+    # perfbench/worker.py times each suite as verify.verify_<name>, and its
+    # tracer refuses a generator.
+    for name in verify.SUITES:
+        function = getattr(verify, f"verify_{name}", None)
+        assert callable(function), name
+        assert not inspect.isgeneratorfunction(function), name
 
 
 def test_usage_errors(capsys):

@@ -10,6 +10,7 @@ from stylic.core import Alphabet, parse_word, render_word, support, theta
 from stylic.evacuation import (
     SkewPartition,
     _corners,
+    _cover_row,
     _slide,
     build_pyramid,
     composition_covers,
@@ -108,6 +109,27 @@ def test_interval_middles():
     assert interval_middles((1,), (1, 1, 1)) == {(1, 1)}
     with pytest.raises(ValueError):
         interval_middles((2,), (1, 1, 2))  # ideals are not even nested
+
+
+def test_cover_row_accepts_exactly_the_composition_covers():
+    comps = compositions_up_to(6)
+    odd = [(0,), (-1,), (1, 0), (2, -1), (0, 1), (1, 0, 1), (-2, 3)]
+    accepted = 0
+    for lower in comps + odd:
+        try:
+            covers = composition_covers(lower)
+        except ValueError:
+            continue  # lower is no composition: nothing to compare
+        for upper in comps + odd:
+            row = _cover_row(lower, upper)
+            assert bool(row) == (upper in covers), (lower, upper)
+            if row:
+                accepted += 1
+                bumped = list(lower) + [0] * (len(upper) - len(lower))
+                bumped[row - 1] += 1
+                assert tuple(bumped) == upper, (lower, upper, row)
+    # every cover of a composition of size <= 5 is a composition of size <= 6
+    assert accepted == sum(len(c) + 1 for c in comps if sum(c) <= 5)
 
 
 def test_partition_chain_examples():
@@ -266,7 +288,7 @@ def test_the_jdt_check_slides_each_state_and_corner_once(monkeypatch):
 
     monkeypatch.setattr(evacuation, "_slide", counted_slide)
     monkeypatch.setattr(verify, "jdt_all_results", counted_search)
-    result = verify_evacuation(4)
+    result = verify_evacuation(enumerate_styl(Alphabet(4)))
     assert result.lines[-2].startswith(
         "PASS jeu de taquin is choice-independent on all 2675 labelled skews"
     )
@@ -290,7 +312,7 @@ def test_the_jdt_check_fails_when_the_search_drops_a_corner(monkeypatch, capsys)
             evacuation._corners = corners
 
     monkeypatch.setattr(verify, "jdt_all_results", search_without_one_corner)
-    result = verify_evacuation(3)
+    result = verify_evacuation(enumerate_styl(Alphabet(3)))
     failed = [line for line in result.lines if line.startswith("FAIL ")]
     assert failed == [
         "FAIL jeu de taquin is choice-independent on all 1088 labelled skews (letters<=3, outer<=6)"
@@ -612,31 +634,32 @@ def test_certificate_agrees_with_the_word_ball(n):
         assert n_tableau(w) == monoid.elements[m].tableau
     assert len(reached) == len(monoid)  # at n <= 4 the ball covers the monoid
     assert evacuation_by_word_ball(n)
-    assert verify_evacuation(n).lines[0] == (
+    assert verify_evacuation(monoid).lines[0] == (
         f"PASS n={n}: evacuation of the partition matches the reversed word on all "
         f"{len(monoid)} elements, by induction over {len(monoid) * n} right Cayley edges"
     )
 
 
-def corrupt_one_left_edge(monkeypatch):
+def break_one_left_edge(monoid):
+    row = monoid.left_by_letter[1]
+    row[5] = row[6] if row[5] != row[6] else row[7]
+    return monoid
+
+
+def corrupt_one_left_edge(monkeypatch, monoid):
+    # The suite is handed the broken monoid; `styl verify` builds it broken.
+    break_one_left_edge(monoid)
     build = verify.enumerate_styl
-
-    def corrupted(alphabet):
-        monoid = build(alphabet)
-        row = monoid.left_by_letter[1]
-        row[5] = row[6] if row[5] != row[6] else row[7]
-        return monoid
-
-    monkeypatch.setattr(verify, "enumerate_styl", corrupted)
+    monkeypatch.setattr(verify, "enumerate_styl", lambda alphabet: break_one_left_edge(build(alphabet)))
     return "theta along"
 
 
-def reverse_without_complement(monkeypatch):
+def reverse_without_complement(monkeypatch, monoid):
     monkeypatch.setattr(verify, "theta", lambda w, alphabet: tuple(reversed(w)))
     return "theta along"
 
 
-def evac_broken_on_one_partition(monkeypatch):
+def evac_broken_on_one_partition(monkeypatch, monoid):
     target = parse_partition("a/b")  # evacuates to b/c at n = 3
 
     def broken(partition, alphabet):
@@ -650,8 +673,9 @@ def evac_broken_on_one_partition(monkeypatch):
     "mutate", [corrupt_one_left_edge, reverse_without_complement, evac_broken_on_one_partition]
 )
 def test_certificate_fails_on_a_broken_input(monkeypatch, capsys, mutate):
-    reason = mutate(monkeypatch)
-    result = verify_evacuation(3)
+    monoid = enumerate_styl(Alphabet(3))
+    reason = mutate(monkeypatch, monoid)
+    result = verify_evacuation(monoid)
     assert not result.ok and result.render().startswith("[evacuation] FAIL")
     assert result.lines[0].startswith("FAIL n=3: ")
     assert f"(first counterexample: {reason}" in result.lines[0]
@@ -663,9 +687,9 @@ def test_certificate_fails_on_a_broken_input(monkeypatch, capsys, mutate):
 
 
 def test_word_ball_agrees_with_the_certificate_on_a_broken_evac(monkeypatch):
-    evac_broken_on_one_partition(monkeypatch)
+    evac_broken_on_one_partition(monkeypatch, None)
     assert not evacuation_by_word_ball(3, evac=verify.evac)
-    assert verify_evacuation(3).lines[0].startswith("FAIL ")
+    assert verify_evacuation(enumerate_styl(Alphabet(3))).lines[0].startswith("FAIL ")
 
 
 def test_the_suite_evacuates_each_partition_once_and_builds_each_pyramid_once(monkeypatch):
@@ -686,25 +710,18 @@ def test_the_suite_evacuates_each_partition_once_and_builds_each_pyramid_once(mo
         wrapped = counted(name, getattr(evacuation, name))
         monkeypatch.setattr(evacuation, name, wrapped)
         monkeypatch.setattr(verify, name, wrapped)
-    assert verify_evacuation(5).ok
+    assert verify_evacuation(enumerate_styl(Alphabet(5))).ok
     assert 0 < calls["evac"] <= 2 * 203
     assert 0 < calls["build_pyramid"] <= 202
 
 
-def test_bijection_certifies_that_the_n_tableau_is_a_class_function(monkeypatch):
+def test_bijection_certifies_that_the_n_tableau_is_a_class_function():
     line = "PASS n=3: N-insertion follows all 45 right Cayley edges, so the N-tableau depends only on the class"
-    assert line in verify_bijection(3).lines
-    build = verify.enumerate_styl
-
-    def corrupted(alphabet):
-        monoid = build(alphabet)
-        if alphabet.n == 3:
-            row = monoid.right_by_letter[2]
-            row[4] = row[4] + 1
-        return monoid
-
-    monkeypatch.setattr(verify, "enumerate_styl", corrupted)
-    result = verify_bijection(3)
+    monoids = [enumerate_styl(Alphabet(k)) for k in (1, 2, 3)]
+    assert line in verify_bijection(monoids).lines
+    row = monoids[2].right_by_letter[2]
+    row[4] = row[4] + 1
+    result = verify_bijection(monoids)
     assert not result.ok
     failed = [line for line in result.lines if line.startswith("FAIL ")]
     assert len(failed) == 1 and "first counterexample: N-insertion along" in failed[0]

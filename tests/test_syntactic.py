@@ -237,6 +237,6 @@ def test_verify_syntactic_runs_the_two_sided_check_at_n7(monkeypatch):
         verify, "plactic_left_syntactic_check",
         lambda alphabet, maxlen: CongruenceReport(classes=0, pairs_checked=0),
     )
-    result = verify.verify_syntactic(7)
+    result = verify.verify_syntactic(enumerate_styl(Alphabet(7)))
     assert result.ok
     assert result.lines[1] == "PASS n=7: two-sided congruence of the statistic on the monoid is equality"
