@@ -217,14 +217,10 @@ def _cmd_enumerate(args) -> int:
                     f"graded order on {len(monoid)} elements, height {order.height}, "
                     f"{len(order.hasse_edges)} covering pairs"
                 )
-                for corank in range(order.height + 1):
-                    row = [
-                        monoid.elements[i].render_word()
-                        for i in range(len(monoid))
-                        if order.coranks[i] == corank
-                    ]
-                    if row:
-                        print(f"co-rank {corank:2d}: {' '.join(row)}")
+                for corank, rank in enumerate(order.by_corank()):
+                    if rank:
+                        words = " ".join(monoid.elements[i].render_word() for i in rank)
+                        print(f"co-rank {corank:2d}: {words}")
     if args.n == ENUMERATION_FORCE_CAP:
         size = len(monoid)
         print(

@@ -82,8 +82,18 @@ def _cover_row(lower: Composition, upper: Composition) -> int:
 
 
 def interval_middles(c1: Composition, c3: Composition) -> set[Composition]:
-    """The middle compositions of a length-2 interval; always one or two."""
-    middles = {m for m in composition_covers(c1) if _cover_row(m, c3)}
+    """The middle compositions of a length-2 interval; always one or two.
+    A middle bumps c1 in a row where c3 differs from c1, so only those rows
+    are tried, by comparing parts; the caller vouches that c1 is a
+    composition."""
+    k = len(c1)
+    middles = set()
+    for i in range(min(len(c3), k + 1)):
+        part = c1[i] if i < k else 0
+        if c3[i] != part:
+            middle = c1[:i] + (part + 1,) + c1[i + 1 :]
+            if _cover_row(middle, c3):
+                middles.add(middle)
     if not middles:
         raise ValueError(f"{c1} -> .. -> {c3} is not a length-2 interval")
     if len(middles) > 2:

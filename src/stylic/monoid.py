@@ -10,6 +10,7 @@ alphabet, so the monoid on n letters has Bell(n+1) elements.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from math import comb
 from operator import ge, itemgetter
@@ -365,8 +366,11 @@ def zero_tableau(alphabet: Alphabet) -> NTableau:
 class StylicElement:
     """One element of the monoid: its BFS word, its N-tableau, and the
     transformation of the column space it induces.  Entry m of `transform`
-    is the column mask word.m; with at most 7 letters each mask is below
-    256, so the transformation is a byte string of 2^n bytes."""
+    is the column mask word.m, so the transformation is a byte string of
+    2^n bytes.  A child's transform is the move of its letter, the bytes
+    x.m, translated through its parent's: (w.x).m = w.(x.m).  That takes
+    every mask to fit in a byte, 2^n <= 256, which the ceiling of 7 letters
+    keeps."""
 
     index: int
     word: Word
@@ -403,6 +407,13 @@ class JOrder:
     def leq(self, u: int, v: int) -> bool:
         return u in self.down_sets[v]
 
+    def by_corank(self) -> list[list[int]]:
+        """The elements of each co-rank 0..height, in index order."""
+        ranks: list[list[int]] = [[] for _ in range(self.height + 1)]
+        for i, corank in enumerate(self.coranks):
+            ranks[corank].append(i)
+        return ranks
+
 
 class StylicMonoid:
     """The finite monoid of transformations of the column space induced by
@@ -424,21 +435,30 @@ class StylicMonoid:
 
         # Breadth-first closure: `elements` is the queue, so right[x][i] is
         # appended in index order, as the child of element i by letter x.
-        precompose = {
-            x: itemgetter(*(act_mask(x, m) for m in range(size))) for x in alphabet.letters
-        }
+        # A child's transform is its letter's move translated through the
+        # parent's, padded to the 256 bytes that bytes.translate takes.
+        # `pending` holds the queued elements' row masks, in queue order.
+        moves = {x: bytes(act_mask(x, m) for m in range(size)) for x in alphabet.letters}
+        padding = bytes(256 - size)
+        pending: deque[list[int]] = deque([[]])
         right: dict[int, list[int]] = {x: [] for x in alphabet.letters}
         i = 0
         while i < len(elements):
             e = elements[i]
+            through = e.transform + padding
+            rows = pending.popleft()
             for x in alphabet.letters:
-                child = bytes(precompose[x](e.transform))
+                child = moves[x].translate(through)
                 j = index.get(child)
                 if j is None:
                     j = index[child] = len(elements)
+                    child_rows = n_insert_rows(rows, x)
                     elements.append(
-                        StylicElement(j, e.word + (x,), child, n_insert(e.tableau, x), i, x)
+                        StylicElement(
+                            j, e.word + (x,), child, NTableau._from_masks(child_rows), i, x
+                        )
                     )
+                    pending.append(child_rows)
                 right[x].append(j)
             i += 1
 
@@ -625,12 +645,10 @@ class StylicMonoid:
         ]
         for e in self.elements:
             lines.append(f'  e{e.index} [label="{e.render_word()}"];')
-        by_rank: dict[int, list[int]] = {}
-        for e in self.elements:
-            by_rank.setdefault(order.coranks[e.index], []).append(e.index)
-        for rank in sorted(by_rank):
-            nodes = " ".join(f"e{i};" for i in by_rank[rank])
-            lines.append(f"  {{ rank=same; {nodes} }}")
+        for rank in order.by_corank():
+            if rank:
+                nodes = " ".join(f"e{i};" for i in rank)
+                lines.append(f"  {{ rank=same; {nodes} }}")
         for u, v in order.hasse_edges:
             lines.append(f"  e{u} -> e{v};")
         lines.append("}")

@@ -111,6 +111,25 @@ def test_interval_middles():
         interval_middles((2,), (1, 1, 2))  # ideals are not even nested
 
 
+def test_interval_middles_match_the_covers_of_covers():
+    # The middles as the covers of c1 that c3 covers, for every c1 of size
+    # <= 6 and every c3 two covers above it.
+    middle_counts = Counter()
+    for c1 in compositions_up_to(6):
+        covers = composition_covers(c1)
+        for c3 in {c3 for c2 in covers for c3 in composition_covers(c2)}:
+            expected = {c2 for c2 in covers if c3 in composition_covers(c2)}
+            assert interval_middles(c1, c3) == expected, (c1, c3)
+            middle_counts[len(expected)] += 1
+    assert set(middle_counts) == {1, 2}
+
+
+def test_interval_middles_refuses_what_is_no_length_2_interval():
+    for c1, c3 in [((1,), (1,)), ((1,), (2,)), ((1,), (4,)), ((2, 1), (1, 1, 1)), ((), ())]:
+        with pytest.raises(ValueError, match="is not a length-2 interval"):
+            interval_middles(c1, c3)
+
+
 def test_cover_row_accepts_exactly_the_composition_covers():
     comps = compositions_up_to(6)
     odd = [(0,), (-1,), (1, 0), (2, -1), (0, 1), (1, 0, 1), (-2, 3)]

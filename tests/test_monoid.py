@@ -25,6 +25,7 @@ from stylic.core import (
 )
 from stylic.monoid import (
     EMPTY_NTABLEAU,
+    ENUMERATION_CEILING,
     NTableau,
     SetPartition,
     all_partitions_of_subsets,
@@ -298,6 +299,23 @@ def test_enumeration_limit():
         enumerate_styl(Alphabet(8))
 
 
+def test_every_column_mask_fits_in_a_byte():
+    # The closure translates bytes through a 256-byte table indexed by
+    # column masks; an alphabet of 9 letters or more would not fit.
+    assert 1 << ENUMERATION_CEILING <= 256
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closure_transforms_are_the_column_action(n):
+    # Entry m of each transform against the element's word acting on the
+    # column m directly, with no closure involved.
+    monoid = enumerate_styl(Alphabet(n))
+    for e in monoid.elements:
+        expected = bytes(mask_of(act_word(e.word, letters_of(m))) for m in range(1 << n))
+        assert e.transform == expected, e.word
+    assert len({e.transform for e in monoid.elements}) == len(monoid)
+
+
 def test_multiplication():
     a4 = Alphabet(4)
     monoid = enumerate_styl(a4)
@@ -352,6 +370,11 @@ def test_j_order_small():
     for i in range(len(monoid)):
         assert order.leq(monoid.zero, i)
         assert order.leq(i, monoid.identity)
+    ranks = order.by_corank()
+    assert len(ranks) == order.height + 1
+    assert sorted(i for rank in ranks for i in rank) == list(range(len(monoid)))
+    for corank, rank in enumerate(ranks):
+        assert rank == [i for i in range(len(monoid)) if order.coranks[i] == corank]
 
 
 def j_order_oracle(monoid):
