@@ -109,6 +109,9 @@ def test_interval_middles():
     assert interval_middles((1,), (1, 1, 1)) == {(1, 1)}
     with pytest.raises(ValueError):
         interval_middles((2,), (1, 1, 2))  # ideals are not even nested
+    for c1, c3 in [((1,), (1,)), ((1,), (2,)), ((1,), (4,)), ((2, 1), (1, 1, 1)), ((), ())]:
+        with pytest.raises(ValueError, match="is not a length-2 interval"):
+            interval_middles(c1, c3)
 
 
 def test_interval_middles_match_the_covers_of_covers():
@@ -122,12 +125,6 @@ def test_interval_middles_match_the_covers_of_covers():
             assert interval_middles(c1, c3) == expected, (c1, c3)
             middle_counts[len(expected)] += 1
     assert set(middle_counts) == {1, 2}
-
-
-def test_interval_middles_refuses_what_is_no_length_2_interval():
-    for c1, c3 in [((1,), (1,)), ((1,), (2,)), ((1,), (4,)), ((2, 1), (1, 1, 1)), ((), ())]:
-        with pytest.raises(ValueError, match="is not a length-2 interval"):
-            interval_middles(c1, c3)
 
 
 def test_cover_row_accepts_exactly_the_composition_covers():
