@@ -54,7 +54,6 @@ from .monoid import (
 from .evacuation import (
     SkewPartition,
     build_pyramid,
-    composition_covers,
     delta_direct,
     delta_jdt,
     e_of,

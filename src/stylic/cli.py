@@ -114,7 +114,7 @@ def _cmd_compute(args) -> int:
     elif args.kind == "evac":
         chain = []
         current = partition
-        while current.blocks:
+        while current.block_count():
             chain.append(current)
             current = delta_direct(current)
         result = evac(partition, alphabet)

@@ -7,8 +7,8 @@ layer maps 1..26 to a..z.  All values are immutable and all operations pure.
 
 Internally a column, an N-tableau row and a partition block are each a
 bitmask int in which letter x is bit x - 1; `mask_of` and `letters_of`
-convert between the two forms.  Frozensets and tuples of letters appear only
-at the public boundary.
+convert between the two forms.  N-tableaux and set partitions store only
+masks; frozensets and tuples of letters are derived at the public boundary.
 """
 
 from __future__ import annotations

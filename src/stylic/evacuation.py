@@ -55,20 +55,11 @@ def point_covers(p: Point) -> list[Point]:
     return covers
 
 
-def composition_covers(comp: Composition) -> list[Composition]:
-    """All compositions covering this one: bump one part, or append a part 1."""
-    check_composition(comp)
-    out = [
-        comp[:i] + (comp[i] + 1,) + comp[i + 1 :] for i in range(len(comp))
-    ]
-    out.append(comp + (1,))
-    return out
-
-
 def _cover_row(lower: Composition, upper: Composition) -> int:
     """The row, counted from 1, of the point that upper adds to lower when
-    upper is one of composition_covers(lower), else 0.  Compares parts and
-    builds no cover; the caller vouches that lower is a composition."""
+    upper covers lower (one part bumped, or a part 1 appended), else 0.
+    Compares parts and builds no cover; the caller vouches that lower is a
+    composition."""
     k = len(lower)
     if len(upper) == k + 1:
         return k + 1 if upper[k] == 1 and upper[:k] == lower else 0
@@ -96,8 +87,6 @@ def interval_middles(c1: Composition, c3: Composition) -> set[Composition]:
                 middles.add(middle)
     if not middles:
         raise ValueError(f"{c1} -> .. -> {c3} is not a length-2 interval")
-    if len(middles) > 2:
-        raise ValueError(f"[{c1}, {c3}] has {len(middles)} middles, expected at most 2")
     return middles
 
 
@@ -372,7 +361,7 @@ def _delta(blocks: list[int], e: int) -> list[int]:
 def e_of(partition: SetPartition) -> int:
     """The block index reached by repeatedly jumping to the smallest letter
     to the right, as long as it is a block minimum."""
-    if not partition.blocks:
+    if not partition.block_count():
         raise ValueError("empty partition")
     return _e_of(partition.masks()) + 1
 
@@ -380,7 +369,7 @@ def e_of(partition: SetPartition) -> int:
 def delta_direct(partition: SetPartition) -> SetPartition:
     """Remove the global minimum and shift the minima of the first e blocks
     down one block."""
-    if not partition.blocks:
+    if not partition.block_count():
         raise ValueError("empty partition")
     blocks = partition.masks()
     return SetPartition._from_masks(_delta(blocks, _e_of(blocks)))
@@ -389,7 +378,7 @@ def delta_direct(partition: SetPartition) -> SetPartition:
 def delta_jdt(partition: SetPartition) -> SetPartition:
     """Remove the minimum label from the origin cell and slide; agrees with
     delta_direct."""
-    if not partition.blocks:
+    if not partition.block_count():
         raise ValueError("empty partition")
     skew = partition_to_skew(partition)
     smallest = min(partition.ground())
@@ -411,7 +400,7 @@ def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
     if sum(blocks) >> alphabet.n:  # the blocks are disjoint: sum is union
         for x in partition.ground():
             alphabet.check_letter(x)
-    sizes = list(map(int.bit_count, blocks))
+    shape = partition.shape()
     # Walk the delta iterates, then unwind the recursion.  The removed minima
     # increase, so each reversed letter is the largest placed so far and
     # never changes the order of the blocks by their minima.
@@ -427,10 +416,8 @@ def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
         else:
             blocks[e] |= replaced
     result = SetPartition._from_masks(blocks)
-    if list(map(int.bit_count, blocks)) != sizes:
-        raise ValueError(
-            f"evacuation changed the shape {partition.shape()} to {result.shape()}"
-        )
+    if result.shape() != shape:
+        raise ValueError(f"evacuation changed the shape {shape} to {result.shape()}")
     return result
 
 
@@ -440,18 +427,20 @@ def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
 
 def partition_chain(partition: SetPartition) -> list[Composition]:
     """Shapes of the sub-labellings by the j smallest letters, j = 1..m."""
-    row_of = {}
-    for y, block in enumerate(partition.blocks, start=1):
-        for letter in block:
-            row_of[letter] = y
+    row_of = {}  # letter bit -> block index, counted from 0
+    for y, block in enumerate(partition.masks()):
+        while block:
+            low = block & -block
+            row_of[low] = y
+            block ^= low
     chain: list[Composition] = []
     current: list[int] = []
-    for letter in sorted(row_of):
-        y = row_of[letter]
-        if y == len(current) + 1:
+    for low in sorted(row_of):
+        y = row_of[low]
+        if y == len(current):
             current.append(1)
         else:
-            current[y - 1] += 1
+            current[y] += 1
         chain.append(tuple(current))
     return chain
 
@@ -462,16 +451,16 @@ def partition_from_chain(chain: list[Composition], letters: list[int]) -> SetPar
     steps = [()] + list(chain) if not chain or chain[0] != () else list(chain)
     if len(steps) - 1 != len(letters):
         raise ValueError("chain length does not match the number of letters")
-    blocks: dict[int, list[int]] = {}
+    blocks: dict[int, int] = {}
     # steps[0] is (), so each accepted step leaves a composition behind.
+    # Rows open in order, each at its least letter: blocks ordered by minima.
     for j in range(1, len(steps)):
         prev, cur = steps[j - 1], steps[j]
         y = _cover_row(prev, cur)
         if not y:
             raise ValueError(f"chain step {prev} -> {cur} is not a covering move")
-        blocks.setdefault(y, []).append(letters[j - 1])
-    ordered = [tuple(blocks[y]) for y in sorted(blocks)]
-    return SetPartition(tuple(ordered))
+        blocks[y] = blocks.get(y, 0) | 1 << (letters[j - 1] - 1)
+    return SetPartition._from_masks([blocks[y] for y in sorted(blocks)])
 
 
 @dataclass(frozen=True)
@@ -514,10 +503,10 @@ def build_pyramid(partition: SetPartition) -> EvacuationPyramid:
     arrow in both directions is a covering move."""
     chains = []
     current = partition
-    m = len(partition.ground())
+    m = sum(partition.shape())
     for _ in range(m + 1):
         chains.append(((),) + tuple(partition_chain(current)))
-        if current.blocks:
+        if current.block_count():
             current = delta_direct(current)
     pyramid = EvacuationPyramid(tuple(chains))
     pyramid.validate_covers()
@@ -539,7 +528,7 @@ def complete_rhombus(c1: Composition, c2: Composition, c3: Composition) -> Compo
 def pyramid_by_completion(partition: SetPartition) -> EvacuationPyramid:
     """Rebuild the whole pyramid from its leftmost chain alone, one rhombus
     at a time; agrees with build_pyramid."""
-    m = len(partition.ground())
+    m = sum(partition.shape())
     rows: list[tuple[Composition, ...]] = [((),) + tuple(partition_chain(partition))]
     for i in range(m):
         prev = rows[i]
@@ -560,7 +549,7 @@ def evac_from_pyramid(
 
 def evac_via_pyramid(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
     """Read the evacuated partition off the right side of the pyramid."""
-    if not partition.blocks:
+    if not partition.block_count():
         return partition
     return evac_from_pyramid(build_pyramid(partition), partition, alphabet)
 
@@ -571,8 +560,9 @@ def evac_via_pyramid(partition: SetPartition, alphabet: Alphabet) -> SetPartitio
 
 def remove_from_partition(partition: SetPartition, z: int) -> SetPartition:
     """Drop the largest letter of the ground set from its block."""
-    ground = partition.ground()
-    if not ground or z != max(ground):
+    blocks = partition.masks()
+    ground = sum(blocks)  # the blocks are disjoint: sum is union
+    if not ground or z != ground.bit_length():
         raise ValueError("only the largest letter of the ground set can be removed")
-    blocks = [tuple(x for x in b if x != z) for b in partition.blocks]
-    return SetPartition(tuple(b for b in blocks if b))
+    top = 1 << (z - 1)  # a block {z} is the last block, and it empties out
+    return SetPartition._from_masks([block & ~top for block in blocks if block != top])

@@ -10,10 +10,10 @@ alphabet, so the monoid on n letters has Bell(n+1) elements.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from math import comb
-from operator import ge, itemgetter
+from itertools import accumulate
+from operator import ge, itemgetter, or_
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .columns import act_mask
@@ -86,18 +86,19 @@ def _check_least_letter(x: int) -> None:
         raise ValueError(f"{x!r} is not a letter: letters are positive integers")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NTableau(Tableau):
     """Nested rows whose minima strictly increase force strictly increasing
     columns, so every N-tableau is a semistandard `Tableau`.
 
-    The kernels build N-tableaux from row masks through `_from_masks`, which
-    runs only the mask-level check.  The masks are not kept: the enumerated
-    monoid holds thousands of N-tableaux."""
+    An N-tableau is its row masks, bottom row first: equality and hashing
+    read them, and `rows` derives the letters on each call.  The kernels
+    build N-tableaux from row masks through `_from_masks`, which runs only
+    the mask-level check."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Sequence[Word]) -> None:
         masks: list[int] = []
-        for row in self.rows:
+        for row in rows:
             if not row or any(map(ge, row, row[1:])):
                 _check_row_masks(masks)  # a fault in an earlier row comes first
                 if not row:
@@ -106,79 +107,96 @@ class NTableau(Tableau):
             _check_least_letter(row[0])
             masks.append(mask_of(row))
         _check_row_masks(masks)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     @classmethod
     def _from_masks(cls, rows: Sequence[int]) -> NTableau:
         _check_row_masks(rows)
         tableau = object.__new__(cls)
-        object.__setattr__(tableau, "rows", tuple(map(letters_of, rows)))
+        object.__setattr__(tableau, "_masks", tuple(rows))
         return tableau
+
+    @property
+    def rows(self) -> tuple[Word, ...]:
+        return tuple(map(letters_of, self._masks))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, NTableau) and self._masks == other._masks
+
+    def __hash__(self) -> int:
+        return hash(self._masks)
 
     def masks(self) -> list[int]:
         """The rows as bitmasks, bottom row first."""
-        return [mask_of(row) for row in self.rows]
+        return list(self._masks)
+
+    def shape(self) -> tuple[int, ...]:
+        return tuple(map(int.bit_count, self._masks))
 
     def boxes(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(int.bit_count, self._masks))
 
     def supp(self) -> LetterSet:
-        return frozenset(self.rows[0]) if self.rows else frozenset()
+        return frozenset(letters_of(self._masks[0])) if self._masks else frozenset()
 
 
 EMPTY_NTABLEAU = NTableau(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetPartition:
-    """Partition of a subset of the alphabet; blocks are kept sorted and
-    ordered by their minima.
+    """Partition of a subset of the alphabet into blocks ordered by their
+    minima, held as its block masks: equality and hashing read them, and
+    `blocks` derives the sorted letters on each call.  The kernels build a
+    partition from block masks through `_from_masks`, which runs only the
+    mask-level check and sorts nothing."""
 
-    The blocks are kept as masks too; the kernels build a partition from
-    block masks through `_from_masks`, which runs only the mask-level check
-    and sorts nothing."""
+    _masks: tuple[int, ...]
 
-    blocks: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if any(not b for b in self.blocks):
+    def __init__(self, blocks: Sequence[Word]) -> None:
+        if any(not b for b in blocks):
             raise ValueError("partition blocks must be nonempty")
         masks = []
-        for b in self.blocks:
+        for b in blocks:
             _check_least_letter(min(b))
             mask = mask_of(b)
             if mask.bit_count() != len(b):
                 raise ValueError("partition blocks must be disjoint")
             masks.append(mask)
         masks.sort(key=lambda mask: mask & -mask)
-        self._set_masks(masks)
+        _check_block_masks(masks)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     @classmethod
     def _from_masks(cls, blocks: Sequence[int]) -> SetPartition:
+        _check_block_masks(blocks)
         partition = object.__new__(cls)
-        partition._set_masks(blocks)
+        object.__setattr__(partition, "_masks", tuple(blocks))
         return partition
 
-    def _set_masks(self, blocks: Sequence[int]) -> None:
-        _check_block_masks(blocks)
-        object.__setattr__(self, "blocks", tuple(map(letters_of, blocks)))
-        object.__setattr__(self, "_masks", tuple(blocks))
+    @property
+    def blocks(self) -> tuple[Word, ...]:
+        return tuple(map(letters_of, self._masks))
+
+    def __repr__(self) -> str:
+        return f"SetPartition(blocks={self.blocks!r})"
 
     def masks(self) -> list[int]:
         """The blocks as bitmasks, in order."""
         return list(self._masks)
 
     def ground(self) -> LetterSet:
-        return frozenset(x for b in self.blocks for x in b)
+        return frozenset(letters_of(sum(self._masks)))  # disjoint: sum is union
 
     def shape(self) -> tuple[int, ...]:
         """Block sizes in min-order; the ideal underlying the partition."""
-        return tuple(len(b) for b in self.blocks)
+        return tuple(map(int.bit_count, self._masks))
 
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self._masks)
 
     def render(self, digits: bool = False) -> str:
-        if not self.blocks:
+        if not self._masks:
             return "(empty)"
         if digits:
             sep = "" if all(x <= 9 for x in self.ground()) else "."
@@ -291,7 +309,7 @@ def n_insert_rows(rows: Sequence[int], x: int) -> list[int]:
 
 def n_insert(tableau: NTableau, x: int) -> NTableau:
     """N-insertion of a letter, bottom row first; bumped copies cascade up."""
-    return NTableau._from_masks(n_insert_rows(tableau.masks(), x))
+    return NTableau._from_masks(n_insert_rows(tableau._masks, x))
 
 
 def n_tableau(w: Word) -> NTableau:
@@ -336,11 +354,7 @@ def to_partition(tableau: NTableau) -> SetPartition:
 
 def from_partition(partition: SetPartition) -> NTableau:
     """Rows are the unions of the block tails: row i = B_i | B_{i+1} | ..."""
-    rows = []
-    running = 0
-    for block in reversed(partition.masks()):
-        running |= block
-        rows.append(running)
+    rows = list(accumulate(reversed(partition._masks), or_))
     return NTableau._from_masks(rows[::-1])
 
 
@@ -437,28 +451,21 @@ class StylicMonoid:
         # appended in index order, as the child of element i by letter x.
         # A child's transform is its letter's move translated through the
         # parent's, padded to the 256 bytes that bytes.translate takes.
-        # `pending` holds the queued elements' row masks, in queue order.
+        # A child's N-tableau is its parent's row masks with x N-inserted.
         moves = {x: bytes(act_mask(x, m) for m in range(size)) for x in alphabet.letters}
         padding = bytes(256 - size)
-        pending: deque[list[int]] = deque([[]])
         right: dict[int, list[int]] = {x: [] for x in alphabet.letters}
         i = 0
         while i < len(elements):
             e = elements[i]
             through = e.transform + padding
-            rows = pending.popleft()
             for x in alphabet.letters:
                 child = moves[x].translate(through)
                 j = index.get(child)
                 if j is None:
                     j = index[child] = len(elements)
-                    child_rows = n_insert_rows(rows, x)
-                    elements.append(
-                        StylicElement(
-                            j, e.word + (x,), child, NTableau._from_masks(child_rows), i, x
-                        )
-                    )
-                    pending.append(child_rows)
+                    tableau = NTableau._from_masks(n_insert_rows(e.tableau._masks, x))
+                    elements.append(StylicElement(j, e.word + (x,), child, tableau, i, x))
                 right[x].append(j)
             i += 1
 

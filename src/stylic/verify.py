@@ -360,7 +360,7 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
         + (f" (first counterexample: {bad_r[0].render()})" if bad_r else ""),
     )
 
-    bad_r = [r for r in partitions if r.blocks and delta_direct(r) != delta_jdt(r)]
+    bad_r = [r for r in partitions if r.block_count() and delta_direct(r) != delta_jdt(r)]
     result.add(
         not bad_r,
         f"n={n}: block-surgery delta equals jeu-de-taquin delta"
@@ -371,7 +371,7 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
     bad_completion = 0
     bad_deltaev = 0
     for r in partitions:
-        if not r.blocks:
+        if not r.block_count():
             continue
         pyramid = build_pyramid(r)  # validates all arrows are covers
         if evac_from_pyramid(pyramid, r, alphabet) != evacuated[r]:
@@ -424,15 +424,18 @@ def verify_graded(monoid: StylicMonoid) -> SuiteResult:
     result = SuiteResult("graded")
     alphabet = monoid.alphabet
     n = alphabet.n
-    bad = 0
-    for e in monoid.elements:
-        for x in alphabet.letters:
-            if left_insert(x, e.tableau) != n_tableau((x,) + e.tableau.row_word()):
-                bad += 1
+    failures = (
+        f"left insertion of {render_letter(x)} into {e.render_word()!r}"
+        for e in monoid.elements
+        for x in alphabet.letters
+        if left_insert(x, e.tableau) != n_tableau((x,) + e.tableau.row_word())
+    )
+    failure = next(failures, None)
     result.add(
-        bad == 0,
+        failure is None,
         f"n={n}: left insertion matches reinsertion of x.r(T) on all "
-        f"{len(monoid)} elements and {n} letters",
+        f"{len(monoid)} elements and {n} letters"
+        + (f" (first counterexample: {failure})" if failure else ""),
     )
     try:
         order = monoid.j_order()

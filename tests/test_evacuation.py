@@ -13,7 +13,7 @@ from stylic.evacuation import (
     _cover_row,
     _slide,
     build_pyramid,
-    composition_covers,
+    check_composition,
     delta_direct,
     delta_jdt,
     e_of,
@@ -92,6 +92,14 @@ def shift_down_partition(partition):
 
 def shift_up_partition(partition):
     return SetPartition(tuple(tuple(x + 1 for x in b) for b in partition.blocks))
+
+
+def composition_covers(comp):
+    """All compositions covering this one: bump one part, or append a part 1."""
+    check_composition(comp)
+    out = [comp[:i] + (comp[i] + 1,) + comp[i + 1 :] for i in range(len(comp))]
+    out.append(comp + (1,))
+    return out
 
 
 def test_composition_covers():

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from stylic import verify
+from stylic.cli import main
 from stylic.columns import act_word, gamma_minus
 from stylic.core import (
     Alphabet,
@@ -200,6 +202,26 @@ def test_left_insert_matches_left_multiplication():
         for e in monoid.elements:
             for x in alphabet.letters:
                 assert left_insert(x, e.tableau) == n_tableau((x,) + e.tableau.row_word())
+
+
+def test_graded_names_the_first_wrong_left_insertion(monkeypatch, capsys):
+    monoid = enumerate_styl(Alphabet(3))
+    element = monoid.elements[5]
+
+    def broken(x, tableau):
+        wrong = x == 2 and tableau == element.tableau
+        return EMPTY_NTABLEAU if wrong else left_insert(x, tableau)
+
+    monkeypatch.setattr(verify, "left_insert", broken)
+    result = verify.verify_graded(monoid)
+    failed = [line for line in result.lines if line.startswith("FAIL ")]
+    assert failed == result.lines[:1]
+    assert failed[0].startswith("FAIL n=3: left insertion matches reinsertion")
+    assert failed[0].endswith(
+        f" (first counterexample: left insertion of b into {element.render_word()!r})"
+    )
+    assert main(["verify", "graded", "-n", "3"]) == 1
+    assert "[graded] FAIL" in capsys.readouterr().out
 
 
 def test_partition_bijection_examples():

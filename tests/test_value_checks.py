@@ -90,14 +90,14 @@ def oracle_ntableau(rows):
     """An N-tableau validated by the oracle alone, past the constructor."""
     ntableau_rows_oracle(rows)
     tableau = object.__new__(NTableau)
-    object.__setattr__(tableau, "rows", tuple(map(tuple, rows)))
+    object.__setattr__(tableau, "_masks", tuple(map(mask_of, rows)))
     return tableau
 
 
 def oracle_partition(blocks):
     """A partition normalized and validated by the oracle alone."""
     partition = object.__new__(SetPartition)
-    object.__setattr__(partition, "blocks", partition_blocks_oracle(blocks))
+    object.__setattr__(partition, "_masks", tuple(map(mask_of, partition_blocks_oracle(blocks))))
     return partition
 
 
@@ -248,6 +248,56 @@ def test_from_masks_values_equal_and_hash_like_public_ones():
 
 
 # ---------------------------------------------------------------------------
+# The masks are the values: nothing else is stored, nothing can be assigned,
+# and the kernels never derive letters.
+
+MASK_VALUES = [
+    (NTableau(((1, 2, 3), (2,))), (0b111, 0b010)),
+    (NTableau(()), ()),
+    (SetPartition(((3,), (2, 1))), (0b011, 0b100)),
+    (SetPartition(()), ()),
+]
+
+
+@pytest.mark.parametrize("value, masks", MASK_VALUES)
+def test_values_store_only_their_masks_and_refuse_assignment(value, masks):
+    assert vars(value) == {"_masks": masks}
+    before = hash(value)
+    for name in ("_masks", "rows", "blocks", "shape", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert vars(value) == {"_masks": masks} and hash(value) == before
+
+
+def test_kernels_never_derive_letters(monkeypatch):
+    # Each result is compared with the one built before letters_of breaks.
+    alphabet, letters = Alphabet(7), (1, 4, 7)
+    words = [(3, 1, 2, 4), (7, 6, 1, 1, 5, 7, 2), (1,), (), (2, 5, 2, 1, 4)]
+    longer = [v for w in words for x in letters for v in (w + (x,), (x,) + w)]
+    tableaux = {w: n_tableau(w) for w in words + longer}
+    partitions = {w: pi(w) for w in words}
+    images = {w: (evac(r, alphabet), r.block_count() and delta_direct(r)) for w, r in partitions.items()}
+
+    def refuse(mask):
+        raise RuntimeError(f"letters_of({mask}) called")
+
+    monkeypatch.setattr(monoid, "letters_of", refuse)
+    assert len(monoid.StylicMonoid(Alphabet(4))) == 52
+    for w, r in partitions.items():
+        t = tableaux[w]
+        assert n_tableau(w) == t and pi(w) == r
+        assert to_partition(t) == r and from_partition(r) == t
+        for x in letters:
+            assert n_insert(t, x) == tableaux[w + (x,)]
+            assert left_insert(x, t) == tableaux[(x,) + w]
+        assert (evac(r, alphabet), r.block_count() and delta_direct(r)) == images[w]
+    with pytest.raises(RuntimeError, match="letters_of"):
+        n_tableau((2, 1)).rows
+
+
+# ---------------------------------------------------------------------------
 # Every kernel result, exhaustively at n <= 5 on words of length <= 6.
 
 
@@ -313,8 +363,9 @@ def test_canonical_forms_skip_the_public_constructors(monkeypatch):
 
         return wrapper
 
-    for name, cls in (("NTableau", NTableau), ("SetPartition", SetPartition), ("Tableau", Tableau)):
-        monkeypatch.setattr(cls, "__post_init__", counting(name, cls.__post_init__))
+    for name, cls in (("NTableau", NTableau), ("SetPartition", SetPartition)):
+        monkeypatch.setattr(cls, "__init__", counting(name, cls.__init__))
+    monkeypatch.setattr(Tableau, "__post_init__", counting("Tableau", Tableau.__post_init__))
     monkeypatch.setattr(monoid, "_check_row_masks", counting("rows", monoid._check_row_masks))
     monkeypatch.setattr(monoid, "_check_block_masks", counting("blocks", monoid._check_block_masks))
 
