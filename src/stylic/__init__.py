@@ -71,7 +71,6 @@ from .rewriting import (
     stylic_relations,
 )
 from .syntactic import (
-    f_decr,
     lambda_shape,
     left_syntactic_check,
     plactic_left_syntactic_check,

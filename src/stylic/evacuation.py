@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import ge
 from typing import Optional
 
-from .core import Alphabet, Word, parse_letter, render_letter
+from .core import Alphabet, Word, mask_of, parse_letter, render_letter
 from .monoid import SetPartition
 from .tableaux import young_leq
 
@@ -107,7 +108,8 @@ def remove_point(comp: Composition, p: Point) -> Composition:
 @dataclass(frozen=True)
 class SkewPartition:
     """An increasing labelling of a difference of ideals, possibly with one
-    unlabelled point (the hole)."""
+    unlabelled point (the hole), checked where it enters the package: jeu de
+    taquin slides its label map and ends in one mask-level check."""
 
     outer: Composition
     inner: Composition = ()
@@ -164,18 +166,6 @@ class SkewPartition:
             tail.sort()
             out.extend(tail)
         return tuple(out)
-
-    def is_partition(self) -> bool:
-        return not self.inner and self.hole is None
-
-    def to_partition(self) -> SetPartition:
-        if not self.is_partition():
-            raise ValueError("shape still has an inner ideal or a hole")
-        label = self.label_map()
-        blocks = []
-        for y in range(1, len(self.outer) + 1):
-            blocks.append(tuple(sorted(v for (px, py), v in label.items() if py == y)))
-        return SetPartition(tuple(blocks))
 
     def to_json(self) -> dict:
         data = {
@@ -239,14 +229,6 @@ def skew_from_json(data: object) -> SkewPartition:
     return SkewPartition(outer, inner, tuple(labels), hole)  # type: ignore[arg-type]
 
 
-def partition_to_skew(partition: SetPartition) -> SkewPartition:
-    labels = []
-    for y, block in enumerate(partition.blocks, start=1):
-        for x, letter in enumerate(block, start=1):
-            labels.append(((x, y), letter))
-    return SkewPartition(outer=partition.shape(), labels=tuple(labels))
-
-
 # ---------------------------------------------------------------------------
 # Jeu de taquin.
 
@@ -268,6 +250,21 @@ def _slide(outer: Composition, label: dict[Point, int], hole: Point) -> Composit
     while (cell := _move(label, hole)) is not None:
         hole = cell
     return remove_point(outer, hole)
+
+
+def _settled(outer: Composition, label: dict[Point, int]) -> SetPartition:
+    """The partition a slide run leaves, after the run's one check: as in
+    `SkewPartition`, the letters fill the outer ideal and increase along
+    each row, and (through `_from_masks`) up the first column."""
+    blocks = []
+    for y, part in enumerate(outer, start=1):
+        row = [label.get((x, y), 0) for x in range(1, part + 1)]  # 0: an empty point
+        if row[0] < 1 or any(map(ge, row, row[1:])):
+            raise ValueError(f"row {y} of {outer} is not filled by increasing letters: {row}")
+        blocks.append(mask_of(row))
+    if len(label) != sum(outer):
+        raise ValueError(f"{len(label)} slid labels overflow the outer ideal {outer}")
+    return SetPartition._from_masks(blocks)
 
 
 def _corners(comp: Composition) -> list[Point]:
@@ -293,8 +290,7 @@ def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Rando
         else:
             pick = (rng or random).choice(choices)
         outer, inner = _slide(outer, label, pick), remove_point(inner, pick)
-    # The run's one check: an increasing labelling (SetPartition would sort a bad row).
-    return SkewPartition(outer, (), tuple(label.items())).to_partition()
+    return _settled(outer, label)
 
 
 def jdt_all_results(
@@ -312,7 +308,7 @@ def jdt_all_results(
         outer: Composition, inner: Composition, label: dict[Point, int]
     ) -> tuple[SetPartition, ...]:
         if not inner:
-            return (SkewPartition(outer, (), tuple(label.items())).to_partition(),)
+            return (_settled(outer, label),)
         # The shapes fix the labelled points, so their labels in point order
         # complete the state.
         key = (outer, inner, *map(label.__getitem__, sorted(label)))
@@ -380,12 +376,9 @@ def delta_jdt(partition: SetPartition) -> SetPartition:
     delta_direct."""
     if not partition.block_count():
         raise ValueError("empty partition")
-    skew = partition_to_skew(partition)
-    smallest = min(partition.ground())
-    labels = tuple((p, v) for p, v in skew.labels if v != smallest)
-    if dict(skew.labels)[(1, 1)] != smallest:
-        raise ValueError("the origin cell does not hold the smallest letter")
-    return jdt(SkewPartition(outer=skew.outer, inner=(1,), labels=labels))
+    label = {(x, y): v for y, b in enumerate(partition.blocks, 1) for x, v in enumerate(b, 1)}
+    del label[1, 1]  # the least letter: the blocks are ordered by their minima
+    return _settled(_slide(partition.shape(), label, (1, 1)), label)
 
 
 def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:

@@ -234,20 +234,24 @@ def parse_partition(text: str, alphabet: Alphabet | None = None) -> SetPartition
 
 
 def all_set_partitions(letters: Iterable[int]) -> Iterator[SetPartition]:
-    """All partitions of the given ground set."""
+    """All partitions of the given ground set, built on block masks that a
+    repeated letter would corrupt: the letters are checked once, up front."""
     items = sorted(letters)
-    blocks: list[list[int]] = []
+    _check_least_letter(min(items, default=1))
+    if len(set(items)) < len(items):
+        raise ValueError("partition blocks must be disjoint")
+    blocks: list[int] = []
 
     def rec(i: int) -> Iterator[SetPartition]:
         if i == len(items):
-            yield SetPartition(tuple(tuple(b) for b in blocks))
+            yield SetPartition._from_masks(blocks)
             return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
+        bit = 1 << (items[i] - 1)
+        for j in range(len(blocks)):
+            blocks[j] |= bit
             yield from rec(i + 1)
-            b.pop()
-        blocks.append([x])
+            blocks[j] ^= bit
+        blocks.append(bit)
         yield from rec(i + 1)
         blocks.pop()
 

@@ -19,11 +19,6 @@ from .monoid import StylicMonoid, enumerate_styl
 from .tableaux import Shape, Tableau, longest_strictly_decreasing, p_tableau
 
 
-def f_decr(w: Word) -> int:
-    """Longest strictly decreasing subsequence length."""
-    return longest_strictly_decreasing(w)
-
-
 def lambda_shape(w: Word) -> Shape:
     """The shape of the insertion tableau of w."""
     return p_tableau(w).shape()
@@ -109,7 +104,7 @@ def left_syntactic_check(
         report.pairs_checked += 1
         u, v = buckets[c1], buckets[c2]
         x = column_separating_word(c1, c2, alphabet)
-        if f_decr(x + u) == f_decr(x + v):
+        if longest_strictly_decreasing(x + u) == longest_strictly_decreasing(x + v):
             report.failures.append(
                 f"context {render_word(x)!r} fails to separate "
                 f"{render_word(u)!r} and {render_word(v)!r}"
@@ -122,7 +117,7 @@ def left_syntactic_check(
         words = all_words(alphabet, maxlen)
         contexts = all_words(alphabet, deep_maxlen)
         signature = {
-            w: tuple(f_decr(x + w) for x in contexts) for w in words
+            w: tuple(longest_strictly_decreasing(x + w) for x in contexts) for w in words
         }
         for w1, w2 in combinations(words, 2):
             same_bucket = act_word(w1, EMPTY_COLUMN) == act_word(w2, EMPTY_COLUMN)

@@ -9,11 +9,12 @@ entry per check.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import Alphabet, Word, decreasing_word, render_letter, render_word, theta
 from .evacuation import (
@@ -32,6 +33,7 @@ from .evacuation import (
     remove_from_partition,
 )
 from .monoid import (
+    SetPartition,
     StylicMonoid,
     all_partitions_of_subsets,
     bell_number,
@@ -75,9 +77,33 @@ class SuiteResult:
         self.lines.append(("PASS " if ok else "FAIL ") + message)
         self.ok = self.ok and ok
 
+    def add_first(self, message: str, failure: Optional[str]) -> None:
+        """A line that fails on a counterexample, naming it."""
+        self.add(failure is None, message + (f" (first counterexample: {failure})" if failure else ""))
+
     def render(self) -> str:
         head = f"[{self.name}] {'pass' if self.ok else 'FAIL'}"
         return "\n".join([head] + ["  " + line for line in self.lines])
+
+
+def _first_counterexamples(items: Iterable, checks: Sequence[Callable], name: Callable) -> list:
+    """The checks run side by side over the items: for each, the name of the
+    first item on which it is false, or None.  A kernel under check that
+    raises ValueError on an item fails there, its message after the name."""
+    first: list[Optional[str]] = [None] * len(checks)
+    for item in items:
+        for i, holds in enumerate(checks):
+            if first[i] is None:
+                try:
+                    if not holds(item):
+                        first[i] = name(item)
+                except ValueError as exc:
+                    first[i] = f"{name(item)}: {exc}"
+    return first
+
+
+def _skew_json(skew: SkewPartition) -> str:
+    return json.dumps(skew.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +249,11 @@ def evacuation_counterexample(monoid: StylicMonoid, phi: list[int]) -> Optional[
     two certificates above, None proves pi(theta(w)) = evac(pi(w)) for every
     word w."""
     partitions = [to_partition(e.tableau) for e in monoid.elements]
-    for e in monoid.elements:
-        if evac(partitions[e.index], monoid.alphabet) != partitions[phi[e.index]]:
-            return f"evac at {e.render_word()!r}"
-    return None
+    return _first_counterexamples(
+        monoid.elements,
+        [lambda e: evac(partitions[e.index], monoid.alphabet) == partitions[phi[e.index]]],
+        lambda e: f"evac at {e.render_word()!r}",
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +282,10 @@ def verify_bijection(monoids: Sequence[StylicMonoid]) -> SuiteResult:
         )
         result.add(stable, f"n={k}: reinserting each row word returns its tableau")
         failure = class_function_counterexample(monoid)
-        result.add(
-            failure is None,
+        result.add_first(
             f"n={k}: N-insertion follows all {len(monoid) * k} right Cayley edges, "
-            "so the N-tableau depends only on the class"
-            + (f" (first counterexample: {failure})" if failure else ""),
+            "so the N-tableau depends only on the class",
+            failure,
         )
         from_partitions = {
             from_partition(r) for r in all_partitions_of_subsets(alphabet)
@@ -344,76 +370,61 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
         or theta_counterexample(monoid, phi)
         or evacuation_counterexample(monoid, phi)
     )
-    result.add(
-        failure is None,
+    result.add_first(
         f"n={n}: evacuation of the partition matches the reversed word on all "
-        f"{len(monoid)} elements, by induction over {len(monoid) * n} right Cayley edges"
-        + (f" (first counterexample: {failure})" if failure else ""),
+        f"{len(monoid)} elements, by induction over {len(monoid) * n} right Cayley edges",
+        failure,
     )
 
     partitions = list(all_partitions_of_subsets(alphabet))
-    evacuated = {r: evac(r, alphabet) for r in partitions}
-    bad_r = [r for r in partitions if evacuated.get(evacuated[r]) != r]
-    result.add(
-        not bad_r,
-        f"n={n}: evacuation is an involution on {len(partitions)} partitions"
-        + (f" (first counterexample: {bad_r[0].render()})" if bad_r else ""),
+    evacuated = cache(lambda r: evac(r, alphabet))
+    (failure,) = _first_counterexamples(
+        partitions, [lambda r: evacuated(evacuated(r)) == r], SetPartition.render
     )
-
-    bad_r = [r for r in partitions if r.block_count() and delta_direct(r) != delta_jdt(r)]
-    result.add(
-        not bad_r,
-        f"n={n}: block-surgery delta equals jeu-de-taquin delta"
-        + (f" (first counterexample: {bad_r[0].render()})" if bad_r else ""),
-    )
-
-    bad_pyr = 0
-    bad_completion = 0
-    bad_deltaev = 0
-    for r in partitions:
-        if not r.block_count():
-            continue
-        pyramid = build_pyramid(r)  # validates all arrows are covers
-        if evac_from_pyramid(pyramid, r, alphabet) != evacuated[r]:
-            bad_pyr += 1
-        if pyramid_by_completion(r).chains != pyramid.chains:
-            bad_completion += 1
-        z = max(r.ground())
-        if evacuated[remove_from_partition(r, z)] != delta_direct(evacuated[r]):
-            bad_deltaev += 1
-    result.add(bad_pyr == 0, f"n={n}: pyramid right side reproduces evacuation")
-    result.add(
-        bad_completion == 0,
-        f"n={n}: rhombus completion rebuilds the pyramid from its left chain",
-    )
-    result.add(
-        bad_deltaev == 0,
-        f"n={n}: removing the top letter then evacuating equals delta of the evacuation",
-    )
+    result.add_first(f"n={n}: evacuation is an involution on {len(partitions)} partitions", failure)
+    # Side by side, the two pyramid lines share one pyramid at a time.
+    pyramid = lru_cache(maxsize=1)(build_pyramid)  # validates all arrows are covers
+    lines = {
+        f"n={n}: block-surgery delta equals jeu-de-taquin delta": (
+            lambda r: delta_direct(r) == delta_jdt(r)
+        ),
+        f"n={n}: pyramid right side reproduces evacuation": (
+            lambda r: evac_from_pyramid(pyramid(r), r, alphabet) == evacuated(r)
+        ),
+        f"n={n}: rhombus completion rebuilds the pyramid from its left chain": (
+            lambda r: pyramid_by_completion(r).chains == pyramid(r).chains
+        ),
+        f"n={n}: removing the top letter then evacuating equals delta of the evacuation": (
+            lambda r: evacuated(remove_from_partition(r, max(r.ground())))
+            == delta_direct(evacuated(r))
+        ),
+    }
+    nonempty = [r for r in partitions if r.block_count()]
+    failures = _first_counterexamples(nonempty, list(lines.values()), SetPartition.render)
+    for message, failure in zip(lines, failures):
+        result.add_first(message, failure)
 
     k = min(n, 4)
-    instances = 0
-    ambiguous = 0
     memo: dict = {}  # slides stay inside the set, so each state is slid once
-    for skew in all_labelled_skews(k, outer_cap=6):
+    instances, failure = 0, None
+    for skew in all_labelled_skews(k, outer_cap=6):  # streamed, and counted past a failure
         instances += 1
-        if len(jdt_all_results(skew, memo)) != 1:
-            ambiguous += 1
-    result.add(
-        ambiguous == 0,
+        failure = failure or _first_counterexamples(
+            [skew], [lambda s: len(jdt_all_results(s, memo)) == 1], _skew_json
+        )[0]
+    result.add_first(
         f"jeu de taquin is choice-independent on all {instances} labelled "
         f"skews (letters<={k}, outer<=6)",
+        failure,
     )
     rng = random.Random(seed)
-    ambiguous = 0
-    for _ in range(RANDOM_SKEWS):
-        skew = random_labelled_skew(rng, 6)
-        results = {jdt(skew, "first"), jdt(skew, "last"), jdt(skew, "random", rng)}
-        if len(results) != 1:
-            ambiguous += 1
-    result.add(
-        ambiguous == 0,
-        f"jeu de taquin strategies agree on {RANDOM_SKEWS} random skews (seed {seed})",
+    (failure,) = _first_counterexamples(
+        (random_labelled_skew(rng, 6) for _ in range(RANDOM_SKEWS)),
+        [lambda s: len({jdt(s, "first"), jdt(s, "last"), jdt(s, "random", rng)}) == 1],
+        _skew_json,
+    )
+    result.add_first(
+        f"jeu de taquin strategies agree on {RANDOM_SKEWS} random skews (seed {seed})", failure
     )
     return result
 
@@ -431,11 +442,10 @@ def verify_graded(monoid: StylicMonoid) -> SuiteResult:
         if left_insert(x, e.tableau) != n_tableau((x,) + e.tableau.row_word())
     )
     failure = next(failures, None)
-    result.add(
-        failure is None,
+    result.add_first(
         f"n={n}: left insertion matches reinsertion of x.r(T) on all "
-        f"{len(monoid)} elements and {n} letters"
-        + (f" (first counterexample: {failure})" if failure else ""),
+        f"{len(monoid)} elements and {n} letters",
+        failure,
     )
     try:
         order = monoid.j_order()
@@ -517,11 +527,10 @@ def verify_confluence(n: int, maxlen: int = 6) -> SuiteResult:
             for strategy in ("leftmost", "rightmost", rng)
         ):
             bad.append(w)
-    result.add(
-        not bad,
+    result.add_first(
         f"n={k}, len<={maxlen}: normal forms equal tableau columns on "
-        f"{count} words under three strategies"
-        + (f" (first counterexample: {render_word(bad[0])!r})" if bad else ""),
+        f"{count} words under three strategies",
+        repr(render_word(bad[0])) if bad else None,
     )
     return result
 

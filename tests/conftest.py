@@ -7,7 +7,7 @@ import pytest
 
 from stylic.core import decreasing_word
 from stylic.evacuation import SkewPartition, _corners, _move, remove_point
-from stylic.monoid import EMPTY_NTABLEAU, NTableau, delta_word
+from stylic.monoid import EMPTY_NTABLEAU, NTableau, SetPartition, delta_word
 from stylic.tableaux import EMPTY_TABLEAU, Tableau, p_tableau
 
 
@@ -87,7 +87,10 @@ def walk_of_downward_moves(skew, strategy):
         state = SkewPartition(state.outer, remove_point(state.inner, pick), state.labels, pick)
         while state.hole is not None:
             state = downward_move(state)
-    return state.to_partition()
+    rows: list[list[int]] = [[] for _ in state.outer]
+    for (x, y), v in state.labels:  # sorted by point: each row left to right
+        rows[y - 1].append(v)
+    return SetPartition(tuple(map(tuple, rows)))
 
 
 @pytest.fixture(scope="session", name="act_word_via_tableau")

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from itertools import permutations, product, takewhile
@@ -25,7 +26,6 @@ from stylic.evacuation import (
     jdt_all_results,
     partition_chain,
     partition_from_chain,
-    partition_to_skew,
     pyramid_by_completion,
     remove_from_partition,
     remove_point,
@@ -62,6 +62,15 @@ SKEW = SkewPartition(outer=(4, 3, 3, 1), inner=(2, 1), labels=SKEW_LABELS)
 def words_up_to(n, maxlen):
     for length in range(maxlen + 1):
         yield from product(range(1, n + 1), repeat=length)
+
+
+def partition_to_skew(partition):
+    """The partition as a skew shape with no inner ideal: block y fills row y."""
+    labels = []
+    for y, block in enumerate(partition.blocks, start=1):
+        for x, letter in enumerate(block, start=1):
+            labels.append(((x, y), letter))
+    return SkewPartition(outer=partition.shape(), labels=tuple(labels))
 
 
 def downward_slide(skew, start):
@@ -235,8 +244,8 @@ def test_downward_slides_follow_the_trails():
     assert state.label_map()[(2, 1)] == 2 and state.label_map()[(3, 1)] == 6
     # final slide: trail 1, 3, 7 up the first column
     state = downward_slide(state, (1, 1))
-    assert state.is_partition()
-    assert state.to_partition() == parse_partition("126/345/78")
+    assert not state.inner and state.hole is None
+    assert jdt(state) == parse_partition("126/345/78")
 
 
 def test_downward_slide_rejects_bad_start():
@@ -340,6 +349,7 @@ def test_the_jdt_check_fails_when_the_search_drops_a_corner(monkeypatch, capsys)
     failed = [line for line in result.lines if line.startswith("FAIL ")]
     assert failed == [
         "FAIL jeu de taquin is choice-independent on all 1088 labelled skews (letters<=3, outer<=6)"
+        ' (first counterexample: {"outer": [1, 1], "inner": [1], "labels": [[[1, 2], "a"]]})'
     ]
     assert main(["verify", "evacuation", "-n", "3"]) == 1
     assert "[evacuation] FAIL" in capsys.readouterr().out
@@ -749,3 +759,213 @@ def test_bijection_certifies_that_the_n_tableau_is_a_class_function():
     assert not result.ok
     failed = [line for line in result.lines if line.startswith("FAIL ")]
     assert len(failed) == 1 and "first counterexample: N-insertion along" in failed[0]
+
+
+# ---------------------------------------------------------------------------
+# The one check that ends a slide run, and the letters of the enumeration.
+
+
+@pytest.mark.parametrize(
+    "outer, labels, message",
+    [
+        ((2,), {(1, 1): 2, (2, 1): 1}, r"row 1 of \(2,\) is not filled by increasing letters"),
+        ((1, 1), {(1, 1): 2, (1, 2): 1}, "ordered by their minima"),
+        ((2, 1), {(1, 1): 1, (2, 1): 2}, r"row 2 of \(2, 1\) is not filled .*: \[0\]"),
+        ((2,), {(1, 1): 1, (2, 1): 2, (1, 2): 3}, "3 slid labels overflow the outer ideal"),
+        ((2, 1), {(1, 1): 1, (2, 1): 2, (1, 2): 2}, "must be disjoint"),
+    ],
+    ids=["row", "first-column", "missing-cell", "extra-cell", "repeated-letter"],
+)
+def test_the_end_check_refuses_what_skew_partition_refuses(outer, labels, message):
+    with pytest.raises(ValueError, match=message):
+        evacuation._settled(outer, labels)
+    with pytest.raises(ValueError):
+        SkewPartition(outer, (), tuple(labels.items()))
+
+
+def test_the_end_check_returns_the_partition_of_the_rows():
+    labels = {(1, 1): 1, (2, 1): 5, (1, 2): 2, (2, 2): 3, (1, 3): 4}
+    assert evacuation._settled((2, 2, 1), labels) == parse_partition("15/23/4")
+    for letter in (0, -1):  # not letters, and below every letter
+        with pytest.raises(ValueError, match="row 1 of"):
+            evacuation._settled((1,), {(1, 1): letter})
+
+
+def slide_the_larger_cover(label, hole):
+    """A broken hole move: the larger label covering the hole slides in."""
+    covers = [p for p in evacuation.point_covers(hole) if p in label]
+    if not covers:
+        return None
+    mover = max(covers, key=label.__getitem__)
+    label[hole] = label.pop(mover)
+    return mover
+
+
+def refused(function, skew):
+    try:
+        function(skew)
+    except ValueError:
+        return True
+    return False
+
+
+def test_a_slide_of_the_larger_cover_fails_the_end_check(monkeypatch):
+    skews = list(all_labelled_skews(4, outer_cap=6))
+    monkeypatch.setattr(evacuation, "_move", slide_the_larger_cover)
+    by_jdt = [skew for skew in skews if refused(jdt, skew)]
+    assert len(skews) == 2675 and len(by_jdt) == 1711
+    # The search tries the first corner at every step among its choices.
+    assert all(refused(jdt_all_results, skew) for skew in by_jdt)
+
+
+def set_partitions_by_lists(letters):
+    """The enumeration order: each letter joins every open block in turn,
+    then opens a block of its own."""
+    items = sorted(letters)
+    out, blocks = [], []
+
+    def rec(i):
+        if i == len(items):
+            out.append(SetPartition(tuple(map(tuple, blocks))))
+            return
+        for b in blocks:
+            b.append(items[i])
+            rec(i + 1)
+            b.pop()
+        blocks.append([items[i]])
+        rec(i + 1)
+        blocks.pop()
+
+    rec(0)
+    return out
+
+
+@pytest.mark.parametrize("letters", [(), (3,), (1, 2), (2, 5, 7), (4, 1, 3, 6, 2), range(1, 7)])
+def test_all_set_partitions_keeps_its_order(letters):
+    assert list(all_set_partitions(letters)) == set_partitions_by_lists(letters)
+
+
+@pytest.mark.parametrize("letters", [(1, 1), (0, 1), (2, 0, 2), (-1,), (3, 1, 3)])
+def test_all_set_partitions_refuses_letters_as_the_constructor_does(letters):
+    with pytest.raises(ValueError) as enumerated:
+        next(all_set_partitions(letters))
+    with pytest.raises(ValueError) as built:
+        SetPartition((tuple(sorted(letters)),))
+    assert str(enumerated.value) == str(built.value)
+
+
+def test_the_suites_build_no_public_partition_and_check_each_skew_once(monkeypatch):
+    expected_skews = len(list(all_labelled_skews(4, outer_cap=6))) + verify.RANDOM_SKEWS
+    calls = Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def call(self, *args):
+            calls[cls.__name__] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, call)
+
+    counted(SetPartition, "__init__")
+    counted(SkewPartition, "__post_init__")
+    assert all(result.ok for result in verify.run_suite("all", 4))
+    assert calls["SetPartition"] == 0
+    assert calls["SkewPartition"] == expected_skews == 2875
+
+
+# ---------------------------------------------------------------------------
+# A failing evacuation line names its first counterexample, and a kernel that
+# refuses its input fails the line instead of the command.
+
+
+def fix_theta_on_classes(monkeypatch):
+    monkeypatch.setattr(verify, "theta_on_classes", lambda monoid: list(range(len(monoid))))
+
+
+def evac_refuses_its_own_output(monkeypatch):
+    made = {}  # holds each output, so that no id is reused
+
+    def refusing(partition, alphabet):
+        if id(partition) in made:
+            raise ValueError("evac met its own output")
+        out = evac(partition, alphabet)
+        made[id(out)] = out
+        return out
+
+    monkeypatch.setattr(verify, "evac", refusing)
+
+
+def delta_jdt_keeps_the_partition(monkeypatch):
+    monkeypatch.setattr(verify, "delta_jdt", lambda partition: partition)
+
+
+def pyramid_reads_the_partition_back(monkeypatch):
+    monkeypatch.setattr(verify, "evac_from_pyramid", lambda pyramid, partition, alphabet: partition)
+
+
+def rhombus_completion_refuses(monkeypatch):
+    def refusing(c1, c2, c3):
+        raise ValueError(f"{c2} is not a middle of [{c1}, {c3}]")
+
+    monkeypatch.setattr(evacuation, "complete_rhombus", refusing)
+
+
+def removal_keeps_the_partition(monkeypatch):
+    monkeypatch.setattr(verify, "remove_from_partition", lambda partition, z: partition)
+
+
+def search_finds_two_results(monkeypatch):
+    two = {parse_partition("a"), parse_partition("b")}
+    monkeypatch.setattr(verify, "jdt_all_results", lambda skew, memo=None: two)
+
+
+def random_strategy_refuses(monkeypatch):
+    def refusing(skew, strategy="first", rng=None):
+        if strategy == "random":
+            raise ValueError("the slid labels do not increase along row 1")
+        return jdt(skew, strategy)
+
+    monkeypatch.setattr(verify, "jdt", refusing)
+
+
+@pytest.mark.parametrize(
+    "line, mutate",
+    [
+        (0, fix_theta_on_classes),
+        (1, evac_refuses_its_own_output),
+        (2, delta_jdt_keeps_the_partition),
+        (3, pyramid_reads_the_partition_back),
+        (4, rhombus_completion_refuses),
+        (5, removal_keeps_the_partition),
+        (6, search_finds_two_results),
+        (7, random_strategy_refuses),
+    ],
+)
+def test_each_evacuation_line_fails_alone_and_names_a_counterexample(
+    monkeypatch, capsys, line, mutate
+):
+    mutate(monkeypatch)
+    result = verify_evacuation(enumerate_styl(Alphabet(3)))
+    failed = [i for i, text in enumerate(result.lines) if text.startswith("FAIL ")]
+    assert failed == [line]
+    counterexample = result.lines[line].partition(" (first counterexample: ")[2]
+    assert counterexample.endswith(")") and len(counterexample) > 1
+    if line >= 6:  # a skew is named by the JSON that `styl compute jdt` reads
+        named = counterexample[: counterexample.index("}") + 1]
+        assert skew_from_json(json.loads(named)).inner
+    assert main(["verify", "evacuation", "-n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "[evacuation] FAIL" in out and err == ""
+
+
+def test_a_refused_cover_fails_the_evacuation_lines_not_the_command(monkeypatch, capsys):
+    cover_row = evacuation._cover_row
+    monkeypatch.setattr(
+        evacuation, "_cover_row", lambda lower, upper: 0 if len(upper) == 2 else cover_row(lower, upper)
+    )
+    assert main(["verify", "evacuation", "-n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "FAIL n=3: pyramid right side reproduces evacuation (first counterexample: " in out
+    assert "is not a covering move" in out

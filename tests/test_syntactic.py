@@ -9,7 +9,6 @@ from stylic.monoid import enumerate_styl
 from stylic.syntactic import (
     all_words,
     column_separating_word,
-    f_decr,
     lambda_shape,
     left_syntactic_check,
     plactic_left_syntactic_check,
@@ -17,7 +16,7 @@ from stylic.syntactic import (
     syntactic_congruence,
     syntactic_monoid_check,
 )
-from stylic.tableaux import p_tableau
+from stylic.tableaux import longest_strictly_decreasing as f_decr, p_tableau
 
 
 def test_f_decr_examples():
