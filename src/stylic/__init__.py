@@ -8,9 +8,6 @@ from .core import (
     Letter,
     LetterSet,
     Word,
-    canonical_inflation_exponents,
-    increasing_rearrangement,
-    inflate,
     parse_letter,
     parse_word,
     render_word,
@@ -28,9 +25,6 @@ from .columns import (
     act_letter,
     act_word,
     column_leq,
-    fixpoints,
-    gamma_minus,
-    gamma_plus,
     kernel_interval,
     parse_column,
     render_column,
@@ -49,14 +43,12 @@ from .monoid import (
     parse_partition,
     pi,
     to_partition,
-    zero_tableau,
 )
 from .evacuation import (
     SkewPartition,
     build_pyramid,
     delta_direct,
     delta_jdt,
-    e_of,
     evac,
     evac_via_pyramid,
     jdt,

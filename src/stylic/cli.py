@@ -16,7 +16,7 @@ import os
 import resource
 import sys
 
-from .core import Alphabet, parse_word, render_word, theta
+from .core import Alphabet, parse_word, render_letter, render_word, theta
 from .evacuation import (
     delta_direct,
     evac,
@@ -30,13 +30,11 @@ from .monoid import (
     n_tableau,
     parse_partition,
     pi,
-    render_letter,
 )
 from .tableaux import p_tableau
 from .verify import SUITES, run_suite
 
 ENUMERATION_DEFAULT_CAP = 6
-ENUMERATION_FORCE_CAP = ENUMERATION_CEILING
 # The word checks grow about 3.5x per letter of --maxlen.  On a 2-vCPU x86
 # host the slowest suite (presentation) takes about 2 s at 8, and 15 s and
 # 100 MiB at 9.
@@ -80,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _enumeration_cap(args) -> None:
-    cap = ENUMERATION_FORCE_CAP if args.force else ENUMERATION_DEFAULT_CAP
+    cap = ENUMERATION_CEILING if args.force else ENUMERATION_DEFAULT_CAP
     if args.n > cap:
         raise ValueError(
             f"n = {args.n} exceeds the ceiling {cap} of {args.command}"
@@ -221,7 +219,7 @@ def _cmd_enumerate(args) -> int:
                     if rank:
                         words = " ".join(monoid.elements[i].render_word() for i in rank)
                         print(f"co-rank {corank:2d}: {words}")
-    if args.n == ENUMERATION_FORCE_CAP:
+    if args.n == ENUMERATION_CEILING:
         size = len(monoid)
         print(
             f"note: n = {args.n}: {size} elements"

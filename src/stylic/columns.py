@@ -71,35 +71,6 @@ def column_leq(c1: LetterSet, c2: LetterSet) -> bool:
     return all(a <= b for a, b in zip(s1, s2))
 
 
-def gamma_minus(column: LetterSet, alphabet: Alphabet) -> LetterSet:
-    """Shift every letter down by one, dropping the smallest letter."""
-    for x in column:
-        alphabet.check_letter(x)
-    return frozenset(x - 1 for x in column if x > 1)
-
-
-def gamma_plus(column: LetterSet, alphabet: Alphabet) -> LetterSet:
-    """Shift every letter up by one; the column must avoid the largest
-    letter of the alphabet."""
-    if alphabet.n in column:
-        raise ValueError("cannot shift up a column containing the largest letter")
-    for x in column:
-        alphabet.check_letter(x)
-    return frozenset(x + 1 for x in column)
-
-
-def fixpoints(w: Word, alphabet: Alphabet) -> set[LetterSet]:
-    """The columns fixed by w: exactly those containing Supp(w)."""
-    supp = support(w)
-    alphabet.check_word(w)
-    rest = sorted(alphabet.full_set - supp)
-    out: set[LetterSet] = set()
-    for mask in range(1 << len(rest)):
-        extra = frozenset(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        out.add(supp | extra)
-    return out
-
-
 @dataclass(frozen=True)
 class KernelInterval:
     """The fibre of an idempotent action over one of its fixpoints."""
@@ -117,7 +88,7 @@ def kernel_interval(w: Word, delta: LetterSet, alphabet: Alphabet) -> KernelInte
     """All columns gamma with w.gamma = delta, for a strictly decreasing w
     and a fixpoint delta of w.
 
-    The fibre is scanned over the whole column space and certified to be the
+    The fibre is scanned over the entire column space and certified to be the
     interval [delta, maximum] of the column order.
     """
     letters = list(w)

@@ -1,6 +1,5 @@
 """Alphabets, letters, words, and the basic word operations shared by every
-other module: the order-reversing involution theta, supports, increasing
-rearrangements and inflation.
+other module: the order-reversing involution theta and supports.
 
 Letters are 1-based integers carrying the natural total order; the display
 layer maps 1..26 to a..z.  All values are immutable and all operations pure.
@@ -14,7 +13,7 @@ masks; frozensets and tuples of letters are derived at the public boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Letter = int
 Word = tuple[int, ...]
@@ -23,10 +22,6 @@ LetterSet = frozenset[int]
 # Word-level operations accept alphabets up to this size; monoid enumeration
 # enforces much tighter limits of its own.
 MAX_ALPHABET = 12
-
-# Canonical inflation exponents double per position; cap the word length so
-# the inflated word stays around a million letters.
-MAX_INFLATION_LENGTH = 20
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,7 @@ class Alphabet:
             raise ValueError(f"letter {x!r} outside alphabet of size {self.n}")
 
     def check_word(self, w: Word) -> None:
-        """One range test on the whole word; the letters are walked one by
+        """One range test on the entire word; the letters are walked one by
         one only to name the first that fails."""
         if w and not (1 <= min(w) and max(w) <= self.n):
             for x in w:
@@ -101,33 +96,6 @@ def theta(w: Word, alphabet: Alphabet) -> Word:
 def support(w: Word) -> LetterSet:
     """The set of distinct letters appearing in w."""
     return frozenset(w)
-
-
-def increasing_rearrangement(w: Word) -> Word:
-    """The same multiset of letters, sorted weakly increasing."""
-    return tuple(sorted(w))
-
-
-def inflate(w: Word, exponents: Sequence[int]) -> Word:
-    """Repeat the i-th letter of w exponents[i] times, in order."""
-    if len(exponents) != len(w):
-        raise ValueError(f"need {len(w)} exponents, got {len(exponents)}")
-    out: list[int] = []
-    for x, e in zip(w, exponents):
-        if e < 1:
-            raise ValueError(f"inflation exponents must be positive, got {e}")
-        out.extend([x] * e)
-    return tuple(out)
-
-
-def canonical_inflation_exponents(length: int) -> tuple[int, ...]:
-    """Exponents x_i = 2^(length-i), the minimal solution of
-    x_i - sum(x_j for j > i) >= 1 with equality throughout."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if length > MAX_INFLATION_LENGTH:
-        raise ValueError(f"inflation length capped at {MAX_INFLATION_LENGTH}")
-    return tuple(1 << (length - i) for i in range(1, length + 1))
 
 
 def shift_down_word(w: Word) -> Word:

@@ -18,7 +18,7 @@ from operator import ge
 from typing import Optional
 
 from .core import Alphabet, Word, mask_of, parse_letter, render_letter
-from .monoid import SetPartition
+from .monoid import SetPartition, _check_least_letter
 from .tableaux import young_leq
 
 Composition = tuple[int, ...]
@@ -107,14 +107,13 @@ def remove_point(comp: Composition, p: Point) -> Composition:
 
 @dataclass(frozen=True)
 class SkewPartition:
-    """An increasing labelling of a difference of ideals, possibly with one
-    unlabelled point (the hole), checked where it enters the package: jeu de
-    taquin slides its label map and ends in one mask-level check."""
+    """An increasing labelling of outer minus inner by distinct letters,
+    checked where it enters the package: jeu de taquin slides its label map
+    and ends in one mask-level check."""
 
     outer: Composition
     inner: Composition = ()
     labels: tuple[tuple[Point, int], ...] = ()
-    hole: Optional[Point] = None
 
     def __post_init__(self) -> None:
         check_composition(self.outer)
@@ -123,28 +122,21 @@ class SkewPartition:
             raise ValueError("inner ideal must be contained in the outer ideal")
         object.__setattr__(self, "labels", tuple(sorted(self.labels)))
         region = self.region()
-        expected = set(region)
-        if self.hole is not None:
-            if self.hole not in region:
-                raise ValueError("hole must lie in the skew shape")
-            expected.discard(self.hole)
         got = [p for p, _ in self.labels]
-        if set(got) != expected or len(got) != len(expected):
-            raise ValueError("labels must cover the shape minus the hole, once each")
+        if set(got) != region or len(got) != len(region):
+            raise ValueError("labels must cover the shape, once each")
         values = [v for _, v in self.labels]
+        if values:
+            _check_least_letter(min(values))
         if len(set(values)) != len(values):
             raise ValueError("labels must be distinct letters")
-        # Labels increase along every cover, and across the hole from the
-        # point it covers to the points covering it; the region is convex,
-        # so this orders every comparable pair.
+        # Labels increase along every cover; the region is convex, so this
+        # orders every comparable pair.
         label = dict(self.labels)
         for p, v in self.labels:
-            for c in point_covers(p):
-                for q in point_covers(c) if c == self.hole else (c,):
-                    if q in label and v >= label[q]:
-                        raise ValueError(
-                            f"labelling is not increasing: {p}:{v} vs {q}:{label[q]}"
-                        )
+            for q in point_covers(p):
+                if q in label and v >= label[q]:
+                    raise ValueError(f"labelling is not increasing: {p}:{v} vs {q}:{label[q]}")
 
     def region(self) -> frozenset[Point]:
         return ideal_points(self.outer) - ideal_points(self.inner)
@@ -168,14 +160,11 @@ class SkewPartition:
         return tuple(out)
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "outer": list(self.outer),
             "inner": list(self.inner),
             "labels": [[list(p), render_letter(v)] for p, v in self.labels],
         }
-        if self.hole is not None:
-            data["hole"] = list(self.hole)
-        return data
 
 
 def _int_tuple(value: object, what: str, length: Optional[int] = None) -> tuple[int, ...]:
@@ -191,14 +180,14 @@ def _int_tuple(value: object, what: str, length: Optional[int] = None) -> tuple[
 
 def skew_from_json(data: object) -> SkewPartition:
     """Read {"outer": [...], "inner": [...], "labels": [[[x, y], letter],
-    ...], "hole": [x, y]}, the form `SkewPartition.to_json` writes; inner
-    and hole may be left out.  A letter is a positive JSON integer or a
-    string holding one letter, such as "b" or "10".  Raises ValueError on
-    any other shape, on an outer ideal above SKEW_CEILING points, and when
-    outer minus inner does not hold one point per label plus the hole."""
+    ...]}, the form `SkewPartition.to_json` writes; inner may be left out.
+    A letter is a positive JSON integer or a string holding one letter,
+    such as "b" or "10".  Raises ValueError on any other shape, on an outer
+    ideal above SKEW_CEILING points, and when outer minus inner does not
+    hold one point per label."""
     if not isinstance(data, dict):
         raise ValueError(f"skew shape must be a JSON object, got {data!r}")
-    keys = {"outer", "inner", "labels", "hole"}
+    keys = {"outer", "inner", "labels"}
     if not {"outer", "labels"} <= data.keys() <= keys:
         raise ValueError(f"skew shape needs outer and labels, and takes only {sorted(keys)}")
     if not isinstance(data["labels"], list):
@@ -213,43 +202,41 @@ def skew_from_json(data: object) -> SkewPartition:
         elif type(letter) is not int or letter < 1:
             raise ValueError(f"label {letter!r} is not a positive integer or a string")
         labels.append((_int_tuple(point, "a label point", 2), letter))
-    hole = _int_tuple(data["hole"], "hole", 2) if "hole" in data else None
     outer = _int_tuple(data["outer"], "outer")
     inner = _int_tuple(data.get("inner", []), "inner")
     check_composition(outer)
     check_composition(inner)
     if sum(outer) > SKEW_CEILING:
         raise ValueError(f"outer ideal of size {sum(outer)} exceeds the ceiling {SKEW_CEILING}")
-    points = len(labels) + (hole is not None)
-    if sum(outer) - sum(inner) != points:
+    if sum(outer) - sum(inner) != len(labels):
         raise ValueError(
             f"outer minus inner has {sum(outer) - sum(inner)} points, "
-            f"but the labels and hole fill {points}"
+            f"but the labels fill {len(labels)}"
         )
-    return SkewPartition(outer, inner, tuple(labels), hole)  # type: ignore[arg-type]
+    return SkewPartition(outer, inner, tuple(labels))  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
 # Jeu de taquin.
 
 
-def _move(label: dict[Point, int], hole: Point) -> Optional[Point]:
-    """One hole move on a label map, in place: the smaller label covering
-    the hole slides into it and its cell is the new hole; None when no label
-    covers the hole (a cover of the hole is never inner)."""
-    covers = [p for p in point_covers(hole) if p in label]
+def _move(label: dict[Point, int], empty: Point) -> Optional[Point]:
+    """One slide step on a label map, in place: the smaller label covering
+    the empty cell moves into it, and its own cell is the new empty cell;
+    None when no label covers the empty cell (its covers are never inner)."""
+    covers = [p for p in point_covers(empty) if p in label]
     if not covers:
         return None
     mover = min(covers, key=label.__getitem__)
-    label[hole] = label.pop(mover)
+    label[empty] = label.pop(mover)
     return mover
 
 
-def _slide(outer: Composition, label: dict[Point, int], hole: Point) -> Composition:
-    """Move the hole until it leaves the shape; the outer ideal it left."""
-    while (cell := _move(label, hole)) is not None:
-        hole = cell
-    return remove_point(outer, hole)
+def _slide(outer: Composition, label: dict[Point, int], empty: Point) -> Composition:
+    """Move the empty cell until it leaves the shape; the outer ideal it left."""
+    while (cell := _move(label, empty)) is not None:
+        empty = cell
+    return remove_point(outer, empty)
 
 
 def _settled(outer: Composition, label: dict[Point, int]) -> SetPartition:
@@ -276,8 +263,6 @@ def _corners(comp: Composition) -> list[Point]:
 def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Random] = None) -> SetPartition:
     """Slide until no inner shape remains; the resulting partition does not
     depend on the choice of starting corners ("first", "last" or "random")."""
-    if skew.hole is not None:
-        raise ValueError(f"jdt needs a skew shape without a hole, got hole {skew.hole}")
     if strategy not in ("first", "last", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     outer, inner, label = skew.outer, skew.inner, skew.label_map()
@@ -300,8 +285,6 @@ def jdt_all_results(
     over the states (outer, inner, labels) that slides reach.  memo maps each
     state with an inner shape to its results; pass one dict across many skews
     so that a state reached from several of them is slid once."""
-    if skew.hole is not None:
-        raise ValueError(f"jdt needs a skew shape without a hole, got hole {skew.hole}")
     memo = {} if memo is None else memo
 
     def rec(
@@ -328,9 +311,11 @@ def jdt_all_results(
 
 
 def _e_of(blocks: list[int]) -> int:
-    """e_of on block masks ordered by their minima, counted from 0: the
-    first block that is the last one, or whose second-smallest letter lies
-    below the minimum of the next block."""
+    """The block index e of delta on block masks ordered by their minima,
+    counted from 0: the first block that is the last one, or whose
+    second-smallest letter lies below the minimum of the next block.  It is
+    the block reached by repeatedly jumping to the smallest letter to the
+    right, as long as that letter is a block minimum."""
     for j in range(len(blocks) - 1):
         below_next = (blocks[j + 1] & -blocks[j + 1]) - 1
         if blocks[j] & (blocks[j] - 1) & below_next:
@@ -352,14 +337,6 @@ def _delta(blocks: list[int], e: int) -> list[int]:
     if not out[e]:
         out.pop()
     return out
-
-
-def e_of(partition: SetPartition) -> int:
-    """The block index reached by repeatedly jumping to the smallest letter
-    to the right, as long as it is a block minimum."""
-    if not partition.block_count():
-        raise ValueError("empty partition")
-    return _e_of(partition.masks()) + 1
 
 
 def delta_direct(partition: SetPartition) -> SetPartition:
@@ -519,7 +496,7 @@ def complete_rhombus(c1: Composition, c2: Composition, c3: Composition) -> Compo
 
 
 def pyramid_by_completion(partition: SetPartition) -> EvacuationPyramid:
-    """Rebuild the whole pyramid from its leftmost chain alone, one rhombus
+    """Rebuild the entire pyramid from its leftmost chain alone, one rhombus
     at a time; agrees with build_pyramid."""
     m = sum(partition.shape())
     rows: list[tuple[Composition, ...]] = [((),) + tuple(partition_chain(partition))]

@@ -370,12 +370,6 @@ def pi(w: Word) -> SetPartition:
     return _partition_of(rows)
 
 
-def zero_tableau(alphabet: Alphabet) -> NTableau:
-    """The class of the full decreasing word: a staircase with n(n+1)/2
-    boxes, the absorbing element of the monoid."""
-    return n_tableau(decreasing_word(alphabet.full_set))
-
-
 # ---------------------------------------------------------------------------
 # The enumerated monoid of column transformations.
 
@@ -618,7 +612,7 @@ class StylicMonoid:
         }
 
     def to_json(self) -> dict:
-        """The whole export as one dict, table included; `write_json`
+        """The entire export as one dict, table included; `write_json`
         writes the same text without holding it."""
         idem = set(self.idempotents())
         return {

@@ -74,9 +74,6 @@ class Tableau:
         return {"rows": [[render_letter(x) for x in row] for row in self.rows]}
 
 
-EMPTY_TABLEAU = Tableau(())
-
-
 def _row_insert(rows: list[list[int]], x: int) -> None:
     """Row-insert a letter into plain rows, bottom row first, in place: each
     row takes the carried letter in place of its least strictly larger one

@@ -277,23 +277,34 @@ def verify_bijection(monoids: Sequence[StylicMonoid]) -> SuiteResult:
             len(tableaux) == len(monoid),
             f"n={k}: canonical tableaux are pairwise distinct",
         )
-        stable = all(
-            n_tableau(e.tableau.row_word()) == e.tableau for e in monoid.elements
+        (failure,) = _first_counterexamples(
+            monoid.elements,
+            [lambda e: n_tableau(e.tableau.row_word()) == e.tableau],
+            lambda e: f"the row word of {e.render_word()!r}",
         )
-        result.add(stable, f"n={k}: reinserting each row word returns its tableau")
+        result.add_first(f"n={k}: reinserting each row word returns its tableau", failure)
         failure = class_function_counterexample(monoid)
         result.add_first(
             f"n={k}: N-insertion follows all {len(monoid) * k} right Cayley edges, "
             "so the N-tableau depends only on the class",
             failure,
         )
-        from_partitions = {
-            from_partition(r) for r in all_partitions_of_subsets(alphabet)
-        }
-        result.add(
-            from_partitions == tableaux,
-            f"n={k}: tableaux coincide with those of the {len(from_partitions)} "
+        reached: set = set()
+
+        def lands_on_a_class(r: SetPartition) -> bool:
+            tableau = from_partition(r)
+            reached.add(tableau)
+            return tableau in tableaux
+
+        partitions = list(all_partitions_of_subsets(alphabet))
+        (failure,) = _first_counterexamples(partitions, [lands_on_a_class], SetPartition.render)
+        missed = next((e for e in monoid.elements if e.tableau not in reached), None)
+        if failure is None and missed is not None:
+            failure = f"no partition gives the tableau of {missed.render_word()!r}"
+        result.add_first(
+            f"n={k}: tableaux coincide with those of the {len(partitions)} "
             "partitions of subsets",
+            failure,
         )
         idem = monoid.idempotents()
         expected_idem = {
@@ -435,13 +446,16 @@ def verify_graded(monoid: StylicMonoid) -> SuiteResult:
     result = SuiteResult("graded")
     alphabet = monoid.alphabet
     n = alphabet.n
-    failures = (
-        f"left insertion of {render_letter(x)} into {e.render_word()!r}"
-        for e in monoid.elements
-        for x in alphabet.letters
-        if left_insert(x, e.tableau) != n_tableau((x,) + e.tableau.row_word())
+
+    def reinserts(step: tuple) -> bool:
+        e, x = step
+        return left_insert(x, e.tableau) == n_tableau((x,) + e.tableau.row_word())
+
+    (failure,) = _first_counterexamples(
+        ((e, x) for e in monoid.elements for x in alphabet.letters),
+        [reinserts],
+        lambda step: f"left insertion of {render_letter(step[1])} into {step[0].render_word()!r}",
     )
-    failure = next(failures, None)
     result.add_first(
         f"n={n}: left insertion matches reinsertion of x.r(T) on all "
         f"{len(monoid)} elements and {n} letters",

@@ -1,14 +1,23 @@
 """Slow reference implementations that several test modules compare the
-package's kernels against, each served as a session fixture."""
+package's kernels against, and the lemma helpers that several test modules
+state the paper's lemmas with, each served as a session fixture."""
 
+from dataclasses import dataclass
 from typing import Optional
 
 import pytest
 
 from stylic.core import decreasing_word
-from stylic.evacuation import SkewPartition, _corners, _move, remove_point
+from stylic.evacuation import (
+    _corners,
+    _move,
+    check_composition,
+    ideal_points,
+    point_covers,
+    remove_point,
+)
 from stylic.monoid import EMPTY_NTABLEAU, NTableau, SetPartition, delta_word
-from stylic.tableaux import EMPTY_TABLEAU, Tableau, p_tableau
+from stylic.tableaux import Tableau, p_tableau, young_leq
 
 
 def act_word_via_tableau(w, column):
@@ -54,7 +63,7 @@ def column_insert(tableau, x):
 
 def p_tableau_by_columns(w):
     """P(w) by column insertion of the letters from right to left."""
-    t = EMPTY_TABLEAU
+    t = Tableau(())
     for x in reversed(w):
         t = column_insert(t, x)
     return t
@@ -65,26 +74,105 @@ def flatten_column_word(word):
     return tuple(x for c in word for x in decreasing_word(c))
 
 
-def downward_move(skew):
-    """One hole move as a validated SkewPartition: an upper hole leaves the
+@dataclass(frozen=True)
+class HoledSkew:
+    """A state of a slide: an increasing labelling of outer minus inner by
+    distinct letters, leaving out one point of the shape, the hole (None
+    when there is none).  Checked in full on construction."""
+
+    outer: tuple
+    inner: tuple = ()
+    labels: tuple = ()
+    hole: Optional[tuple] = None
+
+    def __post_init__(self):
+        check_composition(self.outer)
+        check_composition(self.inner)
+        if not young_leq(self.inner, self.outer):
+            raise ValueError("inner ideal must be contained in the outer ideal")
+        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
+        region = ideal_points(self.outer) - ideal_points(self.inner)
+        expected = set(region)
+        if self.hole is not None:
+            if self.hole not in region:
+                raise ValueError("hole must lie in the skew shape")
+            expected.discard(self.hole)
+        got = [p for p, _ in self.labels]
+        if set(got) != expected or len(got) != len(expected):
+            raise ValueError("labels must cover the shape minus the hole, once each")
+        values = [v for _, v in self.labels]
+        if len(set(values)) != len(values):
+            raise ValueError("labels must be distinct letters")
+        # Labels increase along every cover, and across the hole from the
+        # point it covers to the points covering it; the region is convex,
+        # so this orders every comparable pair.
+        label = dict(self.labels)
+        for p, v in self.labels:
+            for c in point_covers(p):
+                for q in point_covers(c) if c == self.hole else (c,):
+                    if q in label and v >= label[q]:
+                        raise ValueError(
+                            f"labelling is not increasing: {p}:{v} vs {q}:{label[q]}"
+                        )
+
+    def label_map(self):
+        return dict(self.labels)
+
+
+def gamma_minus(column, alphabet):
+    """Shift every letter down by one, dropping the smallest letter."""
+    for x in column:
+        alphabet.check_letter(x)
+    return frozenset(x - 1 for x in column if x > 1)
+
+
+# Canonical inflation exponents double per position; cap the word length so
+# the inflated word stays around a million letters.
+MAX_INFLATION_LENGTH = 20
+
+
+def inflate(w, exponents):
+    """Repeat the i-th letter of w exponents[i] times, in order."""
+    if len(exponents) != len(w):
+        raise ValueError(f"need {len(w)} exponents, got {len(exponents)}")
+    out = []
+    for x, e in zip(w, exponents):
+        if e < 1:
+            raise ValueError(f"inflation exponents must be positive, got {e}")
+        out.extend([x] * e)
+    return tuple(out)
+
+
+def canonical_inflation_exponents(length):
+    """Exponents x_i = 2^(length-i), the minimal solution of
+    x_i - sum(x_j for j > i) >= 1 with equality throughout."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if length > MAX_INFLATION_LENGTH:
+        raise ValueError(f"inflation length capped at {MAX_INFLATION_LENGTH}")
+    return tuple(1 << (length - i) for i in range(1, length + 1))
+
+
+def downward_move(state):
+    """One hole move as a validated HoledSkew: an upper hole leaves the
     shape; otherwise the smaller of the labels covering the hole slides
     into it."""
-    if skew.hole is None:
+    if state.hole is None:
         raise ValueError("downward_move needs a hole")
-    label = skew.label_map()
-    hole = _move(label, skew.hole)
-    outer = skew.outer if hole is not None else remove_point(skew.outer, skew.hole)
-    return SkewPartition(outer, skew.inner, tuple(label.items()), hole)
+    label = state.label_map()
+    hole = _move(label, state.hole)
+    outer = state.outer if hole is not None else remove_point(state.outer, state.hole)
+    return HoledSkew(outer, state.inner, tuple(label.items()), hole)
 
 
 def walk_of_downward_moves(skew, strategy):
-    """jdt as a walk of downward_move steps, each one a validated
-    SkewPartition, opening every hole at the first or the last inner corner."""
+    """jdt as a walk of downward_move steps, each one a validated HoledSkew,
+    opening every hole at the first or the last inner corner."""
     state = skew
     while state.inner:
         choices = _corners(state.inner)
         pick = choices[0] if strategy == "first" else choices[-1]
-        state = SkewPartition(state.outer, remove_point(state.inner, pick), state.labels, pick)
+        state = HoledSkew(state.outer, remove_point(state.inner, pick), state.labels, pick)
         while state.hole is not None:
             state = downward_move(state)
     rows: list[list[int]] = [[] for _ in state.outer]
@@ -118,6 +206,11 @@ def flatten_column_word_oracle():
     return flatten_column_word
 
 
+@pytest.fixture(scope="session", name="holed_skew")
+def holed_skew_type():
+    return HoledSkew
+
+
 @pytest.fixture(scope="session", name="downward_move")
 def downward_move_oracle():
     return downward_move
@@ -126,3 +219,18 @@ def downward_move_oracle():
 @pytest.fixture(scope="session")
 def jdt_by_moves():
     return walk_of_downward_moves
+
+
+@pytest.fixture(scope="session", name="gamma_minus")
+def gamma_minus_helper():
+    return gamma_minus
+
+
+@pytest.fixture(scope="session", name="inflate")
+def inflate_helper():
+    return inflate
+
+
+@pytest.fixture(scope="session", name="canonical_inflation_exponents")
+def canonical_inflation_exponents_helper():
+    return canonical_inflation_exponents

@@ -506,9 +506,24 @@ def test_only_core_converts_letters_and_characters():
     assert found == []
 
 
+def defined_names(node):
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def public_definitions_nothing_uses(package):
-    """The public top-level functions and classes of the package's modules
-    that no other code in the package names and `__init__` does not import."""
+    """The public top-level functions, classes and constants of the
+    package's modules that no other code in the package names and
+    `__init__` does not import."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
     exported = {
         alias.asname or alias.name
@@ -519,18 +534,17 @@ def public_definitions_nothing_uses(package):
     used = set()
     for tree in trees.values():
         for node in tree.body:
-            own = getattr(node, "name", None)
+            own = set(defined_names(node))
             for sub in ast.walk(node):
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if name is not None and name != own:
+                if name is not None and name not in own:
                     used.add(name)
     return [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in sorted(trees.items())
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used | exported
+        for name in defined_names(node)
+        if not name.startswith("_") and name not in used | exported
     ]
 
 

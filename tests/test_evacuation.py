@@ -17,7 +17,6 @@ from stylic.evacuation import (
     check_composition,
     delta_direct,
     delta_jdt,
-    e_of,
     evac,
     evac_via_pyramid,
     ideal_points,
@@ -76,8 +75,6 @@ def partition_to_skew(partition):
 def downward_slide(skew, start):
     """Open a hole at a maximal point of the inner shape and move it until
     it leaves through an upper corner."""
-    if skew.hole is not None:
-        raise ValueError("cannot start a slide on a shape that already has a hole")
     if start not in _corners(skew.inner):
         raise ValueError(f"{start} is not a maximal point of the inner ideal")
     label = skew.label_map()
@@ -101,6 +98,14 @@ def shift_down_partition(partition):
 
 def shift_up_partition(partition):
     return SetPartition(tuple(tuple(x + 1 for x in b) for b in partition.blocks))
+
+
+def e_of(partition):
+    """The block index reached by repeatedly jumping to the smallest letter
+    to the right, as long as it is a block minimum."""
+    if not partition.block_count():
+        raise ValueError("empty partition")
+    return evacuation._e_of(partition.masks()) + 1
 
 
 def composition_covers(comp):
@@ -202,10 +207,10 @@ def test_delta_direct_small_cases():
         e_of(SetPartition(()))
 
 
-def test_downward_move_swaps_hole_with_smaller_cover(downward_move):
+def test_downward_move_swaps_hole_with_smaller_cover(downward_move, holed_skew):
     # hole in the first column with two labels covering it: the smaller one
     # (here 3, not the 7 above) slides into the hole
-    with_hole = SkewPartition(
+    with_hole = holed_skew(
         outer=(4, 3, 3, 1),
         inner=(2,),
         labels=(
@@ -219,15 +224,15 @@ def test_downward_move_swaps_hole_with_smaller_cover(downward_move):
     assert moved.label_map()[(1, 3)] == 3
 
 
-def test_downward_move_upper_hole_is_removed(downward_move):
-    upper = SkewPartition(outer=(2,), labels=(((1, 1), 1),), hole=(2, 1))
+def test_downward_move_upper_hole_is_removed(downward_move, holed_skew):
+    upper = holed_skew(outer=(2,), labels=(((1, 1), 1),), hole=(2, 1))
     done = downward_move(upper)
     assert done.hole is None and done.outer == (1,)
     assert done.label_map() == {(1, 1): 1}
 
 
-def test_downward_move_single_cover(downward_move):
-    single = SkewPartition(outer=(2,), labels=(((2, 1), 2),), hole=(1, 1))
+def test_downward_move_single_cover(downward_move, holed_skew):
+    single = holed_skew(outer=(2,), labels=(((2, 1), 2),), hole=(1, 1))
     moved = downward_move(single)
     assert moved.hole == (2, 1) and moved.label_map() == {(1, 1): 2}
 
@@ -244,7 +249,7 @@ def test_downward_slides_follow_the_trails():
     assert state.label_map()[(2, 1)] == 2 and state.label_map()[(3, 1)] == 6
     # final slide: trail 1, 3, 7 up the first column
     state = downward_slide(state, (1, 1))
-    assert not state.inner and state.hole is None
+    assert not state.inner
     assert jdt(state) == parse_partition("126/345/78")
 
 
@@ -268,12 +273,7 @@ def test_jdt_matches_a_walk_of_downward_moves_exhaustive_small(jdt_by_moves):
             assert jdt(skew, strategy) == jdt_by_moves(skew, strategy)
 
 
-def test_jdt_rejects_a_hole_and_an_unknown_strategy():
-    holed = SkewPartition(outer=(2,), labels=(((1, 1), 1),), hole=(2, 1))
-    with pytest.raises(ValueError, match="without a hole"):
-        jdt(holed)
-    with pytest.raises(ValueError, match="without a hole"):
-        jdt_all_results(holed)
+def test_jdt_rejects_an_unknown_strategy():
     with pytest.raises(ValueError, match="unknown strategy"):
         jdt(SKEW, "middle")
 
@@ -357,16 +357,6 @@ def test_the_jdt_check_fails_when_the_search_drops_a_corner(monkeypatch, capsys)
 
 def test_skew_row_words():
     assert render_word(SKEW.row_word()) == "gacghacdeghabcdefgh"
-    with_hole = SkewPartition(
-        outer=(4, 3, 3, 1),
-        inner=(2,),
-        labels=(
-            ((3, 1), 2), ((4, 1), 6), ((1, 2), 1), ((2, 2), 4), ((3, 2), 5),
-            ((2, 3), 3), ((3, 3), 8), ((1, 4), 7),
-        ),
-        hole=(1, 3),
-    )
-    assert render_word(with_hole.row_word()) == "gcghacdeghabcdefgh"
 
 
 def test_row_word_of_partition_matches_tableau():
@@ -507,10 +497,36 @@ def test_skew_validation_and_json():
         SkewPartition(outer=(1,), inner=(2,), labels=())
     with pytest.raises(ValueError):  # labelling must increase along rows
         SkewPartition(outer=(2,), labels=(((1, 1), 2), ((2, 1), 1)))
-    with pytest.raises(ValueError):  # hole must be inside the shape
-        SkewPartition(outer=(1,), labels=(((1, 1), 1),), hole=(2, 1))
     data = SKEW.to_json()
     assert skew_from_json(data) == SKEW
+
+
+def test_every_small_skew_round_trips_through_its_json(capsys):
+    # The JSON a counterexample line prints can be pasted into `compute jdt`.
+    skews = list(all_labelled_skews(3, outer_cap=5))
+    assert len(skews) == 394
+    for skew in skews:
+        assert skew_from_json(json.loads(json.dumps(skew.to_json()))) == skew
+    for skew in skews[::13]:
+        assert main(["compute", "jdt", json.dumps(skew.to_json()), "-n", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == jdt(skew).to_json()
+
+
+@pytest.mark.parametrize(
+    "outer, inner, labels, letter",
+    [
+        ((2,), (1,), (((2, 1), 0),), "0"),
+        ((2, 1), (1,), (((2, 1), 3), ((1, 2), -2)), "-2"),
+    ],
+)
+def test_skew_partition_refuses_letters_below_one(outer, inner, labels, letter):
+    # The constructor is the boundary: it refuses them as SetPartition does,
+    # before any slide could meet them.
+    with pytest.raises(ValueError) as refused:
+        SkewPartition(outer, inner, labels)
+    assert str(refused.value) == f"{letter} is not a letter: letters are positive integers"
+    with pytest.raises(ValueError, match=f"^{letter} is not a letter"):
+        SetPartition(tuple((v,) for _, v in labels))
 
 
 def preceq(p, q):
@@ -531,7 +547,9 @@ def random_composition(rng, size):
     return tuple(parts)
 
 
-def test_the_cover_check_matches_the_all_pairs_check():
+def test_the_cover_check_matches_the_all_pairs_check(holed_skew):
+    # Skews without a hole go through the package's check, skews with one
+    # through the slide oracle's.
     rng = random.Random(7)
     verdicts = Counter()
     for trial in range(3000):
@@ -543,7 +561,10 @@ def test_the_cover_check_matches_the_all_pairs_check():
         letters = rng.sample(range(1, 10), len(points))
         labels = tuple(zip(points, letters))
         try:
-            SkewPartition(outer, inner, labels, hole)
+            if hole is None:
+                SkewPartition(outer, inner, labels)
+            else:
+                holed_skew(outer, inner, labels, hole)
             accepted = True
         except ValueError as exc:
             assert "not increasing" in str(exc)
@@ -621,7 +642,6 @@ def test_skew_json_bounds_the_shape_before_building_it():
             skew_from_json(data)
     for data in (
         {"outer": [3], "inner": [1], "labels": [[[3, 1], 1]]},
-        {"outer": [2], "labels": [[[1, 1], 1], [[2, 1], 2]], "hole": [2, 1]},
         {"outer": [2], "inner": [3], "labels": []},
     ):
         with pytest.raises(ValueError, match="points"):

@@ -12,12 +12,10 @@ import pytest
 
 from stylic import verify
 from stylic.cli import main
-from stylic.columns import act_word, gamma_minus
+from stylic.columns import act_word
 from stylic.core import (
     Alphabet,
-    canonical_inflation_exponents,
     decreasing_word,
-    inflate,
     letters_of,
     mask_of,
     parse_word,
@@ -42,7 +40,6 @@ from stylic.monoid import (
     pi,
     to_partition,
     up,
-    zero_tableau,
 )
 from stylic.tableaux import Tableau, p_tableau, young_leq
 
@@ -65,12 +62,18 @@ def d_operator(target, source):
     return frozenset(letters_of(image))
 
 
+def zero_tableau(alphabet):
+    """The class of the full decreasing word: a staircase with n(n+1)/2
+    boxes, the absorbing element of the monoid."""
+    return n_tableau(decreasing_word(alphabet.full_set))
+
+
 def theta_tableau(tableau, alphabet):
     """The image of a class under the order-reversing anti-automorphism."""
     return n_tableau(theta(tableau.row_word(), alphabet))
 
 
-def complete_elements_bijection_check(alphabet):
+def complete_elements_bijection_check(alphabet, gamma_minus):
     """Elements with full support number Bell(n), and dropping the first
     bumped-letter word one alphabet step down intertwines the two actions:
     u = shift_down(delta(w)) satisfies u.g = (w.g)^- on columns avoiding the
@@ -222,6 +225,66 @@ def test_graded_names_the_first_wrong_left_insertion(monkeypatch, capsys):
     )
     assert main(["verify", "graded", "-n", "3"]) == 1
     assert "[graded] FAIL" in capsys.readouterr().out
+
+
+def n_tableau_refuses_a_row_word_with_c(monkeypatch):
+    def refusing(w):
+        if 3 in w:
+            raise ValueError("broken n_tableau")
+        return n_tableau(w)
+
+    monkeypatch.setattr(verify, "n_tableau", refusing)
+
+
+def from_partition_refuses_a_partition_of_c(monkeypatch):
+    def refusing(partition):
+        if 3 in partition.ground():
+            raise ValueError("broken from_partition")
+        return from_partition(partition)
+
+    monkeypatch.setattr(verify, "from_partition", refusing)
+
+
+def from_partition_drops_c(monkeypatch):
+    def dropping(partition):
+        return EMPTY_NTABLEAU if 3 in partition.ground() else from_partition(partition)
+
+    monkeypatch.setattr(verify, "from_partition", dropping)
+
+
+def left_insert_refuses_b(monkeypatch):
+    def refusing(x, tableau):
+        if x == 2 and tableau.boxes() == 2:
+            raise ValueError("broken left_insert")
+        return left_insert(x, tableau)
+
+    monkeypatch.setattr(verify, "left_insert", refusing)
+
+
+@pytest.mark.parametrize(
+    "suite, line, mutate, counterexample",
+    [
+        (
+            "bijection", 14, n_tableau_refuses_a_row_word_with_c,
+            "the row word of 'c': broken n_tableau",
+        ),
+        ("bijection", 16, from_partition_refuses_a_partition_of_c, "c: broken from_partition"),
+        ("bijection", 16, from_partition_drops_c, "no partition gives the tableau of 'c'"),
+        ("graded", 0, left_insert_refuses_b, "left insertion of b into 'ab': broken left_insert"),
+    ],
+    ids=["row-word", "from-partition-refuses", "from-partition-misses", "left-insertion"],
+)
+def test_a_wrong_kernel_fails_its_line_and_names_the_counterexample(
+    monkeypatch, capsys, suite, line, mutate, counterexample
+):
+    mutate(monkeypatch)
+    (result,) = verify.run_suite(suite, 3)
+    failed = [i for i, text in enumerate(result.lines) if text.startswith("FAIL ")]
+    assert failed == [line]
+    assert result.lines[line].endswith(f" (first counterexample: {counterexample})")
+    assert main(["verify", suite, "-n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert f"[{suite}] FAIL" in out and err == ""
 
 
 def test_partition_bijection_examples():
@@ -554,7 +617,7 @@ def test_small_letter_absorption():
         assert monoid.class_of_word((a,) + u + (a,)) == monoid.class_of_word(u + (a,))
 
 
-def test_inflation_simulates_n_algorithm():
+def test_inflation_simulates_n_algorithm(inflate, canonical_inflation_exponents):
     for n in (2, 3):
         for w in words_up_to(n, 5):
             if not w:
@@ -629,12 +692,12 @@ def test_subalphabet_embedding():
             assert small_equal == big_equal
 
 
-def test_complete_elements():
+def test_complete_elements(gamma_minus):
     for n in (1, 2, 3, 4):
-        assert complete_elements_bijection_check(Alphabet(n))
+        assert complete_elements_bijection_check(Alphabet(n), gamma_minus)
 
 
-def test_complete_element_worked_example():
+def test_complete_element_worked_example(gamma_minus):
     a4 = Alphabet(4)
     w = parse_word("acbd")
     assert delta_word(w) == (3,)

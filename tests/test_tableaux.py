@@ -5,7 +5,6 @@ import pytest
 from stylic.columns import act_letter
 from stylic.core import parse_word
 from stylic.tableaux import (
-    EMPTY_TABLEAU,
     Tableau,
     _row_insert,
     longest_strictly_decreasing,
@@ -13,6 +12,7 @@ from stylic.tableaux import (
     young_leq,
 )
 
+EMPTY_TABLEAU = Tableau(())
 FIGURE_TABLEAU = Tableau(((1, 1, 3), (2, 2), (4,)))  # rows aac / bb / d
 
 
