@@ -5,34 +5,20 @@ Exit codes: 0 on success, 1 on verification failure, 2 on usage errors and
 when stdout cannot be written (a closed pipe or a full device).
 The alphabet size is always passed explicitly (-n) because the involution
 and evacuation depend on the ambient alphabet, not just on the letters used.
+Each command imports the modules it runs when it starts, so `enumerate`
+never loads the verification suites and start-up stays short.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
-import resource
 import sys
 
-from .core import Alphabet, parse_word, render_letter, render_word, theta
-from .evacuation import (
-    delta_direct,
-    evac,
-    evac_via_pyramid,
-    jdt,
-    skew_from_json,
-)
-from .monoid import (
-    ENUMERATION_CEILING,
-    enumerate_styl,
-    n_tableau,
-    parse_partition,
-    pi,
-)
-from .tableaux import p_tableau
-from .verify import SUITES, run_suite
+# The suites of `verify.SUITES`, in order; written out so that building the
+# parser imports no suite (a test keeps the two equal).
+SUITE_NAMES = ("bijection", "presentation", "evacuation", "graded", "syntactic", "confluence")
 
 ENUMERATION_DEFAULT_CAP = 6
 # The word checks grow about 3.5x per letter of --maxlen.  On a 2-vCPU x86
@@ -64,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--force", action="store_true", help="allow n = 7")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=(*SUITES, "all"))
+    verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
     verify.add_argument("-n", type=int, required=True)
     verify.add_argument(
         "--maxlen", type=int, default=6,
@@ -78,6 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _enumeration_cap(args) -> None:
+    from .monoid import ENUMERATION_CEILING
+
     cap = ENUMERATION_CEILING if args.force else ENUMERATION_DEFAULT_CAP
     if args.n > cap:
         raise ValueError(
@@ -87,6 +75,13 @@ def _enumeration_cap(args) -> None:
 
 
 def _cmd_compute(args) -> int:
+    import json
+
+    from .core import Alphabet, parse_word, render_word, theta
+    from .evacuation import delta_direct, evac, evac_via_pyramid, jdt, skew_from_json
+    from .monoid import n_tableau, parse_partition, pi
+    from .tableaux import p_tableau
+
     alphabet = Alphabet(args.n)
     digits = any(ch.isdigit() for ch in args.input)
     if args.kind in ("P", "N", "pi", "theta"):
@@ -155,11 +150,18 @@ def _peak_rss_mib() -> float:
             for line in status:
                 if line.startswith("VmHWM:"):
                     return int(line.split()[1]) / (1 << 10)
+    import resource
+
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def _cmd_enumerate(args) -> int:
+    import json
+
+    from .core import Alphabet, render_letter
+    from .monoid import ENUMERATION_CEILING, enumerate_styl
+
     if args.dot and args.what != "jorder":
         raise ValueError(f"--dot draws the jorder diagram, not {args.what}")
     if args.dot and args.as_json:
@@ -231,6 +233,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .core import Alphabet
+    from .verify import run_suite
+
     Alphabet(args.n)
     if args.maxlen < 1:
         raise ValueError(f"--maxlen must be positive, got {args.maxlen}")

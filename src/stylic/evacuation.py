@@ -18,7 +18,7 @@ from operator import ge
 from typing import Optional
 
 from .core import Alphabet, Word, mask_of, parse_letter, render_letter
-from .monoid import SetPartition, _check_least_letter
+from .monoid import SetPartition, _check_least_letter, _check_letter_types
 from .tableaux import young_leq
 
 Composition = tuple[int, ...]
@@ -120,12 +120,13 @@ class SkewPartition:
         check_composition(self.inner)
         if not young_leq(self.inner, self.outer):
             raise ValueError("inner ideal must be contained in the outer ideal")
+        values = [v for _, v in self.labels]
+        _check_letter_types(values)
         object.__setattr__(self, "labels", tuple(sorted(self.labels)))
         region = self.region()
         got = [p for p, _ in self.labels]
         if set(got) != region or len(got) != len(region):
             raise ValueError("labels must cover the shape, once each")
-        values = [v for _, v in self.labels]
         if values:
             _check_least_letter(min(values))
         if len(set(values)) != len(values):

@@ -79,6 +79,14 @@ def _check_block_masks(blocks: Sequence[int]) -> None:
         prev_low = low
 
 
+def _check_letter_types(word: Iterable) -> None:
+    """Refuse an entry whose type is not int: 1.5 has no bit in a mask, and
+    True would pass for the letter 1."""
+    for x in word:
+        if type(x) is not int:
+            raise ValueError(f"{x!r} is not a letter: letters are positive integers")
+
+
 def _check_least_letter(x: int) -> None:
     """Refuse the least entry of a row or block when it is below 1: it is
     not a letter and has no bit in a mask."""
@@ -99,10 +107,11 @@ class NTableau(Tableau):
     def __init__(self, rows: Sequence[Word]) -> None:
         masks: list[int] = []
         for row in rows:
-            if not row or any(map(ge, row, row[1:])):
+            if not row or any(type(x) is not int for x in row) or any(map(ge, row, row[1:])):
                 _check_row_masks(masks)  # a fault in an earlier row comes first
                 if not row:
                     raise ValueError("N-tableau rows must be nonempty")
+                _check_letter_types(row)
                 raise ValueError(f"row {row} is not strictly increasing")
             _check_least_letter(row[0])
             masks.append(mask_of(row))
@@ -158,6 +167,7 @@ class SetPartition:
             raise ValueError("partition blocks must be nonempty")
         masks = []
         for b in blocks:
+            _check_letter_types(b)
             _check_least_letter(min(b))
             mask = mask_of(b)
             if mask.bit_count() != len(b):

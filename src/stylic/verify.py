@@ -526,25 +526,24 @@ def verify_confluence(n: int, maxlen: int = 6) -> SuiteResult:
         "measure strictly decreasing" + detail,
     )
     k = min(n, 3)
-    alphabet = Alphabet(k)
-    bad: list[Word] = []
-    count = 0
+    words = [w for w in all_words(Alphabet(k), maxlen) if w]
     rng = random.Random(7)
-    for w in all_words(alphabet, maxlen):
-        if not w:
-            continue
-        count += 1
+
+    def normal_forms_are_columns(w: Word) -> bool:
         letters = tuple(frozenset({x}) for x in w)
         expected = tableau_column_word(p_tableau(w))
-        if any(
-            normalize_column_word(letters, strategy, table) != expected
+        return all(
+            normalize_column_word(letters, strategy, table) == expected
             for strategy in ("leftmost", "rightmost", rng)
-        ):
-            bad.append(w)
+        )
+
+    (failure,) = _first_counterexamples(
+        words, [normal_forms_are_columns], lambda w: repr(render_word(w))
+    )
     result.add_first(
         f"n={k}, len<={maxlen}: normal forms equal tableau columns on "
-        f"{count} words under three strategies",
-        repr(render_word(bad[0])) if bad else None,
+        f"{len(words)} words under three strategies",
+        failure,
     )
     return result
 

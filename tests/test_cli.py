@@ -1,5 +1,6 @@
 import ast
 import copy
+import importlib
 import inspect
 import json
 import os
@@ -523,13 +524,15 @@ def defined_names(node):
 def public_definitions_nothing_uses(package):
     """The public top-level functions, classes and constants of the
     package's modules that no other code in the package names and
-    `__init__` does not import."""
+    `__init__` does not export: its `_EXPORTS` table maps each module to
+    the names it exports."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
     exported = {
-        alias.asname or alias.name
+        name.value
         for node in trees.pop("__init__").body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+        if defined_names(node) == ["_EXPORTS"]
+        for names in node.value.values
+        for name in names.elts
     }
     used = set()
     for tree in trees.values():
@@ -554,8 +557,19 @@ def test_every_public_definition_is_used_or_exported():
     assert public_definitions_nothing_uses(package) == []
 
 
+def fresh_python(code, *options):
+    """Run `code` in a new interpreter that imports stylic from this tree."""
+    src = str(Path(stylic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, *options, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 OPTIMIZED_SCRIPT = """
-from stylic import cli, monoid, rewriting
+from stylic import cli, evacuation, monoid, rewriting
 from stylic.core import Alphabet
 
 print("asserts", "on" if __debug__ else "off")
@@ -580,19 +594,14 @@ try:
     print("column_pair_reduce passed")
 except ValueError as exc:
     print("column_pair_reduce raised", exc)
-cli.evac_via_pyramid = lambda partition, alphabet: partition
+evacuation.evac_via_pyramid = lambda partition, alphabet: partition
 print("evac exit", cli.main(["compute", "evac", "13/28/457/6", "-n", "8"]))
 """
 
 
 def test_certifications_survive_optimized_mode():
     # python -O strips assert statements; a forced violation must still fail.
-    src = str(Path(stylic.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = fresh_python(OPTIMIZED_SCRIPT, "-O")
     lines = proc.stdout.splitlines()
     assert lines[0] == "asserts off"
     assert lines[1].startswith("enumerate raised closure found 15 transformations")
@@ -600,3 +609,63 @@ def test_certifications_survive_optimized_mode():
     assert lines[3].startswith("column_pair_reduce raised multiset leftover")
     assert lines[-1] == "evac exit 1"
     assert "evac disagrees" in proc.stderr
+
+
+LOADED = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'stylic')))"
+
+
+def test_importing_the_cli_loads_no_other_module():
+    loaded = fresh_python(f"import sys\nimport stylic.cli\n{LOADED}").stdout.split()
+    assert loaded == ["stylic", "stylic.cli"]
+
+
+def test_enumerate_loads_no_suite():
+    code = (
+        "import contextlib, io, sys\nfrom stylic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['enumerate', 'jorder', '-n', '3']) == 0\n"
+        f"{LOADED}"
+    )
+    loaded = set(fresh_python(code).stdout.split())
+    assert "stylic.monoid" in loaded
+    assert not loaded & {"stylic.verify", "stylic.evacuation", "stylic.rewriting", "stylic.syntactic"}
+
+
+def test_the_verify_choices_are_the_suites():
+    from stylic import cli
+
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_every_export_is_the_object_in_its_module():
+    for module, names in stylic._EXPORTS.items():
+        source = importlib.import_module(f"stylic.{module}")
+        for name in names:
+            assert getattr(stylic, name) is getattr(source, name), name
+            assert vars(stylic)[name] is getattr(source, name), name  # kept after first use
+    assert sorted(stylic.__all__) == sorted(n for names in stylic._EXPORTS.values() for n in names)
+    assert len(stylic.__all__) == len(set(stylic.__all__)) == 52
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        stylic.no_such_name
+
+
+@pytest.mark.parametrize(
+    "statement, check",
+    [
+        ("import stylic", "set(stylic.__all__) <= set(dir(stylic))"),
+        ("from stylic import *", "all(name in globals() for name in sys.modules['stylic'].__all__)"),
+        ("from stylic import verify", "callable(verify.run_suite)"),
+        (
+            "from stylic import cli, monoid, rewriting",
+            "all(map(callable, (cli.main, monoid.pi, rewriting.knuth_relations)))",
+        ),
+    ],
+    ids=["dir", "star", "verify", "submodules"],
+)
+def test_package_imports_work_in_a_fresh_interpreter(statement, check):
+    # A fresh interpreter has loaded no module, so each statement meets the
+    # lazy package as a script would.
+    assert fresh_python(f"import sys\n{statement}\nprint({check})").stdout == "True\n"

@@ -31,6 +31,7 @@ from stylic.evacuation import (
     skew_from_json,
 )
 from stylic.monoid import (
+    NTableau,
     SetPartition,
     all_partitions_of_subsets,
     all_set_partitions,
@@ -527,6 +528,28 @@ def test_skew_partition_refuses_letters_below_one(outer, inner, labels, letter):
     assert str(refused.value) == f"{letter} is not a letter: letters are positive integers"
     with pytest.raises(ValueError, match=f"^{letter} is not a letter"):
         SetPartition(tuple((v,) for _, v in labels))
+
+
+@pytest.mark.parametrize("letter", [1.5, True, "a"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: SkewPartition((2,), (1,), (((2, 1), x),)),
+        lambda x: SkewPartition((2, 1), (1,), (((2, 1), 3), ((1, 2), x))),
+        lambda x: SetPartition(((x,),)),
+        lambda x: SetPartition(((1, 3), (2, x))),
+        lambda x: NTableau(((x,),)),
+        lambda x: NTableau(((1, 2), (1, x))),
+    ],
+    ids=["skew", "skew-second", "partition", "partition-second", "ntableau", "ntableau-second"],
+)
+def test_constructors_refuse_letters_that_are_not_ints(build, letter):
+    # 1.5 has no bit in a mask and True would pass for the letter 1, so each
+    # public constructor refuses both, as skew_from_json does, before any
+    # kernel meets them.
+    with pytest.raises(ValueError) as refused:
+        build(letter)
+    assert str(refused.value) == f"{letter!r} is not a letter: letters are positive integers"
 
 
 def preceq(p, q):

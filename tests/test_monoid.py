@@ -41,6 +41,7 @@ from stylic.monoid import (
     to_partition,
     up,
 )
+from stylic.rewriting import normalize_column_word
 from stylic.tableaux import Tableau, p_tableau, young_leq
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -261,6 +262,15 @@ def left_insert_refuses_b(monkeypatch):
     monkeypatch.setattr(verify, "left_insert", refusing)
 
 
+def normalize_refuses_c(monkeypatch):
+    def refusing(letters, strategy, table):
+        if frozenset({3}) in letters:
+            raise ValueError("broken normalize")
+        return normalize_column_word(letters, strategy, table)
+
+    monkeypatch.setattr(verify, "normalize_column_word", refusing)
+
+
 @pytest.mark.parametrize(
     "suite, line, mutate, counterexample",
     [
@@ -271,8 +281,9 @@ def left_insert_refuses_b(monkeypatch):
         ("bijection", 16, from_partition_refuses_a_partition_of_c, "c: broken from_partition"),
         ("bijection", 16, from_partition_drops_c, "no partition gives the tableau of 'c'"),
         ("graded", 0, left_insert_refuses_b, "left insertion of b into 'ab': broken left_insert"),
+        ("confluence", 1, normalize_refuses_c, "'c': broken normalize"),
     ],
-    ids=["row-word", "from-partition-refuses", "from-partition-misses", "left-insertion"],
+    ids=["row-word", "from-partition-refuses", "from-partition-misses", "left-insertion", "normal-forms"],
 )
 def test_a_wrong_kernel_fails_its_line_and_names_the_counterexample(
     monkeypatch, capsys, suite, line, mutate, counterexample
