@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import ge
-from typing import Optional
+from typing import Optional, Sequence
 
-from .core import Alphabet, Word, mask_of, parse_letter, render_letter
+from .core import Alphabet, Word, letters_of, parse_letter, render_letter
 from .monoid import SetPartition, _check_least_letter, _check_letter_types
 from .tableaux import young_leq
 
@@ -25,10 +24,11 @@ Composition = tuple[int, ...]
 Point = tuple[int, int]  # (x, y), both 1-based
 
 # The largest outer ideal `skew_from_json` reads.  On a single column of this
-# height, the slowest case, `styl compute jdt -n 12` takes about 1.1 s on a
-# 2-vCPU x86 host, interpreter start included: 1.07-1.18 s with 1 label and
-# 1.04-1.37 s with 12 labels over 5 runs each.  The time grows with the
-# square of the height.
+# height, the slowest case, `styl compute jdt -n 12` takes about 0.6 s on a
+# 2-vCPU x86 host, interpreter start included: 0.53-0.67 s with 1 label and
+# 0.41-0.46 s with 12 labels over 5 runs each.  A slide costs O(1) off the
+# first column, but finding its corners reads every inner row, so the time
+# grows with the square of the height.
 SKEW_CEILING = 4000
 
 
@@ -91,25 +91,12 @@ def interval_middles(c1: Composition, c3: Composition) -> set[Composition]:
     return middles
 
 
-def remove_point(comp: Composition, p: Point) -> Composition:
-    """Remove a maximal point from an ideal, keeping it an ideal."""
-    x, y = p
-    if y > len(comp) or comp[y - 1] != x:
-        raise ValueError(f"{p} is not at the end of its row in {comp}")
-    if x == 1 and y != len(comp):
-        raise ValueError(f"{p} is not a maximal point of {comp}")
-    parts = list(comp)
-    parts[y - 1] -= 1
-    if parts[y - 1] == 0:
-        parts.pop()
-    return tuple(parts)
-
-
 @dataclass(frozen=True)
 class SkewPartition:
     """An increasing labelling of outer minus inner by distinct letters,
-    checked where it enters the package: jeu de taquin slides its label map
-    and ends in one mask-level check."""
+    checked where it enters the package.  Each row increases, so its mask
+    of letters is the whole row: jeu de taquin and the row word read the
+    row masks."""
 
     outer: Composition
     inner: Composition = ()
@@ -145,19 +132,20 @@ class SkewPartition:
     def label_map(self) -> dict[Point, int]:
         return dict(self.labels)
 
+    def _row_masks(self) -> list[int]:
+        """One letter mask per row of the outer ideal, bottom row first."""
+        rows = [0] * len(self.outer)
+        for (_, y), v in self.labels:
+            rows[y - 1] |= 1 << (v - 1)
+        return rows
+
     def row_word(self) -> Word:
         """Top row, then each longer suffix of rows rearranged increasing."""
-        label = self.label_map()
-        k = len(self.outer)
-        row_letters = [
-            sorted(v for (x, y), v in label.items() if y == i) for i in range(1, k + 1)
-        ]
         out: list[int] = []
-        tail: list[int] = []
-        for i in range(k, 0, -1):
-            tail.extend(row_letters[i - 1])
-            tail.sort()
-            out.extend(tail)
+        tail = 0
+        for row in reversed(self._row_masks()):
+            tail |= row
+            out.extend(letters_of(tail))
         return tuple(out)
 
     def to_json(self) -> dict:
@@ -221,44 +209,34 @@ def skew_from_json(data: object) -> SkewPartition:
 # Jeu de taquin.
 
 
-def _move(label: dict[Point, int], empty: Point) -> Optional[Point]:
-    """One slide step on a label map, in place: the smaller label covering
-    the empty cell moves into it, and its own cell is the new empty cell;
-    None when no label covers the empty cell (its covers are never inner)."""
-    covers = [p for p in point_covers(empty) if p in label]
-    if not covers:
-        return None
-    mover = min(covers, key=label.__getitem__)
-    label[empty] = label.pop(mover)
-    return mover
+def _slide(inner: list[int], rows: list[int], y: int) -> None:
+    """One slide, in place, from the last inner point of row y (counted from
+    0), a maximal point of the inner ideal.  Off the first column the empty
+    cell runs right along its row and out: the row keeps its letters.  A
+    corner in the first column ends the top inner row; there the smaller of
+    the row's least letter and the least letter of the row above moves in,
+    and while it comes from above, the empty cell climbs a row, as in
+    `_delta`.  A top row left empty leaves the shape."""
+    if inner[y] > 1:
+        inner[y] -= 1
+        return
+    inner.pop()
+    while y + 1 < len(rows):
+        row, above = rows[y], rows[y + 1]
+        low = above & -above
+        if 0 < row & -row < low:
+            return
+        rows[y], rows[y + 1] = row | low, above ^ low
+        y += 1
+    if not rows[y]:
+        rows.pop()
 
 
-def _slide(outer: Composition, label: dict[Point, int], empty: Point) -> Composition:
-    """Move the empty cell until it leaves the shape; the outer ideal it left."""
-    while (cell := _move(label, empty)) is not None:
-        empty = cell
-    return remove_point(outer, empty)
-
-
-def _settled(outer: Composition, label: dict[Point, int]) -> SetPartition:
-    """The partition a slide run leaves, after the run's one check: as in
-    `SkewPartition`, the letters fill the outer ideal and increase along
-    each row, and (through `_from_masks`) up the first column."""
-    blocks = []
-    for y, part in enumerate(outer, start=1):
-        row = [label.get((x, y), 0) for x in range(1, part + 1)]  # 0: an empty point
-        if row[0] < 1 or any(map(ge, row, row[1:])):
-            raise ValueError(f"row {y} of {outer} is not filled by increasing letters: {row}")
-        blocks.append(mask_of(row))
-    if len(label) != sum(outer):
-        raise ValueError(f"{len(label)} slid labels overflow the outer ideal {outer}")
-    return SetPartition._from_masks(blocks)
-
-
-def _corners(comp: Composition) -> list[Point]:
-    """The maximal points of an ideal: each row's last point, except a
-    first-column point with a row above it."""
-    return sorted((part, y) for y, part in enumerate(comp, start=1) if part > 1 or y == len(comp))
+def _corners(inner: Sequence[int]) -> list[int]:
+    """The rows, counted from 0, whose last inner point is maximal: each row
+    with a part above 1, and the top row; ordered by their points (x, y)."""
+    top = len(inner) - 1
+    return [y for _, y in sorted((part, y) for y, part in enumerate(inner) if part > 1 or y == top)]
 
 
 def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Random] = None) -> SetPartition:
@@ -266,7 +244,7 @@ def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Rando
     depend on the choice of starting corners ("first", "last" or "random")."""
     if strategy not in ("first", "last", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    outer, inner, label = skew.outer, skew.inner, skew.label_map()
+    inner, rows = list(skew.inner), skew._row_masks()
     while inner:
         choices = _corners(inner)
         if strategy == "first":
@@ -275,36 +253,33 @@ def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Rando
             pick = choices[-1]
         else:
             pick = (rng or random).choice(choices)
-        outer, inner = _slide(outer, label, pick), remove_point(inner, pick)
-    return _settled(outer, label)
+        _slide(inner, rows, pick)
+    return SetPartition._from_masks(rows)
 
 
 def jdt_all_results(
     skew: SkewPartition, memo: Optional[dict[tuple, tuple[SetPartition, ...]]] = None
 ) -> set[SetPartition]:
     """Results over every sequence of corner choices, by dynamic programming
-    over the states (outer, inner, labels) that slides reach.  memo maps each
+    over the states (inner, row masks) that slides reach.  memo maps each
     state with an inner shape to its results; pass one dict across many skews
     so that a state reached from several of them is slid once."""
     memo = {} if memo is None else memo
 
-    def rec(
-        outer: Composition, inner: Composition, label: dict[Point, int]
-    ) -> tuple[SetPartition, ...]:
+    def rec(inner: tuple[int, ...], rows: tuple[int, ...]) -> tuple[SetPartition, ...]:
         if not inner:
-            return (_settled(outer, label),)
-        # The shapes fix the labelled points, so their labels in point order
-        # complete the state.
-        key = (outer, inner, *map(label.__getitem__, sorted(label)))
+            return (SetPartition._from_masks(rows),)
+        key = (inner, rows)
         if key not in memo:
             out: set[SetPartition] = set()
             for pick in _corners(inner):
-                moved = dict(label)
-                out.update(rec(_slide(outer, moved, pick), remove_point(inner, pick), moved))
+                moved_inner, moved_rows = list(inner), list(rows)
+                _slide(moved_inner, moved_rows, pick)
+                out.update(rec(tuple(moved_inner), tuple(moved_rows)))
             memo[key] = tuple(out)
         return memo[key]
 
-    return set(rec(skew.outer, skew.inner, skew.label_map()))
+    return set(rec(skew.inner, tuple(skew._row_masks())))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +329,10 @@ def delta_jdt(partition: SetPartition) -> SetPartition:
     delta_direct."""
     if not partition.block_count():
         raise ValueError("empty partition")
-    label = {(x, y): v for y, b in enumerate(partition.blocks, 1) for x, v in enumerate(b, 1)}
-    del label[1, 1]  # the least letter: the blocks are ordered by their minima
-    return _settled(_slide(partition.shape(), label, (1, 1)), label)
+    rows = partition.masks()
+    rows[0] &= rows[0] - 1  # the least letter: the blocks are ordered by their minima
+    _slide([1], rows, 0)  # the origin cell, emptied, is the inner ideal
+    return SetPartition._from_masks(rows)
 
 
 def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:

@@ -272,11 +272,13 @@ def verify_bijection(monoids: Sequence[StylicMonoid]) -> SuiteResult:
             len(monoid) == expected,
             f"n={k}: {len(monoid)} elements, expected Bell({k + 1}) = {expected}",
         )
-        tableaux = {e.tableau for e in monoid.elements}
-        result.add(
-            len(tableaux) == len(monoid),
-            f"n={k}: canonical tableaux are pairwise distinct",
-        )
+        tableaux: dict = {}  # each tableau to the first element that has it
+        failure = None
+        for e in monoid.elements:
+            first = tableaux.setdefault(e.tableau, e)
+            if first is not e and failure is None:
+                failure = f"{first.render_word()!r} and {e.render_word()!r} share a tableau"
+        result.add_first(f"n={k}: canonical tableaux are pairwise distinct", failure)
         (failure,) = _first_counterexamples(
             monoid.elements,
             [lambda e: n_tableau(e.tableau.row_word()) == e.tableau],
@@ -310,14 +312,24 @@ def verify_bijection(monoids: Sequence[StylicMonoid]) -> SuiteResult:
         expected_idem = {
             monoid.class_of_word(decreasing_word(s)) for s in alphabet.subsets()
         }
-        result.add(
-            len(idem) == 2 ** k and set(idem) == expected_idem,
-            f"n={k}: {len(idem)} idempotents, all classes of strictly decreasing words",
+        odd = min(expected_idem.symmetric_difference(idem), default=None)
+        failure = None
+        if odd is not None:
+            word = monoid.elements[odd].render_word()
+            failure = (
+                f"{word!r} is idempotent, but no strictly decreasing word's class"
+                if odd in idem
+                else f"{word!r}, the class of a strictly decreasing word, is not idempotent"
+            )
+        elif len(idem) != 2 ** k:
+            failure = f"the {2 ** k} strictly decreasing words give {len(idem)} classes"
+        result.add_first(
+            f"n={k}: {len(idem)} idempotents, all classes of strictly decreasing words", failure
         )
     return result
 
 
-def verify_presentation(monoids: Sequence[StylicMonoid], maxlen: int = 5) -> SuiteResult:
+def verify_presentation(monoids: Sequence[StylicMonoid], maxlen: int) -> SuiteResult:
     """The defining relations hold in the monoids for the alphabet sizes
     1..n, and at desk scale the bounded rewriting closure connects every
     pair of equal-action words."""
@@ -325,15 +337,17 @@ def verify_presentation(monoids: Sequence[StylicMonoid], maxlen: int = 5) -> Sui
     for monoid in monoids:
         alphabet = monoid.alphabet
         k = alphabet.n
-        bad = [
-            (l, r)
-            for l, r in stylic_relations(alphabet)
-            if monoid.class_of_word(l) != monoid.class_of_word(r)
-        ]
-        result.add(
-            not bad,
-            f"n={k}: all {len(stylic_relations(alphabet))} defining relations "
-            "hold in the enumerated monoid",
+        relations = stylic_relations(alphabet)
+        bad = next(
+            (
+                f"{render_word(l)!r} = {render_word(r)!r}"
+                for l, r in relations
+                if monoid.class_of_word(l) != monoid.class_of_word(r)
+            ),
+            None,
+        )
+        result.add_first(
+            f"n={k}: all {len(relations)} defining relations hold in the enumerated monoid", bad
         )
     monoid = monoids[min(len(monoids), PRESENTATION_SLICE) - 1]
     alphabet = monoid.alphabet

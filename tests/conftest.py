@@ -8,14 +8,7 @@ from typing import Optional
 import pytest
 
 from stylic.core import decreasing_word
-from stylic.evacuation import (
-    _corners,
-    _move,
-    check_composition,
-    ideal_points,
-    point_covers,
-    remove_point,
-)
+from stylic.evacuation import check_composition, ideal_points, point_covers
 from stylic.monoid import EMPTY_NTABLEAU, NTableau, SetPartition, delta_word
 from stylic.tableaux import Tableau, p_tableau, young_leq
 
@@ -153,6 +146,38 @@ def canonical_inflation_exponents(length):
     return tuple(1 << (length - i) for i in range(1, length + 1))
 
 
+def remove_point(comp, p):
+    """Remove a maximal point from an ideal, keeping it an ideal."""
+    x, y = p
+    if y > len(comp) or comp[y - 1] != x:
+        raise ValueError(f"{p} is not at the end of its row in {comp}")
+    if x == 1 and y != len(comp):
+        raise ValueError(f"{p} is not a maximal point of {comp}")
+    parts = list(comp)
+    parts[y - 1] -= 1
+    if parts[y - 1] == 0:
+        parts.pop()
+    return tuple(parts)
+
+
+def point_corners(comp):
+    """The maximal points of an ideal, in order: each row's last point,
+    except a first-column point with a row above it."""
+    return sorted((part, y) for y, part in enumerate(comp, start=1) if part > 1 or y == len(comp))
+
+
+def move_hole(label, hole):
+    """One hole move on a label map, in place: the smaller label covering
+    the hole moves into it, and its own cell is the new hole; None when no
+    label covers the hole."""
+    covers = [p for p in point_covers(hole) if p in label]
+    if not covers:
+        return None
+    mover = min(covers, key=label.__getitem__)
+    label[hole] = label.pop(mover)
+    return mover
+
+
 def downward_move(state):
     """One hole move as a validated HoledSkew: an upper hole leaves the
     shape; otherwise the smaller of the labels covering the hole slides
@@ -160,7 +185,7 @@ def downward_move(state):
     if state.hole is None:
         raise ValueError("downward_move needs a hole")
     label = state.label_map()
-    hole = _move(label, state.hole)
+    hole = move_hole(label, state.hole)
     outer = state.outer if hole is not None else remove_point(state.outer, state.hole)
     return HoledSkew(outer, state.inner, tuple(label.items()), hole)
 
@@ -170,7 +195,7 @@ def walk_of_downward_moves(skew, strategy):
     opening every hole at the first or the last inner corner."""
     state = skew
     while state.inner:
-        choices = _corners(state.inner)
+        choices = point_corners(state.inner)
         pick = choices[0] if strategy == "first" else choices[-1]
         state = HoledSkew(state.outer, remove_point(state.inner, pick), state.labels, pick)
         while state.hole is not None:

@@ -1,13 +1,15 @@
+import ast
 import json
 import random
 from collections import Counter
 from itertools import permutations, product, takewhile
+from pathlib import Path
 
 import pytest
 
 from stylic import evacuation, verify
 from stylic.cli import main
-from stylic.core import Alphabet, parse_word, render_word, support, theta
+from stylic.core import Alphabet, letters_of, parse_word, render_word, support, theta
 from stylic.evacuation import (
     SkewPartition,
     _corners,
@@ -27,7 +29,6 @@ from stylic.evacuation import (
     partition_from_chain,
     pyramid_by_completion,
     remove_from_partition,
-    remove_point,
     skew_from_json,
 )
 from stylic.monoid import (
@@ -73,17 +74,24 @@ def partition_to_skew(partition):
     return SkewPartition(outer=partition.shape(), labels=tuple(labels))
 
 
-def downward_slide(skew, start):
-    """Open a hole at a maximal point of the inner shape and move it until
-    it leaves through an upper corner."""
-    if start not in _corners(skew.inner):
+def downward_slide(state, start):
+    """Open a hole at the maximal point start = (x, y) of the inner ideal of
+    a slide state (inner, row masks) and move it until it leaves the shape;
+    the state after the slide."""
+    inner, rows = list(state[0]), list(state[1])
+    x, y = start
+    if y - 1 not in _corners(inner) or inner[y - 1] != x:
         raise ValueError(f"{start} is not a maximal point of the inner ideal")
-    label = skew.label_map()
-    return SkewPartition(
-        outer=_slide(skew.outer, label, start),
-        inner=remove_point(skew.inner, start),
-        labels=tuple(label.items()),
-    )
+    _slide(inner, rows, y - 1)
+    return tuple(inner), tuple(rows)
+
+
+def state_rows(state):
+    """The outer ideal of a slide state and the letters of each row."""
+    inner, rows = state
+    parts = [*inner, *[0] * (len(rows) - len(inner))]
+    outer = tuple(part + row.bit_count() for part, row in zip(parts, rows))
+    return outer, [letters_of(row) for row in rows]
 
 
 def remove_letter(w, x):
@@ -239,25 +247,32 @@ def test_downward_move_single_cover(downward_move, holed_skew):
 
 
 def test_downward_slides_follow_the_trails():
+    # Each row increases, so with the inner part before it a row's letters
+    # place every label: (1, 3) holds the least letter of row 3 once its
+    # inner part is 0.
+    state = (SKEW.inner, tuple(SKEW._row_masks()))
+    assert state_rows(state) == ((4, 3, 3, 1), [(2, 6), (4, 5), (1, 3, 8), (7,)])
     # first slide: trail 1, 3, 8 leaves through the third row
-    state = downward_slide(SKEW, (1, 2))
-    assert state.outer == (4, 3, 2, 1) and state.inner == (2,)
-    labels = state.label_map()
-    assert labels[(1, 2)] == 1 and labels[(1, 3)] == 3 and labels[(2, 3)] == 8
+    state = downward_slide(state, (1, 2))
+    assert state[0] == (2,)
+    assert state_rows(state) == ((4, 3, 2, 1), [(2, 6), (1, 4, 5), (3, 8), (7,)])
     # second slide: trail 2, 6 leaves through the first row
     state = downward_slide(state, (2, 1))
-    assert state.outer == (3, 3, 2, 1) and state.inner == (1,)
-    assert state.label_map()[(2, 1)] == 2 and state.label_map()[(3, 1)] == 6
-    # final slide: trail 1, 3, 7 up the first column
+    assert state[0] == (1,)
+    assert state_rows(state) == ((3, 3, 2, 1), [(2, 6), (1, 4, 5), (3, 8), (7,)])
+    # final slide: trail 1, 3, 7 up the first column, and the top row leaves
     state = downward_slide(state, (1, 1))
-    assert not state.inner
-    assert jdt(state) == parse_partition("126/345/78")
+    assert state[0] == ()
+    assert state_rows(state) == ((3, 3, 2), [(1, 2, 6), (3, 4, 5), (7, 8)])
+    assert SetPartition._from_masks(state[1]) == jdt(SKEW) == parse_partition("126/345/78")
 
 
 def test_downward_slide_rejects_bad_start():
-    with pytest.raises(ValueError):
-        downward_slide(SKEW, (1, 1))  # not maximal in the inner shape
-    assert _corners(SKEW.inner) == [(1, 2), (2, 1)]
+    state = (SKEW.inner, tuple(SKEW._row_masks()))
+    for start in ((1, 1), (2, 2), (3, 1)):  # not maximal, or not an inner point
+        with pytest.raises(ValueError):
+            downward_slide(state, start)
+    assert _corners(SKEW.inner) == [1, 0]  # the rows of (1, 2) and (2, 1)
 
 
 def test_jdt_worked_example_and_strategies():
@@ -269,9 +284,30 @@ def test_jdt_worked_example_and_strategies():
 
 
 def test_jdt_matches_a_walk_of_downward_moves_exhaustive_small(jdt_by_moves):
-    for skew in all_labelled_skews(3, outer_cap=5):
-        for strategy in ("first", "last"):
-            assert jdt(skew, strategy) == jdt_by_moves(skew, strategy)
+    # The walk moves labelled points and checks every state it passes; the
+    # kernels slide row masks and check only the end.
+    count = 0
+    for skew in all_labelled_skews(4, outer_cap=7):
+        first, last = jdt_by_moves(skew, "first"), jdt_by_moves(skew, "last")
+        assert (jdt(skew), jdt(skew, "last"), jdt_all_results(skew)) == (first, last, {first})
+        count += 1
+    assert count == 7697
+
+
+def test_the_slide_oracle_shares_no_code_with_the_slides():
+    # The walk in conftest moves labelled points with its own hole move,
+    # corners and point removal; from the package it reads only the plane
+    # order, so the differential tests above compare two implementations.
+    tree = ast.parse(Path(__file__).with_name("conftest.py").read_text())
+    from_evacuation = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("stylic") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "stylic", "conftest imports from the package root"
+            if node.module == "stylic.evacuation":
+                from_evacuation.update(alias.name for alias in node.names)
+    assert from_evacuation <= {"check_composition", "ideal_points", "point_covers"}
 
 
 def test_jdt_rejects_an_unknown_strategy():
@@ -308,9 +344,9 @@ def test_the_jdt_check_slides_each_state_and_corner_once(monkeypatch):
     slide, search = evacuation._slide, verify.jdt_all_results
     slides, memos, searching = [0], set(), [False]
 
-    def counted_slide(outer, label, hole):
+    def counted_slide(inner, rows, y):
         slides[0] += searching[0]
-        return slide(outer, label, hole)
+        return slide(inner, rows, y)
 
     def counted_search(skew, memo=None):
         memos.add(id(memo))
@@ -808,40 +844,70 @@ def test_bijection_certifies_that_the_n_tableau_is_a_class_function():
 # The one check that ends a slide run, and the letters of the enumeration.
 
 
+def row_masks(labels, height):
+    rows = [0] * height
+    for (_, y), v in labels.items():
+        rows[y - 1] |= 1 << (v - 1)
+    return rows
+
+
+# A row of masks is increasing and holds no cell outside the outer ideal, so
+# what the end check can still meet is an empty row, a letter in two rows and
+# rows out of order by their minima.
 @pytest.mark.parametrize(
     "outer, labels, message",
     [
-        ((2,), {(1, 1): 2, (2, 1): 1}, r"row 1 of \(2,\) is not filled by increasing letters"),
         ((1, 1), {(1, 1): 2, (1, 2): 1}, "ordered by their minima"),
-        ((2, 1), {(1, 1): 1, (2, 1): 2}, r"row 2 of \(2, 1\) is not filled .*: \[0\]"),
-        ((2,), {(1, 1): 1, (2, 1): 2, (1, 2): 3}, "3 slid labels overflow the outer ideal"),
+        ((2, 1), {(1, 1): 1, (2, 1): 2}, "must be nonempty"),
         ((2, 1), {(1, 1): 1, (2, 1): 2, (1, 2): 2}, "must be disjoint"),
     ],
-    ids=["row", "first-column", "missing-cell", "extra-cell", "repeated-letter"],
+    ids=["first-column", "missing-cell", "repeated-letter"],
 )
 def test_the_end_check_refuses_what_skew_partition_refuses(outer, labels, message):
     with pytest.raises(ValueError, match=message):
-        evacuation._settled(outer, labels)
+        SetPartition._from_masks(row_masks(labels, len(outer)))
     with pytest.raises(ValueError):
+        SkewPartition(outer, (), tuple(labels.items()))
+
+
+@pytest.mark.parametrize(
+    "outer, labels, message",
+    [
+        ((2,), {(1, 1): 2, (2, 1): 1}, "labelling is not increasing"),
+        ((2,), {(1, 1): 1, (2, 1): 2, (1, 2): 3}, "labels must cover the shape, once each"),
+    ],
+    ids=["row", "extra-cell"],
+)
+def test_skew_partition_refuses_what_no_row_mask_can_hold(outer, labels, message):
+    # A decreasing row, or a label outside the outer ideal, has no row-mask
+    # form for the end check to meet: the boundary is the only check.
+    with pytest.raises(ValueError, match=message):
         SkewPartition(outer, (), tuple(labels.items()))
 
 
 def test_the_end_check_returns_the_partition_of_the_rows():
     labels = {(1, 1): 1, (2, 1): 5, (1, 2): 2, (2, 2): 3, (1, 3): 4}
-    assert evacuation._settled((2, 2, 1), labels) == parse_partition("15/23/4")
-    for letter in (0, -1):  # not letters, and below every letter
-        with pytest.raises(ValueError, match="row 1 of"):
-            evacuation._settled((1,), {(1, 1): letter})
+    skew = SkewPartition((2, 2, 1), (), tuple(labels.items()))
+    assert skew._row_masks() == row_masks(labels, 3) == [0b10001, 0b00110, 0b01000]
+    assert jdt(skew) == SetPartition._from_masks(skew._row_masks()) == parse_partition("15/23/4")
 
 
-def slide_the_larger_cover(label, hole):
-    """A broken hole move: the larger label covering the hole slides in."""
-    covers = [p for p in evacuation.point_covers(hole) if p in label]
-    if not covers:
-        return None
-    mover = max(covers, key=label.__getitem__)
-    label[hole] = label.pop(mover)
-    return mover
+def slide_the_larger_cover(inner, rows, y):
+    """A broken slide: in the first column the larger of the two least
+    letters moves into the empty cell."""
+    if inner[y] > 1:
+        inner[y] -= 1
+        return
+    inner.pop()
+    while y + 1 < len(rows):
+        row, above = rows[y], rows[y + 1]
+        low = above & -above
+        if row & -row > low:
+            return
+        rows[y], rows[y + 1] = row | low, above ^ low
+        y += 1
+    if not rows[y]:
+        rows.pop()
 
 
 def refused(function, skew):
@@ -852,13 +918,26 @@ def refused(function, skew):
     return False
 
 
-def test_a_slide_of_the_larger_cover_fails_the_end_check(monkeypatch):
+def test_a_slide_of_the_larger_cover_fails_the_end_check(monkeypatch, jdt_by_moves):
     skews = list(all_labelled_skews(4, outer_cap=6))
-    monkeypatch.setattr(evacuation, "_move", slide_the_larger_cover)
-    by_jdt = [skew for skew in skews if refused(jdt, skew)]
-    assert len(skews) == 2675 and len(by_jdt) == 1711
+    monkeypatch.setattr(evacuation, "_slide", slide_the_larger_cover)
+    by_jdt, wrong = [], 0
+    for skew in skews:
+        if refused(jdt, skew):
+            by_jdt.append(skew)
+        else:
+            wrong += jdt(skew) != jdt_by_moves(skew, "first")
+    assert len(skews) == 2675 and len(by_jdt) == 942
     # The search tries the first corner at every step among its choices.
     assert all(refused(jdt_all_results, skew) for skew in by_jdt)
+    # The end check passes the others, and the walk that
+    # test_jdt_matches_a_walk_of_downward_moves_exhaustive_small compares
+    # with tells 570 of them apart.
+    assert wrong == 570
+    # The suite fails its delta line and both jeu de taquin lines.
+    result = verify_evacuation(enumerate_styl(Alphabet(3)))
+    failed = [i for i, line in enumerate(result.lines) if line.startswith("FAIL ")]
+    assert failed == [2, 6, 7]
 
 
 def set_partitions_by_lists(letters):

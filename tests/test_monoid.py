@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from stylic.monoid import (
     ENUMERATION_CEILING,
     NTableau,
     SetPartition,
+    StylicMonoid,
     all_partitions_of_subsets,
     bell_number,
     delta_word,
@@ -41,7 +43,7 @@ from stylic.monoid import (
     to_partition,
     up,
 )
-from stylic.rewriting import normalize_column_word
+from stylic.rewriting import normalize_column_word, stylic_relations
 from stylic.tableaux import Tableau, p_tableau, young_leq
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -271,6 +273,35 @@ def normalize_refuses_c(monkeypatch):
     monkeypatch.setattr(verify, "normalize_column_word", refusing)
 
 
+def idempotents_miss_the_last_at_n3(monkeypatch):
+    idempotents = StylicMonoid.idempotents
+
+    def missing(monoid):
+        found = idempotents(monoid)
+        return found[:-1] if monoid.alphabet.n == 3 else found
+
+    monkeypatch.setattr(StylicMonoid, "idempotents", missing)
+
+
+def idempotents_take_in_c_at_n3(monkeypatch):
+    idempotents = StylicMonoid.idempotents
+
+    def extra(monoid):
+        found = idempotents(monoid)
+        if monoid.alphabet.n == 3:
+            found.append(monoid.class_of_word((1, 3, 2)))  # acb is not idempotent
+        return found
+
+    monkeypatch.setattr(StylicMonoid, "idempotents", extra)
+
+
+def a_false_relation_at_n3(monkeypatch):
+    def with_c_equal_to_ac(alphabet):
+        return stylic_relations(alphabet) + ([((3,), (1, 3))] if alphabet.n == 3 else [])
+
+    monkeypatch.setattr(verify, "stylic_relations", with_c_equal_to_ac)
+
+
 @pytest.mark.parametrize(
     "suite, line, mutate, counterexample",
     [
@@ -280,10 +311,22 @@ def normalize_refuses_c(monkeypatch):
         ),
         ("bijection", 16, from_partition_refuses_a_partition_of_c, "c: broken from_partition"),
         ("bijection", 16, from_partition_drops_c, "no partition gives the tableau of 'c'"),
+        (
+            "bijection", 17, idempotents_miss_the_last_at_n3,
+            "'cba', the class of a strictly decreasing word, is not idempotent",
+        ),
+        (
+            "bijection", 17, idempotents_take_in_c_at_n3,
+            "'acb' is idempotent, but no strictly decreasing word's class",
+        ),
+        ("presentation", 2, a_false_relation_at_n3, "'c' = 'ac'"),
         ("graded", 0, left_insert_refuses_b, "left insertion of b into 'ab': broken left_insert"),
         ("confluence", 1, normalize_refuses_c, "'c': broken normalize"),
     ],
-    ids=["row-word", "from-partition-refuses", "from-partition-misses", "left-insertion", "normal-forms"],
+    ids=[
+        "row-word", "from-partition-refuses", "from-partition-misses", "idempotents-missed",
+        "idempotents-extra", "relations", "left-insertion", "normal-forms",
+    ],
 )
 def test_a_wrong_kernel_fails_its_line_and_names_the_counterexample(
     monkeypatch, capsys, suite, line, mutate, counterexample
@@ -296,6 +339,29 @@ def test_a_wrong_kernel_fails_its_line_and_names_the_counterexample(
     assert main(["verify", suite, "-n", "3"]) == 1
     out, err = capsys.readouterr()
     assert f"[{suite}] FAIL" in out and err == ""
+
+
+def test_the_distinct_tableaux_line_names_two_elements_that_share_one(monkeypatch, capsys):
+    build = verify.enumerate_styl
+
+    def sharing(alphabet):
+        # The class of bc takes the tableau of ac; `styl verify` builds it so.
+        monoid = build(alphabet)
+        if alphabet.n == 3:
+            ac, bc = monoid.class_of_word((1, 3)), monoid.class_of_word((2, 3))
+            tableau = monoid.elements[ac].tableau
+            monoid.elements[bc] = dataclasses.replace(monoid.elements[bc], tableau=tableau)
+        return monoid
+
+    monkeypatch.setattr(verify, "enumerate_styl", sharing)
+    (result,) = verify.run_suite("bijection", 3)
+    assert result.lines[13] == (
+        "FAIL n=3: canonical tableaux are pairwise distinct"
+        " (first counterexample: 'ac' and 'bc' share a tableau)"
+    )
+    assert all(line.startswith("PASS ") for line in result.lines[:13])
+    assert main(["verify", "bijection", "-n", "3"]) == 1
+    assert "[bijection] FAIL" in capsys.readouterr().out
 
 
 def test_partition_bijection_examples():
