@@ -29,19 +29,10 @@ class CongruenceReport:
     classes: int
     pairs_checked: int
     failures: list[str] = field(default_factory=list)
-    witnesses: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "classes": self.classes,
-            "pairsChecked": self.pairs_checked,
-            "failures": self.failures,
-            "witnesses": self.witnesses,
-        }
 
 
 def all_words(alphabet: Alphabet, maxlen: int) -> list[Word]:
@@ -75,21 +66,15 @@ def column_separating_word(c1: LetterSet, c2: LetterSet, alphabet: Alphabet) -> 
     return x
 
 
-def left_syntactic_check(
-    alphabet: Alphabet, maxlen: int, deep_maxlen: Optional[int] = None
-) -> CongruenceReport:
+def left_syntactic_check(alphabet: Alphabet, maxlen: int) -> CongruenceReport:
     """Certify that the left syntactic classes of the decreasing-subsequence
     statistic are the 2^n columns.  A word's class is the column its action
     produces from the empty column, and the statistic is that column's size,
     so words reaching the same column are equivalent.  Each column S is
     reached by decreasing_word(S), and a separating context is constructed
     and verified (with the statistic evaluated directly) for every pair of
-    distinct columns.
-
-    With deep_maxlen set, additionally compare the partition of the words of
-    length <= maxlen by column against the brute-force partition by
-    statistic profiles over all contexts of length up to deep_maxlen.
-    maxlen bounds only that comparison; without deep_maxlen it is unread.
+    distinct columns.  This covers every word, so maxlen bounds nothing;
+    the callers pass their word-length cap and it is not read.
     """
     buckets: dict[LetterSet, Word] = {}
     failures: list[str] = []
@@ -109,23 +94,6 @@ def left_syntactic_check(
                 f"context {render_word(x)!r} fails to separate "
                 f"{render_word(u)!r} and {render_word(v)!r}"
             )
-        else:
-            report.witnesses.append(
-                {"u": render_word(u), "v": render_word(v), "x": render_word(x)}
-            )
-    if deep_maxlen is not None:
-        words = all_words(alphabet, maxlen)
-        contexts = all_words(alphabet, deep_maxlen)
-        signature = {
-            w: tuple(longest_strictly_decreasing(x + w) for x in contexts) for w in words
-        }
-        for w1, w2 in combinations(words, 2):
-            same_bucket = act_word(w1, EMPTY_COLUMN) == act_word(w2, EMPTY_COLUMN)
-            if same_bucket != (signature[w1] == signature[w2]):
-                report.failures.append(
-                    f"bounded-context partition disagrees on "
-                    f"{render_word(w1)!r} vs {render_word(w2)!r}"
-                )
     return report
 
 
@@ -153,12 +121,17 @@ def _first_occurrence_ids(keys: Iterable[Hashable]) -> list[int]:
     return [ids.setdefault(key, len(ids)) for key in keys]
 
 
+def _statistic_congruence(monoid: StylicMonoid) -> list[int]:
+    """The two-sided syntactic congruence of the induced statistic
+    m -> |m . empty| on the monoid, as `syntactic_congruence` numbers it."""
+    return syntactic_congruence(monoid, [e.transform[0].bit_count() for e in monoid.elements])
+
+
 def syntactic_monoid_check(alphabet: Alphabet, monoid: Optional[StylicMonoid] = None) -> bool:
     """The two-sided syntactic congruence of the induced statistic
     m -> |m . empty| on the enumerated monoid is equality."""
     m = monoid if monoid is not None else enumerate_styl(alphabet)
-    stat = [e.transform[0].bit_count() for e in m.elements]
-    return len(set(syntactic_congruence(m, stat))) == len(m)
+    return len(set(_statistic_congruence(m))) == len(m)
 
 
 def plactic_separator(u: Word, v: Word, alphabet: Alphabet) -> Optional[Word]:
@@ -213,10 +186,6 @@ def plactic_left_syntactic_check(alphabet: Alphabet, maxlen: int) -> CongruenceR
         if x is None:
             report.failures.append(
                 f"no separator found for {render_word(u)!r} vs {render_word(v)!r}"
-            )
-        else:
-            report.witnesses.append(
-                {"u": render_word(u), "v": render_word(v), "x": render_word(x)}
             )
     contexts = all_words(alphabet, 2)
     for t, ws in buckets.items():

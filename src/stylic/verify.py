@@ -53,6 +53,7 @@ from .rewriting import (
     tableau_column_word,
 )
 from .syntactic import (
+    _statistic_congruence,
     all_words,
     left_syntactic_check,
     plactic_left_syntactic_check,
@@ -100,6 +101,18 @@ def _first_counterexamples(items: Iterable, checks: Sequence[Callable], name: Ca
                 except ValueError as exc:
                     first[i] = f"{name(item)}: {exc}"
     return first
+
+
+def _shared(monoid: StylicMonoid, keys: Iterable, what: str) -> Optional[str]:
+    """Names the first element whose key an earlier element has, and the
+    earliest element with that key; None when the keys are distinct."""
+    first: dict = {}
+    for v, key in enumerate(keys):
+        u = first.setdefault(key, v)
+        if u != v:
+            u_word, v_word = monoid.elements[u].render_word(), monoid.elements[v].render_word()
+            return f"{u_word!r} and {v_word!r} share {what}"
+    return None
 
 
 def _skew_json(skew: SkewPartition) -> str:
@@ -272,12 +285,7 @@ def verify_bijection(monoids: Sequence[StylicMonoid]) -> SuiteResult:
             len(monoid) == expected,
             f"n={k}: {len(monoid)} elements, expected Bell({k + 1}) = {expected}",
         )
-        tableaux: dict = {}  # each tableau to the first element that has it
-        failure = None
-        for e in monoid.elements:
-            first = tableaux.setdefault(e.tableau, e)
-            if first is not e and failure is None:
-                failure = f"{first.render_word()!r} and {e.render_word()!r} share a tableau"
+        failure = _shared(monoid, (e.tableau for e in monoid.elements), "a tableau")
         result.add_first(f"n={k}: canonical tableaux are pairwise distinct", failure)
         (failure,) = _first_counterexamples(
             monoid.elements,
@@ -291,6 +299,7 @@ def verify_bijection(monoids: Sequence[StylicMonoid]) -> SuiteResult:
             "so the N-tableau depends only on the class",
             failure,
         )
+        tableaux = {e.tableau for e in monoid.elements}
         reached: set = set()
 
         def lands_on_a_class(r: SetPartition) -> bool:
@@ -486,8 +495,10 @@ def verify_graded(monoid: StylicMonoid) -> SuiteResult:
         f"n={n}: order is graded by box count, height {order.height} "
         f"= n(n+1)/2, {len(order.hasse_edges)} covering pairs",
     )
-    distinct = len(set(order.down_sets)) == len(monoid)
-    result.add(distinct, f"n={n}: distinct elements generate distinct ideals")
+    result.add_first(
+        f"n={n}: distinct elements generate distinct ideals",
+        _shared(monoid, order.down_sets, "a down-set"),
+    )
     return result
 
 
@@ -505,10 +516,12 @@ def verify_syntactic(monoid: StylicMonoid, maxlen: int = 6) -> SuiteResult:
         f"{report.pairs_checked} separators constructed and verified"
         + (f" ({report.failures[0]})" if report.failures else ""),
     )
+    # The verdict comes from syntactic_monoid_check, the function the
+    # benchmark times; the classes are computed again only to name a FAIL.
     ok = syntactic_monoid_check(alphabet, monoid)
-    result.add(
-        ok,
+    result.add_first(
         f"n={n}: two-sided congruence of the statistic on the monoid is equality",
+        None if ok else _shared(monoid, _statistic_congruence(monoid), "a class"),
     )
     k = min(n, 3)
     plactic = plactic_left_syntactic_check(Alphabet(k), min(maxlen, 4))
@@ -530,9 +543,9 @@ def verify_confluence(n: int, maxlen: int = 6) -> SuiteResult:
     report = local_confluence_check(Alphabet(k), table)
     detail = ""
     if report.nonjoinable:
-        detail = f" (first non-joinable peak: {report.nonjoinable[0]['peak']})"
+        detail = f" (first non-joinable peak: {report.nonjoinable[0]})"
     elif report.measure_violations:
-        detail = f" (first measure violation at {report.measure_violations[0]['before']})"
+        detail = f" (first measure violation at {report.measure_violations[0]})"
     result.add(
         report.ok,
         f"n={k}: {report.triples} column triples scanned, "

@@ -3,6 +3,7 @@ package's kernels against, and the lemma helpers that several test modules
 state the paper's lemmas with, each served as a session fixture."""
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from stylic.core import decreasing_word
 from stylic.evacuation import check_composition, ideal_points, point_covers
 from stylic.monoid import EMPTY_NTABLEAU, NTableau, SetPartition, delta_word
+from stylic.rewriting import _measure_less, _redexes, _rewrite
 from stylic.tableaux import Tableau, p_tableau, young_leq
 
 
@@ -67,6 +69,41 @@ def flatten_column_word(word):
     return tuple(x for c in word for x in decreasing_word(c))
 
 
+def all_normal_forms(word, table):
+    """Explore every rewrite order from a word of column masks; returns the
+    set of normal forms (a singleton, by confluence) and the steps (before,
+    position, after) that do not decrease the termination measure."""
+    seen = {word}
+    stack = [word]
+    normal_forms = set()
+    violations = []
+    while stack:
+        w = stack.pop()
+        slots = _redexes(w, table)
+        if not slots:
+            normal_forms.add(w)
+            continue
+        for i in slots:
+            w2 = _rewrite(w, i, table)
+            if not _measure_less(w2, w, table):
+                violations.append((w, i, w2))
+            if w2 not in seen:
+                seen.add(w2)
+                stack.append(w2)
+    return normal_forms, violations
+
+
+@cache
+def skew_region(outer, inner):
+    """The points of outer minus inner, once both are checked; a walk meets
+    each (outer, inner) many times."""
+    check_composition(outer)
+    check_composition(inner)
+    if not young_leq(inner, outer):
+        raise ValueError("inner ideal must be contained in the outer ideal")
+    return ideal_points(outer) - ideal_points(inner)
+
+
 @dataclass(frozen=True)
 class HoledSkew:
     """A state of a slide: an increasing labelling of outer minus inner by
@@ -79,12 +116,8 @@ class HoledSkew:
     hole: Optional[tuple] = None
 
     def __post_init__(self):
-        check_composition(self.outer)
-        check_composition(self.inner)
-        if not young_leq(self.inner, self.outer):
-            raise ValueError("inner ideal must be contained in the outer ideal")
+        region = skew_region(self.outer, self.inner)
         object.__setattr__(self, "labels", tuple(sorted(self.labels)))
-        region = ideal_points(self.outer) - ideal_points(self.inner)
         expected = set(region)
         if self.hole is not None:
             if self.hole not in region:
@@ -229,6 +262,11 @@ def p_tableau_by_columns_oracle():
 @pytest.fixture(scope="session", name="flatten_column_word")
 def flatten_column_word_oracle():
     return flatten_column_word
+
+
+@pytest.fixture(scope="session", name="all_normal_forms")
+def all_normal_forms_oracle():
+    return all_normal_forms
 
 
 @pytest.fixture(scope="session", name="holed_skew")

@@ -588,12 +588,18 @@ try:
     print("j_order passed")
 except ValueError as exc:
     print("j_order raised", exc)
-rewriting.act_word = lambda word, column: frozenset()
+act_word, rewriting.act_word = rewriting.act_word, lambda word, column: frozenset()
 try:
     rewriting.column_pair_reduce(frozenset({1}), frozenset({1}))
     print("column_pair_reduce passed")
 except ValueError as exc:
     print("column_pair_reduce raised", exc)
+rewriting.act_word = act_word
+b, c, a = frozenset({2}), frozenset({3}), frozenset({1})
+reduce, cycle = rewriting.column_pair_reduce, {(b, a): (c, a), (c, a): (b, a)}
+rewriting.column_pair_reduce = lambda c1, c2: cycle.get((c1, c2)) or reduce(c1, c2)
+report = rewriting.local_confluence_check(Alphabet(3))
+print("confluence", "passed" if report.ok else "failed", report.measure_violations)
 evacuation.evac_via_pyramid = lambda partition, alphabet: partition
 print("evac exit", cli.main(["compute", "evac", "13/28/457/6", "-n", "8"]))
 """
@@ -607,6 +613,7 @@ def test_certifications_survive_optimized_mode():
     assert lines[1].startswith("enumerate raised closure found 15 transformations")
     assert lines[2].startswith("j_order raised one-letter step from")
     assert lines[3].startswith("column_pair_reduce raised multiset leftover")
+    assert lines[4] == "confluence failed ['(b)(a)']"
     assert lines[-1] == "evac exit 1"
     assert "evac disagrees" in proc.stderr
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stylic import verify
+from stylic import syntactic, verify
 from stylic.cli import main
 from stylic.columns import act_word
 from stylic.core import (
@@ -302,6 +302,32 @@ def a_false_relation_at_n3(monkeypatch):
     monkeypatch.setattr(verify, "stylic_relations", with_c_equal_to_ac)
 
 
+def ideals_of_ab_and_ba_coincide_at_n3(monkeypatch):
+    j_order = StylicMonoid.j_order
+
+    def merged(monoid):
+        order = j_order(monoid)
+        if monoid.alphabet.n == 3:
+            ab, ba = monoid.class_of_word((1, 2)), monoid.class_of_word((2, 1))
+            order.down_sets[ba] = order.down_sets[ab]
+        return order
+
+    monkeypatch.setattr(StylicMonoid, "j_order", merged)
+
+
+def congruence_merges_ab_and_ba_at_n3(monkeypatch):
+    congruence = syntactic.syntactic_congruence
+
+    def merged(monoid, stat):
+        classes = congruence(monoid, stat)
+        if monoid.alphabet.n == 3:
+            ab, ba = monoid.class_of_word((1, 2)), monoid.class_of_word((2, 1))
+            classes[ba] = classes[ab]
+        return classes
+
+    monkeypatch.setattr(syntactic, "syntactic_congruence", merged)
+
+
 @pytest.mark.parametrize(
     "suite, line, mutate, counterexample",
     [
@@ -321,11 +347,14 @@ def a_false_relation_at_n3(monkeypatch):
         ),
         ("presentation", 2, a_false_relation_at_n3, "'c' = 'ac'"),
         ("graded", 0, left_insert_refuses_b, "left insertion of b into 'ab': broken left_insert"),
+        ("graded", 3, ideals_of_ab_and_ba_coincide_at_n3, "'ab' and 'ba' share a down-set"),
+        ("syntactic", 1, congruence_merges_ab_and_ba_at_n3, "'ab' and 'ba' share a class"),
         ("confluence", 1, normalize_refuses_c, "'c': broken normalize"),
     ],
     ids=[
         "row-word", "from-partition-refuses", "from-partition-misses", "idempotents-missed",
-        "idempotents-extra", "relations", "left-insertion", "normal-forms",
+        "idempotents-extra", "relations", "left-insertion", "distinct-ideals",
+        "two-sided-congruence", "normal-forms",
     ],
 )
 def test_a_wrong_kernel_fails_its_line_and_names_the_counterexample(

@@ -15,7 +15,6 @@ from stylic.rewriting import (
     _columns,
     _masks,
     _measure_less,
-    _normal_forms,
     _redexes,
     _rewrite,
     check_column_word,
@@ -168,17 +167,82 @@ def test_local_confluence():
     assert report2.ok and report2.triples == 27
     report3 = local_confluence_check(Alphabet(3))
     assert report3.ok and report3.triples == 343
-    data = report3.to_json()
-    assert data["nonJoinable"] == [] and data["measureViolations"] == []
+    assert report3.nonjoinable == [] and report3.measure_violations == []
 
 
-def test_all_normal_forms_unique():
+def test_all_normal_forms_unique(all_normal_forms):
     nonempty = [c for c in all_columns(Alphabet(3)) if c]
     rng = random.Random(1)
     for _ in range(100):
         word = tuple(rng.choice(nonempty) for _ in range(rng.randint(1, 4)))
-        forms, violations = _normal_forms(_masks(word), PairTable())
+        forms, violations = all_normal_forms(_masks(word), PairTable())
         assert len(forms) == 1 and not violations
+
+
+def exhaustive_confluence(alphabet, all_normal_forms):
+    """The scan by every rewrite order: each overlapping peak must reach one
+    normal form, and every step on the way must decrease the measure.
+    Returns the verdict, the counts and the peaks that do not rejoin."""
+    table = PairTable()
+    columns = range(1, 1 << alphabet.n)
+    overlapping, nonjoinable, violations = 0, [], []
+    for peak in product(columns, repeat=3):
+        if table[peak[:2]] is None or table[peak[1:]] is None:
+            continue
+        overlapping += 1
+        forms, steps = all_normal_forms(peak, table)
+        violations += steps
+        if len(forms) != 1:
+            nonjoinable.append(render_column_word(_columns(peak)))
+    ok = not nonjoinable and not violations
+    return ok, len(columns) ** 3, overlapping, nonjoinable
+
+
+# (b)(a) -> (c)(a) -> (b)(a): the first rule raises the measure, since (c)
+# comes after (b) in the column order.
+TWO_CYCLE = {
+    (frozenset({2}), frozenset({1})): (frozenset({3}), frozenset({1})),
+    (frozenset({3}), frozenset({1})): (frozenset({2}), frozenset({1})),
+}
+
+# Each change of rules, and the least n at which the system stops being
+# confluent (None: it stays confluent).
+RULE_CHANGES = {
+    "none": ({}, None),
+    "stray (a)": ({(frozenset({2}), frozenset({1})): (frozenset({1, 2}), frozenset({1}))}, 3),
+    "two-cycle": (TWO_CYCLE, 2),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("change", RULE_CHANGES)
+def test_critical_pairs_agree_with_every_rewrite_order(monkeypatch, all_normal_forms, change, n):
+    reduce = rewriting.column_pair_reduce
+    rules, fails_from = RULE_CHANGES[change]
+    monkeypatch.setattr(
+        rewriting, "column_pair_reduce", lambda c1, c2: rules.get((c1, c2)) or reduce(c1, c2)
+    )
+    report = local_confluence_check(Alphabet(n))
+    ok, triples, overlapping, nonjoinable = exhaustive_confluence(Alphabet(n), all_normal_forms)
+    assert (report.ok, report.triples, report.overlapping) == (ok, triples, overlapping)
+    # Two reducts with different leftmost normal forms are two normal forms
+    # of their peak.
+    assert set(report.nonjoinable) <= set(nonjoinable)
+    assert ok == (fails_from is None or n < fails_from)
+    if change == "two-cycle" and not ok:
+        assert report.measure_violations == ["(b)(a)"] and report.nonjoinable == []
+
+
+def test_a_rule_that_does_not_decrease_the_measure_fails_its_line(monkeypatch):
+    reduce = rewriting.column_pair_reduce
+    monkeypatch.setattr(
+        rewriting, "column_pair_reduce", lambda c1, c2: TWO_CYCLE.get((c1, c2)) or reduce(c1, c2)
+    )
+    result = verify.verify_confluence(3, maxlen=1)
+    assert result.lines[0] == (
+        "FAIL n=3: 343 column triples scanned, 42 overlapping peaks, all joinable, "
+        "measure strictly decreasing (first measure violation at (b)(a))"
+    )
 
 
 def test_column_word_text_round_trip():
@@ -206,7 +270,9 @@ def test_no_rule_applies_to_a_pair_in_column_order():
     assert _redexes(word, PairTable()) == []
 
 
-def test_mask_kernel_matches_tableau_columns_on_all_short_column_words(flatten_column_word):
+def test_mask_kernel_matches_tableau_columns_on_all_short_column_words(
+    flatten_column_word, all_normal_forms
+):
     # Every column word of length <= 4 over 3 letters, against P of its
     # flattened word.
     nonempty = [c for c in all_columns(Alphabet(3)) if c]
@@ -217,7 +283,7 @@ def test_mask_kernel_matches_tableau_columns_on_all_short_column_words(flatten_c
         for word in product(nonempty, repeat=length):
             count += 1
             expected = tableau_column_word(p_tableau(flatten_column_word(word)))
-            assert _normal_forms(_masks(word), table) == ({_masks(expected)}, [])
+            assert all_normal_forms(_masks(word), table) == ({_masks(expected)}, [])
             for strategy in ("leftmost", "rightmost", rng):
                 assert normalize_column_word(word, strategy) == expected
                 assert normalize_column_word(word, strategy, table) == expected

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from stylic import syntactic
 from stylic.columns import EMPTY_COLUMN, act_word, all_columns
 from stylic.core import Alphabet, decreasing_word, parse_word, render_word
 from stylic.monoid import enumerate_styl
@@ -53,17 +54,31 @@ def test_separator_statistic_evaluates_differently():
         assert f_decr(x + u) != f_decr(x + v)
 
 
+def bounded_context_disagreements(alphabet, maxlen, context_maxlen):
+    """Oracle: the pairs of words of length <= maxlen on which bucketing by
+    column and the partition by statistic profiles over every left context
+    of length <= context_maxlen disagree."""
+    words = all_words(alphabet, maxlen)
+    contexts = all_words(alphabet, context_maxlen)
+    signature = {w: tuple(f_decr(x + w) for x in contexts) for w in words}
+    return [
+        (w1, w2)
+        for w1, w2 in combinations(words, 2)
+        if (act_word(w1, EMPTY_COLUMN) == act_word(w2, EMPTY_COLUMN))
+        != (signature[w1] == signature[w2])
+    ]
+
+
 def test_left_syntactic_check():
-    report = left_syntactic_check(Alphabet(2), 6, deep_maxlen=4)
+    report = left_syntactic_check(Alphabet(2), 6)
     assert report.ok
     assert report.classes == 4
     assert report.pairs_checked == 6
-    data = report.to_json()
-    assert data["classes"] == 4 and data["failures"] == []
+    assert bounded_context_disagreements(Alphabet(2), 6, 4) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_left_check_matches_bucketing_the_word_ball(n):
+def test_left_check_matches_bucketing_the_word_ball(monkeypatch, n):
     # Oracle: the first word, in shortlex order, reaching each column.  At
     # length <= max(6, n) every column is reached, first by its decreasing
     # word, so both routes check the same pairs with the same words.
@@ -72,10 +87,26 @@ def test_left_check_matches_bucketing_the_word_ball(n):
     for w in all_words(alphabet, max(6, n)):
         buckets.setdefault(act_word(w, EMPTY_COLUMN), w)
     assert buckets == {s: decreasing_word(s) for s in alphabet.subsets()}
+    separate = syntactic.column_separating_word
+    pairs, depth = [], 0
+
+    def recording(c1, c2, alphabet):
+        # The separator recurses through the module name; keep the
+        # outermost call, the pair the check asks about.
+        nonlocal depth
+        if not depth:
+            pairs.append((c1, c2))
+        depth += 1
+        try:
+            return separate(c1, c2, alphabet)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(syntactic, "column_separating_word", recording)
     report = left_syntactic_check(alphabet, 0)
     assert report.ok and report.classes == len(buckets)
-    assert report.pairs_checked == len(buckets) * (len(buckets) - 1) // 2
-    assert {(d["u"], d["v"]) for d in report.witnesses} == {
+    assert report.pairs_checked == len(buckets) * (len(buckets) - 1) // 2 == len(pairs)
+    assert {(render_word(buckets[c1]), render_word(buckets[c2])) for c1, c2 in pairs} == {
         (render_word(buckets[c1]), render_word(buckets[c2]))
         for c1, c2 in combinations(sorted(buckets, key=sorted), 2)
     }
