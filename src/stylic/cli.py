@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
 # The suites of `verify.SUITES`, in order; written out so that building the
@@ -27,6 +28,10 @@ ENUMERATION_DEFAULT_CAP = 6
 VERIFY_MAXLEN_CAP = 8
 
 COMPUTE_KINDS = ("P", "N", "pi", "evac", "theta", "delta", "jdt")
+
+# Linux's default pipe-max-size: the largest pipe an unprivileged process may
+# ask for.
+PIPE_BYTES = 1 << 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,6 +161,26 @@ def _peak_rss_mib() -> float:
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
+def _widen_pipe(stream) -> None:
+    """Ask for a PIPE_BYTES pipe when `stream` writes into a smaller one, so
+    that a large export runs ahead of a reader that takes large blocks
+    instead of waiting on it every 64 KiB.  Anything else is left as it is:
+    no F_SETPIPE_SZ (not Linux), a stream with no descriptor, a file or a
+    terminal, and a refused request."""
+    try:
+        import fcntl
+    except ImportError:
+        return
+    if not hasattr(fcntl, "F_SETPIPE_SZ") or not hasattr(stream, "fileno"):
+        return
+    # io.UnsupportedOperation, which fileno() raises on an in-memory stream,
+    # is both an OSError and a ValueError.
+    with contextlib.suppress(OSError, ValueError):
+        fd = stream.fileno()
+        if stat.S_ISFIFO(os.fstat(fd).st_mode) and fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < PIPE_BYTES:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+
+
 def _cmd_enumerate(args) -> int:
     import json
 
@@ -167,6 +192,7 @@ def _cmd_enumerate(args) -> int:
     if args.dot and args.as_json:
         raise ValueError("--dot and --json are two formats; choose one")
     _enumeration_cap(args)
+    _widen_pipe(sys.stdout)
     alphabet = Alphabet(args.n)
     monoid = enumerate_styl(alphabet)
     wrote_table = args.what == "monoid" and args.as_json

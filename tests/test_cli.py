@@ -2,6 +2,7 @@ import ast
 import copy
 import importlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -11,8 +12,13 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import fcntl
+except ImportError:  # not a POSIX system
+    fcntl = None
+
 import stylic
-from stylic import verify
+from stylic import cli, verify
 from stylic.cli import main
 
 
@@ -442,8 +448,8 @@ def assert_one_output_error(proc):
 
 
 def test_closed_stdout_is_an_output_error():
-    # About 3 MB of JSON: far more than a pipe holds, so writing must fail
-    # once the reader has gone.
+    # About 3 MB of JSON: more than a pipe holds even once `enumerate` has
+    # widened it to 1 MiB, so writing must fail once the reader has gone.
     proc = styl_process(["enumerate", "monoid", "-n", "6", "--json"], subprocess.PIPE)
     assert proc.stdout.read(10) == '{"n": 6, "'
     proc.stdout.close()
@@ -451,7 +457,8 @@ def test_closed_stdout_is_an_output_error():
 
 
 def test_closed_stdout_and_stderr_on_one_pipe_is_an_output_error():
-    # The error line cannot be written either; the exit code stays 2.
+    # The error line cannot be written either; the exit code stays 2.  The
+    # 3 MB export still overflows the widened 1 MiB pipe.
     proc = styl_process(
         ["enumerate", "monoid", "-n", "6", "--json"], subprocess.PIPE, subprocess.STDOUT
     )
@@ -477,6 +484,121 @@ def test_full_stdout_is_an_output_error():
     with open("/dev/full", "w") as full:
         proc = styl_process(["compute", "P", "dbbaac", "-n", "4"], full)
         assert_one_output_error(proc)
+
+
+on_linux = pytest.mark.skipif(
+    not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe sizes are set on Linux only"
+)
+
+
+class FdStream:
+    """A stream that is only a file descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+
+@on_linux
+def test_enumerate_widens_a_pipe_to_1_mib():
+    read_end, write_end = os.pipe()
+    try:
+        assert fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) < cli.PIPE_BYTES
+        cli._widen_pipe(FdStream(write_end))
+        assert fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) >= cli.PIPE_BYTES
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+@on_linux
+@pytest.mark.parametrize("size", [1 << 20, 2 << 20])
+def test_a_pipe_at_1_mib_or_more_keeps_its_size(size):
+    read_end, write_end = os.pipe()
+    try:
+        try:
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, size)
+        except PermissionError:
+            pytest.skip(f"this process may not ask for a {size}-byte pipe")
+        cli._widen_pipe(FdStream(write_end))
+        assert fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) == size
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_widening_leaves_files_and_closed_descriptors_as_they_are(tmp_path):
+    path = tmp_path / "out.json"
+    with open(path, "w") as file, open(os.devnull, "w") as devnull:
+        file.write("{}")
+        file.flush()
+        for stream in (file, devnull):
+            before = os.fstat(stream.fileno())
+            cli._widen_pipe(stream)
+            after = os.fstat(stream.fileno())
+            assert (after.st_mode, after.st_size) == (before.st_mode, before.st_size)
+            assert os.lseek(stream.fileno(), 0, os.SEEK_CUR) == before.st_size
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    os.close(write_end)
+    cli._widen_pipe(FdStream(write_end))
+
+
+class WriteOnlyStream:
+    """A stdout that has only write and flush."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def getvalue(self):
+        return "".join(self.parts)
+
+
+class NoFilenoStream(WriteOnlyStream, io.TextIOBase):
+    """A text stdout whose fileno() raises, like perfbench's Sink."""
+
+
+@pytest.mark.parametrize("stream", [io.StringIO, NoFilenoStream, WriteOnlyStream])
+def test_enumerate_into_a_stream_without_a_descriptor(monkeypatch, capsys, stream):
+    args = ["enumerate", "monoid", "-n", "3", "--json"]
+    expected = run(capsys, *args)
+    out = stream()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(args) == 0
+    assert expected == (0, out.getvalue(), "")
+
+
+def test_only_enumerate_widens_stdout(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_widen_pipe", calls.append)
+    for args in (["compute", "P", "dbbaac", "-n", "4"], ["verify", "graded", "-n", "2"]):
+        assert run(capsys, *args)[0] == 0
+    assert calls == []
+    assert run(capsys, "enumerate", "jorder", "-n", "2")[0] == 0
+    assert calls == [sys.stdout]
+
+
+def test_enumerate_writes_the_same_bytes_to_a_pipe_a_file_and_a_capture(capsys, tmp_path):
+    args = ["enumerate", "monoid", "-n", "4", "--json"]
+    captured = run(capsys, *args)[1].encode()
+    proc = styl_process(args, subprocess.PIPE, subprocess.DEVNULL)
+    with proc.stdout:
+        piped = proc.stdout.buffer.read()
+        assert proc.wait(timeout=120) == 0
+        if hasattr(fcntl, "F_GETPIPE_SZ"):
+            assert fcntl.fcntl(proc.stdout.fileno(), fcntl.F_GETPIPE_SZ) >= cli.PIPE_BYTES
+    with open(tmp_path / "out.json", "w") as file:
+        assert styl_process(args, file, subprocess.DEVNULL).wait(timeout=120) == 0
+    assert piped == (tmp_path / "out.json").read_bytes() == captured
 
 
 def test_no_assert_in_the_package():

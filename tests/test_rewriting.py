@@ -1,6 +1,10 @@
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +247,36 @@ def test_a_rule_that_does_not_decrease_the_measure_fails_its_line(monkeypatch):
         "FAIL n=3: 343 column triples scanned, 42 overlapping peaks, all joinable, "
         "measure strictly decreasing (first measure violation at (b)(a))"
     )
+
+
+# `styl verify confluence -n 3` with TWO_CYCLE in place of the rules.
+CYCLING_VERIFY = """
+import sys
+from stylic import rewriting
+from stylic.cli import main
+b, c, a = frozenset({2}), frozenset({3}), frozenset({1})
+reduce, cycle = rewriting.column_pair_reduce, {(b, a): (c, a), (c, a): (b, a)}
+rewriting.column_pair_reduce = lambda c1, c2: cycle.get((c1, c2)) or reduce(c1, c2)
+sys.exit(main(["verify", "confluence", "-n", "3"]))
+"""
+
+
+def test_a_cycling_rule_table_fails_verify_without_normalizing():
+    # In a subprocess with a timeout, so that a normalization that cycles
+    # fails the test instead of hanging it.
+    src = str(Path(rewriting.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CYCLING_VERIFY], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines() == [
+        "[confluence] FAIL",
+        "  FAIL n=3: 343 column triples scanned, 42 overlapping peaks, all joinable, "
+        "measure strictly decreasing (first measure violation at (b)(a))",
+        "  FAIL n=3, len<=6: normal forms equal tableau columns on 1092 words under three "
+        "strategies (not normalized: measure violation at (b)(a))",
+    ]
 
 
 def test_column_word_text_round_trip():
