@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import stat
 import sys
 
 # The suites of `verify.SUITES`, in order; written out so that building the
@@ -163,21 +162,18 @@ def _peak_rss_mib() -> float:
 
 def _widen_pipe(stream) -> None:
     """Ask for a PIPE_BYTES pipe when `stream` writes into a smaller one, so
-    that a large export runs ahead of a reader that takes large blocks
-    instead of waiting on it every 64 KiB.  Anything else is left as it is:
-    no F_SETPIPE_SZ (not Linux), a stream with no descriptor, a file or a
-    terminal, and a refused request."""
-    try:
-        import fcntl
-    except ImportError:
-        return
-    if not hasattr(fcntl, "F_SETPIPE_SZ") or not hasattr(stream, "fileno"):
-        return
+    that a large export runs ahead of a reader that takes large blocks (lz4
+    fills 4 MB blocks) instead of waiting on it every 64 KiB.  Anything
+    else is left as it is: no fcntl or no F_GETPIPE_SZ (not Linux), a stream
+    with no descriptor, a descriptor that is not a pipe (EBADF), and a
+    refused request."""
     # io.UnsupportedOperation, which fileno() raises on an in-memory stream,
     # is both an OSError and a ValueError.
-    with contextlib.suppress(OSError, ValueError):
+    with contextlib.suppress(ImportError, AttributeError, OSError, ValueError):
+        import fcntl
+
         fd = stream.fileno()
-        if stat.S_ISFIFO(os.fstat(fd).st_mode) and fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < PIPE_BYTES:
+        if fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < PIPE_BYTES:
             fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
 
 

@@ -275,7 +275,7 @@ def test_a_cycling_rule_table_fails_verify_without_normalizing():
         "  FAIL n=3: 343 column triples scanned, 42 overlapping peaks, all joinable, "
         "measure strictly decreasing (first measure violation at (b)(a))",
         "  FAIL n=3, len<=6: normal forms equal tableau columns on 1092 words under three "
-        "strategies (not normalized: measure violation at (b)(a))",
+        "strategies (first counterexample: not normalized: measure violation at (b)(a))",
     ]
 
 
