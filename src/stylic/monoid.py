@@ -9,6 +9,7 @@ alphabet, so the monoid on n letters has Bell(n+1) elements.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from math import comb
@@ -512,11 +513,15 @@ class StylicMonoid:
         return self._times(self.identity, w)
 
     def _rows(self, first: tuple) -> Iterator[tuple]:
-        """The multiplication-table rows in index order, given row 0 (the
-        identity's row, j -> j).  Row q.y is row q read through left
-        multiplication by y: (q.y).j = q.(y.j).  Row i is read off its
-        latest source, the largest q < i with q.y = i for some letter y (the
-        BFS parent is one), and a row is kept only until its last use."""
+        """The multiplication-table rows in index order, each without its
+        column 0, given row 0's (the identity's row, j -> j).  Column 0 of
+        row i is i, because element 0 is the identity.  Row q.y is row q
+        read through left multiplication by y: (q.y).j = q.(y.j).  No left
+        step reaches the identity, since every step adds boxes, so y.j is
+        never column 0 and each gather reads only columns 1..N-1.  Row i is
+        read off its latest source, the largest q < i with q.y = i for some
+        letter y (the BFS parent is one), and a row is kept only until its
+        last use."""
         size = len(self.elements)
         # Later q overwrite earlier ones, so each i keeps its largest source.
         source = {
@@ -526,7 +531,14 @@ class StylicMonoid:
             if (i := step[q]) > q
         }
         last_use = {source[i][0]: i for i in range(1, size)}
-        through = {y: itemgetter(*step) for y, step in self.left_by_letter.items()}
+        through = {}
+        for y, step in self.left_by_letter.items():
+            # Column 0 would be read at index -1: the wrong cell, silently.
+            if 0 in step:
+                raise ValueError(f"left multiplication by {render_letter(y)} reaches the identity")
+            gather = itemgetter(*[j - 1 for j in step[1:]])
+            # itemgetter of one index returns the cell, not a 1-tuple (n = 1).
+            through[y] = gather if size > 2 else lambda row, gather=gather: (gather(row),)
         kept: dict[int, tuple] = {}
         for i in range(size):
             if i == 0:
@@ -543,7 +555,8 @@ class StylicMonoid:
     def multiplication_table(self) -> list[tuple[int, ...]]:
         """table[i][j] = index of the product element_i * element_j, derived
         afresh on each call."""
-        return list(self._rows(tuple(range(len(self.elements)))))
+        rows = self._rows(tuple(range(1, len(self.elements))))
+        return [(i, *row) for i, row in enumerate(rows)]
 
     def multiply(self, i: int, j: int) -> int:
         return self._times(i, self.elements[j].word)
@@ -602,52 +615,55 @@ class StylicMonoid:
             height=height,
         )
 
-    def _head_json(self) -> dict:
-        return {
-            "n": self.alphabet.n,
-            "size": len(self.elements),
-            "identity": self.identity,
-            "zero": self.zero,
-        }
-
-    @staticmethod
-    def _element_json(e: StylicElement, idem: set[int]) -> dict:
-        return {
-            "index": e.index,
-            "word": e.render_word(),
-            "support": "".join(render_letter(x) for x in sorted(e.tableau.supp())),
-            "rows": e.tableau.to_json()["rows"],
-            "corank": e.tableau.boxes(),
-            "idempotent": e.index in idem,
-        }
-
     def to_json(self) -> dict:
-        """The entire export as one dict, table included; `write_json`
-        writes the same text without holding it."""
-        idem = set(self.idempotents())
-        return {
-            **self._head_json(),
-            "elements": [self._element_json(e, idem) for e in self.elements],
-            "table": self.multiplication_table(),
-        }
+        """The entire export as one dict, table included: `write_json`'s
+        text, parsed."""
+        out = io.StringIO()
+        self.write_json(out)
+        return json.loads(out.getvalue())
 
     def write_json(self, out: TextIO) -> None:
-        """Write json.dumps(self.to_json()) to out, one element and one
+        """Write the export as json.dumps would, one element record and one
         table row at a time as each is derived; neither the element list,
-        the table nor their text is held.  Row 0 holds the indices as
-        strings, so every row is a tuple of shared strings and writing it
-        only joins them."""
+        the table nor their text is held.
+
+        The text is built from pieces made once per export: the JSON of
+        each row mask and each support, by mask, and each element's word,
+        its BFS parent's plus its letter.  The ceiling keeps every letter
+        in a..z, which JSON writes as it is.  Every cell of the table is
+        its index with the ", " before it, so writing row i joins them
+        after i with no separator."""
+        size = len(self.elements)
+        # Derived first: the left graph is checked before any text is written.
+        rows = self._rows(tuple(f", {j}" for j in range(1, size)))
+        first = next(rows)
         idem = set(self.idempotents())
-        out.write(json.dumps(self._head_json())[:-1] + ', "elements": [')
+        n = self.alphabet.n
+        row_text = [json.dumps([render_letter(x) for x in letters_of(m)]) for m in range(1 << n)]
+        support_text = [json.dumps("".join(map(render_letter, letters_of(m)))) for m in range(1 << n)]
+        words = [""]
+        for e in self.elements[1:]:
+            words.append(words[e.parent] + render_letter(e.via_letter))
+        words[0] = "1"  # the identity, as render_word gives it
+
+        out.write(
+            f'{{"n": {n}, "size": {size}, "identity": {self.identity}, '
+            f'"zero": {self.zero}, "elements": ['
+        )
         separator = ""
         for e in self.elements:
-            out.write(separator + json.dumps(self._element_json(e, idem)))
+            masks = e.tableau._masks
+            out.write(
+                f'{separator}{{"index": {e.index}, "word": "{words[e.index]}", '
+                f'"support": {support_text[masks[0] if masks else 0]}, '
+                f'"rows": [{", ".join(map(row_text.__getitem__, masks))}], '
+                f'"corank": {e.tableau.boxes()}, '
+                f'"idempotent": {"true" if e.index in idem else "false"}}}'
+            )
             separator = ", "
-        out.write('], "table": [')
-        separator = ""
-        for row in self._rows(tuple(map(str, range(len(self.elements))))):
-            out.write(f"{separator}[{', '.join(row)}]")
-            separator = ", "
+        out.write(f'], "table": [[0{"".join(first)}]')
+        for i, row in enumerate(rows, 1):
+            out.write(f", [{i}{''.join(row)}]")
         out.write("]}")
 
     def jorder_dot(self) -> str:

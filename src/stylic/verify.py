@@ -484,22 +484,80 @@ def verify_graded(monoid: StylicMonoid) -> SuiteResult:
         f"{len(monoid)} elements and {n} letters",
         failure,
     )
-    try:
-        order = monoid.j_order()
-    except ValueError as exc:
-        result.add(False, f"n={n}: ideal order violation: {exc}")
-        return result
-    result.add(True, f"n={n}: ideal order is antisymmetric on {len(monoid)} elements")
-    result.add(
-        True,
-        f"n={n}: order is graded by box count, height {order.height} "
-        f"= n(n+1)/2, {len(order.hasse_edges)} covering pairs",
+    boxes = [e.tableau.boxes() for e in monoid.elements]
+    (failure,) = _first_counterexamples(
+        _moving_steps(monoid),
+        [lambda step: boxes[step[3]] > boxes[step[0]]],
+        lambda step: _step_name(monoid, boxes, *step),
     )
+    antisymmetric = failure is None
+    result.add_first(f"n={n}: ideal order is antisymmetric on {len(monoid)} elements", failure)
+    height = n * (n + 1) // 2
+    covers, failure = _one_box_covers(monoid, boxes)
+    if failure is None and (boxes[monoid.identity], boxes[monoid.zero]) != (0, height):
+        failure = f"co-ranks run from {boxes[monoid.identity]} to {boxes[monoid.zero]}"
+    graded = failure is None
     result.add_first(
-        f"n={n}: distinct elements generate distinct ideals",
-        _shared(monoid, order.down_sets, "a down-set"),
+        f"n={n}: order is graded by box count, height {height} "
+        f"= n(n+1)/2, {covers} covering pairs",
+        failure,
     )
+    # j_order raises on a fault of either line above, and then has no
+    # down-sets to compare; a fault that both lines miss fails this one.
+    try:
+        failure = _shared(monoid, monoid.j_order().down_sets, "a down-set")
+    except ValueError as exc:
+        if not (antisymmetric and graded):
+            return result
+        failure = str(exc)
+    result.add_first(f"n={n}: distinct elements generate distinct ideals", failure)
     return result
+
+
+def _moving_steps(monoid: StylicMonoid) -> Iterator[tuple[int, str, int, int]]:
+    """Every one-letter step (v, side, x, u) that takes v to some u != v."""
+    for side, graph in (("left", monoid.left_by_letter), ("right", monoid.right_by_letter)):
+        for x, step in graph.items():
+            for v, u in enumerate(step):
+                if u != v:
+                    yield v, side, x, u
+
+
+def _step_name(monoid: StylicMonoid, boxes: list[int], v: int, side: str, x: int, u: int) -> str:
+    v_word, u_word = monoid.elements[v].render_word(), monoid.elements[u].render_word()
+    return (
+        f"{render_letter(x)} on the {side} takes {v_word!r} to {u_word!r}, "
+        f"{boxes[v]} -> {boxes[u]} boxes"
+    )
+
+
+def _one_box_covers(monoid: StylicMonoid, boxes: list[int]) -> tuple[int, Optional[str]]:
+    """The one-box steps, counted, and the first cover that adds more than
+    one box, named, or None.  With antisymmetry, a one-box step is a cover.
+
+    The order is graded exactly when each step that adds k boxes is also a
+    chain of k one-box steps.  Elements go in decreasing box count, so each
+    child's one-box reach is complete before its parent's.  At the first
+    element with a thicker step outside that reach, the one that adds the
+    fewest boxes is a cover: a step between would be another such.  Steps
+    that add no boxes are the antisymmetry line's, and are left out."""
+    steps = [*monoid.left_by_letter.values(), *monoid.right_by_letter.values()]
+    reach = [0] * len(monoid)
+    covers, failure = 0, None
+    for v in sorted(range(len(monoid)), key=boxes.__getitem__, reverse=True):
+        children = {step[v] for step in steps}
+        one_box = [u for u in children if boxes[u] == boxes[v] + 1]
+        covers += len(one_box)
+        below = 1 << v
+        for u in one_box:
+            below |= reach[u]
+        reach[v] = below
+        thick = [u for u in children if boxes[u] > boxes[v] + 1 and not below >> u & 1]
+        if thick and failure is None:
+            u = min(thick, key=boxes.__getitem__)
+            v_word, u_word = monoid.elements[v].render_word(), monoid.elements[u].render_word()
+            failure = f"{u_word!r} covers {v_word!r} with {boxes[u] - boxes[v]} boxes more"
+    return covers, failure
 
 
 def verify_syntactic(monoid: StylicMonoid, maxlen: int = 6) -> SuiteResult:

@@ -20,6 +20,7 @@ from stylic.core import (
     letters_of,
     mask_of,
     parse_word,
+    render_letter,
     shift_down_word,
     support,
     theta,
@@ -315,6 +316,39 @@ def ideals_of_ab_and_ba_coincide_at_n3(monkeypatch):
     monkeypatch.setattr(StylicMonoid, "j_order", merged)
 
 
+def corrupt_one_step_at_n3(monkeypatch, side, x, word, target):
+    # `styl verify` builds the monoid with one step of its Cayley graph moved.
+    build = verify.enumerate_styl
+
+    def corrupted(alphabet):
+        monoid = build(alphabet)
+        if alphabet.n == 3:
+            graph = getattr(monoid, side)
+            graph[x][monoid.class_of_word(word)] = monoid.class_of_word(target)
+        return monoid
+
+    monkeypatch.setattr(verify, "enumerate_styl", corrupted)
+
+
+def the_zero_times_a_is_the_identity_at_n3(monkeypatch):
+    corrupt_one_step_at_n3(monkeypatch, "right_by_letter", 1, (3, 2, 1), ())
+
+
+def a_times_b_is_a_at_n3(monkeypatch):
+    corrupt_one_step_at_n3(monkeypatch, "right_by_letter", 2, (1,), (1,))
+
+
+def j_order_refuses_n3(monkeypatch):
+    j_order = StylicMonoid.j_order
+
+    def refusing(monoid):
+        if monoid.alphabet.n == 3:
+            raise ValueError("broken j_order")
+        return j_order(monoid)
+
+    monkeypatch.setattr(StylicMonoid, "j_order", refusing)
+
+
 def congruence_merges_ab_and_ba_at_n3(monkeypatch):
     congruence = syntactic.syntactic_congruence
 
@@ -347,13 +381,20 @@ def congruence_merges_ab_and_ba_at_n3(monkeypatch):
         ),
         ("presentation", 2, a_false_relation_at_n3, "'c' = 'ac'"),
         ("graded", 0, left_insert_refuses_b, "left insertion of b into 'ab': broken left_insert"),
+        (
+            "graded", 1, the_zero_times_a_is_the_identity_at_n3,
+            "a on the right takes 'cba' to '1', 6 -> 0 boxes",
+        ),
+        ("graded", 2, a_times_b_is_a_at_n3, "'ba' covers 'a' with 2 boxes more"),
         ("graded", 3, ideals_of_ab_and_ba_coincide_at_n3, "'ab' and 'ba' share a down-set"),
+        ("graded", 3, j_order_refuses_n3, "broken j_order"),
         ("syntactic", 1, congruence_merges_ab_and_ba_at_n3, "'ab' and 'ba' share a class"),
         ("confluence", 1, normalize_refuses_c, "'c': broken normalize"),
     ],
     ids=[
         "row-word", "from-partition-refuses", "from-partition-misses", "idempotents-missed",
-        "idempotents-extra", "relations", "left-insertion", "distinct-ideals",
+        "idempotents-extra", "relations", "left-insertion", "antisymmetric", "graded",
+        "distinct-ideals", "ideal-order-refused",
         "two-sided-congruence", "normal-forms",
     ],
 )
@@ -815,12 +856,70 @@ def test_complete_element_worked_example(gamma_minus):
     assert act_word(u, gamma) == gamma_minus(act_word(w, gamma), a4)
 
 
+def write_json_text(monoid):
+    out = io.StringIO()
+    monoid.write_json(out)
+    return out.getvalue()
+
+
+def element_json(e, idem):
+    """One element record as a dict, each field derived from the element
+    alone: the oracle of the text `write_json` builds from per-mask pieces."""
+    return {
+        "index": e.index,
+        "word": e.render_word(),
+        "support": "".join(render_letter(x) for x in sorted(e.tableau.supp())),
+        "rows": e.tableau.to_json()["rows"],
+        "corank": e.tableau.boxes(),
+        "idempotent": e.index in idem,
+    }
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_write_json_matches_json_dumps(n):
     monoid = enumerate_styl(Alphabet(n))
+    text = write_json_text(monoid)
+    idem = set(monoid.idempotents())
+    expected = {
+        "n": n,
+        "size": len(monoid),
+        "identity": monoid.identity,
+        "zero": monoid.zero,
+        "elements": [element_json(e, idem) for e in monoid.elements],
+        "table": monoid.multiplication_table(),
+    }
+    assert text == json.dumps(expected)
+    assert monoid.to_json() == json.loads(text)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_exported_table_is_the_multiplication_table(n):
+    monoid = enumerate_styl(Alphabet(n))
+    table = json.loads(write_json_text(monoid))["table"]
+    compose = composer(monoid)
+    size = len(monoid)
+    assert len(table) == size  # two rows at n = 1
+    assert table == [list(row) for row in monoid.multiplication_table()]
+    assert table == [[compose(i, j) for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize("n", range(1, ENUMERATION_CEILING + 1))
+def test_no_left_step_reaches_the_identity(n):
+    # The export leaves column 0 out of every gather on this fact.
+    monoid = enumerate_styl(Alphabet(n))
+    assert all(monoid.identity not in step for step in monoid.left_by_letter.values())
+
+
+@pytest.mark.parametrize("n", (1, 3))
+def test_a_left_step_to_the_identity_stops_the_export_before_any_text(n):
+    monoid = enumerate_styl(Alphabet(n))
+    monoid.left_by_letter[1][monoid.zero] = monoid.identity
     out = io.StringIO()
-    monoid.write_json(out)
-    assert out.getvalue() == json.dumps(monoid.to_json())
+    with pytest.raises(ValueError, match="left multiplication by a reaches the identity"):
+        monoid.write_json(out)
+    assert out.getvalue() == ""
+    with pytest.raises(ValueError, match="reaches the identity"):
+        monoid.multiplication_table()
 
 
 class NullWriter:
