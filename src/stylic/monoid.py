@@ -531,12 +531,15 @@ class StylicMonoid:
             if (i := step[q]) > q
         }
         last_use = {source[i][0]: i for i in range(1, size)}
+        # The gathers share one int per position: j - 1 would make a new one
+        # for each column and letter, 0.9 MB at n = 7.
+        position = list(range(size - 1))
         through = {}
         for y, step in self.left_by_letter.items():
             # Column 0 would be read at index -1: the wrong cell, silently.
             if 0 in step:
                 raise ValueError(f"left multiplication by {render_letter(y)} reaches the identity")
-            gather = itemgetter(*[j - 1 for j in step[1:]])
+            gather = itemgetter(*[position[j - 1] for j in step[1:]])
             # itemgetter of one index returns the cell, not a 1-tuple (n = 1).
             through[y] = gather if size > 2 else lambda row, gather=gather: (gather(row),)
         kept: dict[int, tuple] = {}
@@ -625,46 +628,46 @@ class StylicMonoid:
     def write_json(self, out: TextIO) -> None:
         """Write the export as json.dumps would, one element record and one
         table row at a time as each is derived; neither the element list,
-        the table nor their text is held.
-
-        The text is built from pieces made once per export: the JSON of
-        each row mask and each support, by mask, and each element's word,
-        its BFS parent's plus its letter.  The ceiling keeps every letter
-        in a..z, which JSON writes as it is.  Every cell of the table is
-        its index with the ", " before it, so writing row i joins them
-        after i with no separator."""
+        the table nor their text is held.  Every cell of the table is its
+        index with the ", " before it, so writing row i joins them after i
+        with no separator."""
         size = len(self.elements)
-        # Derived first: the left graph is checked before any text is written.
-        rows = self._rows(tuple(f", {j}" for j in range(1, size)))
-        first = next(rows)
-        idem = set(self.idempotents())
-        n = self.alphabet.n
-        row_text = [json.dumps([render_letter(x) for x in letters_of(m)]) for m in range(1 << n)]
-        support_text = [json.dumps("".join(map(render_letter, letters_of(m)))) for m in range(1 << n)]
-        words = [""]
-        for e in self.elements[1:]:
-            words.append(words[e.parent] + render_letter(e.via_letter))
-        words[0] = "1"  # the identity, as render_word gives it
-
         out.write(
-            f'{{"n": {n}, "size": {size}, "identity": {self.identity}, '
+            f'{{"n": {self.alphabet.n}, "size": {size}, "identity": {self.identity}, '
             f'"zero": {self.zero}, "elements": ['
         )
-        separator = ""
-        for e in self.elements:
-            masks = e.tableau._masks
-            out.write(
-                f'{separator}{{"index": {e.index}, "word": "{words[e.index]}", '
-                f'"support": {support_text[masks[0] if masks else 0]}, '
-                f'"rows": [{", ".join(map(row_text.__getitem__, masks))}], '
-                f'"corank": {e.tableau.boxes()}, '
-                f'"idempotent": {"true" if e.index in idem else "false"}}}'
-            )
-            separator = ", "
+        self._write_records(out)
+        rows = self._rows(tuple(f", {j}" for j in range(1, size)))
+        first = next(rows)  # checks the left graph before any of the table
         out.write(f'], "table": [[0{"".join(first)}]')
         for i, row in enumerate(rows, 1):
             out.write(f", [{i}{''.join(row)}]")
         out.write("]}")
+
+    def _write_records(self, out: TextIO) -> None:
+        """The element records, each one f-string over pieces made once and
+        let go before the table: the JSON of each row mask and each support,
+        by mask, and each element's word, its BFS parent's plus its letter.
+        The ceiling keeps every letter in a..z, which JSON writes as it is."""
+        idem = set(self.idempotents())
+        masks = range(1 << self.alphabet.n)
+        row_text = [json.dumps([render_letter(x) for x in letters_of(m)]) for m in masks]
+        support_text = [json.dumps("".join(map(render_letter, letters_of(m)))) for m in masks]
+        words = [""]
+        for e in self.elements[1:]:
+            words.append(words[e.parent] + render_letter(e.via_letter))
+        words[0] = "1"  # the identity, as render_word gives it
+        separator = ""
+        for e in self.elements:
+            rows = e.tableau._masks
+            out.write(
+                f'{separator}{{"index": {e.index}, "word": "{words[e.index]}", '
+                f'"support": {support_text[rows[0] if rows else 0]}, '
+                f'"rows": [{", ".join(map(row_text.__getitem__, rows))}], '
+                f'"corank": {e.tableau.boxes()}, '
+                f'"idempotent": {"true" if e.index in idem else "false"}}}'
+            )
+            separator = ", "
 
     def jorder_dot(self) -> str:
         """DOT digraph of the ideal-order Hasse diagram, ranked by co-rank."""

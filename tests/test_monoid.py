@@ -911,13 +911,13 @@ def test_no_left_step_reaches_the_identity(n):
 
 
 @pytest.mark.parametrize("n", (1, 3))
-def test_a_left_step_to_the_identity_stops_the_export_before_any_text(n):
+def test_a_left_step_to_the_identity_stops_the_export_before_its_table(n):
     monoid = enumerate_styl(Alphabet(n))
     monoid.left_by_letter[1][monoid.zero] = monoid.identity
     out = io.StringIO()
     with pytest.raises(ValueError, match="left multiplication by a reaches the identity"):
         monoid.write_json(out)
-    assert out.getvalue() == ""
+    assert '"table"' not in out.getvalue()
     with pytest.raises(ValueError, match="reaches the identity"):
         monoid.multiplication_table()
 
