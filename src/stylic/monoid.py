@@ -531,15 +531,16 @@ class StylicMonoid:
             if (i := step[q]) > q
         }
         last_use = {source[i][0]: i for i in range(1, size)}
-        # The gathers share one int per position: j - 1 would make a new one
-        # for each column and letter, 0.9 MB at n = 7.
-        position = list(range(size - 1))
+        # Column j is at position j - 1, the index of element j - 1: the
+        # gathers hold the elements' ints, where a fresh j - 1 for each
+        # column and letter would take 0.9 MB at n = 7.
+        elements = self.elements
         through = {}
         for y, step in self.left_by_letter.items():
             # Column 0 would be read at index -1: the wrong cell, silently.
             if 0 in step:
                 raise ValueError(f"left multiplication by {render_letter(y)} reaches the identity")
-            gather = itemgetter(*[position[j - 1] for j in step[1:]])
+            gather = itemgetter(*[elements[j - 1].index for j in step[1:]])
             # itemgetter of one index returns the cell, not a 1-tuple (n = 1).
             through[y] = gather if size > 2 else lambda row, gather=gather: (gather(row),)
         kept: dict[int, tuple] = {}
