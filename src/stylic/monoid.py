@@ -660,11 +660,11 @@ class StylicMonoid:
         words[0] = "1"  # the identity, as render_word gives it
         separator = ""
         for e in self.elements:
-            rows = e.tableau._masks
+            row_masks = e.tableau._masks
             out.write(
                 f'{separator}{{"index": {e.index}, "word": "{words[e.index]}", '
-                f'"support": {support_text[rows[0] if rows else 0]}, '
-                f'"rows": [{", ".join(map(row_text.__getitem__, rows))}], '
+                f'"support": {support_text[row_masks[0] if row_masks else 0]}, '
+                f'"rows": [{", ".join(map(row_text.__getitem__, row_masks))}], '
                 f'"corank": {e.tableau.boxes()}, '
                 f'"idempotent": {"true" if e.index in idem else "false"}}}'
             )
