@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from itertools import accumulate
 from operator import ge, itemgetter, or_
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .columns import act_mask
 from .core import (
@@ -438,6 +438,18 @@ class JOrder:
         return ranks
 
 
+class _IdealWalk(NamedTuple):
+    """One walk of the ideal order: the order it builds, and its first
+    faults, or None.  flat is (side, letter, v, u), a step from v to u that
+    adds no boxes; thick is (u, v), a cover that adds more than one box;
+    ends is the message for co-ranks that do not run from 0 to the height."""
+
+    order: JOrder
+    flat: Optional[tuple[str, int, int, int]]
+    thick: Optional[tuple[int, int]]
+    ends: Optional[str]
+
+
 class StylicMonoid:
     """The finite monoid of transformations of the column space induced by
     the left action of words, enumerated by closure over the generators."""
@@ -569,55 +581,81 @@ class StylicMonoid:
         return [i for i in range(len(self.elements)) if self.multiply(i, i) == i]
 
     def j_order(self) -> JOrder:
-        """Compute the two-sided-ideal order; certifies antisymmetry and the
-        box-count grading, raising ValueError on any violation.
+        """The two-sided-ideal order, from the walk that `verify graded`
+        certifies; raises ValueError on the walk's first fault: a step that
+        adds no boxes, then a cover that adds more than one, then co-ranks
+        that do not run from 0 to n(n+1)/2."""
+        walk = self._ideal_walk()
+        boxes = walk.order.coranks
+        if walk.flat:
+            _, _, v, u = walk.flat
+            raise ValueError(
+                f"one-letter step from {v} to {u} does not add boxes ({boxes[v]} -> {boxes[u]})"
+            )
+        if walk.thick:
+            u, v = walk.thick
+            raise ValueError(
+                f"cover {u} -> {v} changes box count by {boxes[u] - boxes[v]}, expected 1"
+            )
+        if walk.ends:
+            raise ValueError(walk.ends)
+        return walk.order
+
+    def _ideal_walk(self) -> _IdealWalk:
+        """The ideal order by one walk along both Cayley graphs, naming its
+        faults instead of raising.
 
         Every cover is a one-letter left or right step (Froidure & Pin), so
-        elements are visited in decreasing box count.  Each one-letter step
-        that moves v must add boxes, which makes the order antisymmetric and
-        strictly graded; down[v] is v with the down-sets of those children,
-        and a child is a cover unless another child lies above it."""
+        elements are visited in decreasing box count.  down[v] is v with the
+        down-sets of the children that add exactly one box, and those steps
+        are the covers.  This is the whole order when every step that moves
+        v adds boxes (antisymmetry) and every child that adds k > 1 boxes
+        lies in that reach (grading).  The first faults: a step that adds
+        no boxes (flat), and a child that adds more than one box outside the
+        reach (thick) -- the one with the fewest boxes is a cover, since a
+        step between would be another such."""
         size = len(self.elements)
         boxes = [e.tableau.boxes() for e in self.elements]
-        steps = [*self.left_by_letter.values(), *self.right_by_letter.values()]
+        labelled = [
+            (side, x, step)
+            for side, graph in (("left", self.left_by_letter), ("right", self.right_by_letter))
+            for x, step in graph.items()
+        ]
         down: list[DownSet] = [DownSet()] * size
-        hasse: list[tuple[int, int]] = []
+        covers: list[tuple[int, int]] = []
+        flat = thick = None
         for v in sorted(range(size), key=boxes.__getitem__, reverse=True):
-            children = {step[v] for step in steps}
+            children = {step[v] for _, _, step in labelled}
             children.discard(v)
-            below = dominated = 0
+            one_box = boxes[v] + 1
+            below = 1 << v
             for u in children:
-                if boxes[u] <= boxes[v]:
-                    raise ValueError(
-                        f"one-letter step from {v} to {u} does not add boxes "
-                        f"({boxes[v]} -> {boxes[u]})"
-                    )
-                below |= down[u]
-                dominated |= down[u] ^ 1 << u
-            down[v] = DownSet(below | 1 << v)
-            for u in children:
-                if not dominated >> u & 1:
-                    hasse.append((u, v))
-                    if boxes[u] != boxes[v] + 1:
-                        raise ValueError(
-                            f"cover {u} -> {v} changes box count by "
-                            f"{boxes[u] - boxes[v]}, expected 1"
-                        )
-        hasse.sort(key=lambda edge: (edge[1], edge[0]))
+                if boxes[u] == one_box:
+                    below |= down[u]
+                    covers.append((u, v))
+            down[v] = DownSet(below)
+            if flat is None and any(boxes[u] < one_box for u in children):
+                flat = next(
+                    (side, x, v, step[v])
+                    for side, x, step in labelled
+                    if step[v] != v and boxes[step[v]] < one_box
+                )
+            if thick is None:
+                far = [u for u in children if boxes[u] > one_box and not below >> u & 1]
+                if far:
+                    thick = (min(far, key=boxes.__getitem__), v)
+        covers.sort(key=lambda edge: (edge[1], edge[0]))
 
         n = self.alphabet.n
         height = n * (n + 1) // 2
+        ends = None
         if boxes[self.identity] != 0 or boxes[self.zero] != height:
-            raise ValueError(
+            ends = (
                 f"co-ranks run from {boxes[self.identity]} to {boxes[self.zero]}, "
                 f"expected 0 to {height}"
             )
-        return JOrder(
-            down_sets=down,
-            hasse_edges=hasse,
-            coranks=boxes,
-            height=height,
-        )
+        order = JOrder(down_sets=down, hasse_edges=covers, coranks=boxes, height=height)
+        return _IdealWalk(order, flat, thick, ends)
 
     def to_json(self) -> dict:
         """The entire export as one dict, table included: `write_json`'s

@@ -464,94 +464,52 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
 
 
 def verify_graded(monoid: StylicMonoid) -> SuiteResult:
-    """Left insertion realizes left multiplication; the ideal order is a
-    graded partial order ranked by box count."""
+    """Left insertion follows the left Cayley graph; the ideal order is a
+    graded partial order ranked by box count.  The order lines read the
+    walk that `j_order` ships, and name its faults where `j_order` raises."""
     result = SuiteResult("graded")
     alphabet = monoid.alphabet
     n = alphabet.n
+    tableaux = [e.tableau for e in monoid.elements]
 
-    def reinserts(step: tuple) -> bool:
+    def follows(step: tuple) -> bool:
         e, x = step
-        return left_insert(x, e.tableau) == n_tableau((x,) + e.tableau.row_word())
+        return left_insert(x, e.tableau) == tableaux[monoid.left_by_letter[x][e.index]]
 
     (failure,) = _first_counterexamples(
         ((e, x) for e in monoid.elements for x in alphabet.letters),
-        [reinserts],
+        [follows],
         lambda step: f"left insertion of {render_letter(step[1])} into {step[0].render_word()!r}",
     )
     result.add_first(
-        f"n={n}: left insertion matches reinsertion of x.r(T) on all "
-        f"{len(monoid)} elements and {n} letters",
-        failure,
+        f"n={n}: left insertion follows all {len(monoid) * n} left Cayley edges", failure
     )
-    boxes = [e.tableau.boxes() for e in monoid.elements]
-    failure = _first_flat_step(monoid, boxes)
-    antisymmetric = failure is None
+    walk = monoid._ideal_walk()
+    boxes, word = walk.order.coranks, lambda i: monoid.elements[i].render_word()
+    failure = None
+    if walk.flat:
+        side, x, v, u = walk.flat
+        failure = (
+            f"{render_letter(x)} on the {side} takes {word(v)!r} to {word(u)!r}, "
+            f"{boxes[v]} -> {boxes[u]} boxes"
+        )
     result.add_first(f"n={n}: ideal order is antisymmetric on {len(monoid)} elements", failure)
-    height = n * (n + 1) // 2
-    covers, failure = _one_box_covers(monoid, boxes)
-    if failure is None and (boxes[monoid.identity], boxes[monoid.zero]) != (0, height):
-        failure = f"co-ranks run from {boxes[monoid.identity]} to {boxes[monoid.zero]}"
-    graded = failure is None
+    failure = walk.ends
+    if walk.thick:
+        u, v = walk.thick
+        failure = f"{word(u)!r} covers {word(v)!r} with {boxes[u] - boxes[v]} boxes more"
     result.add_first(
-        f"n={n}: order is graded by box count, height {height} "
-        f"= n(n+1)/2, {covers} covering pairs",
+        f"n={n}: order is graded by box count, height {walk.order.height} "
+        f"= n(n+1)/2, {len(walk.order.hasse_edges)} covering pairs",
         failure,
     )
-    # j_order raises on a fault of either line above, and then has no
-    # down-sets to compare; a fault that both lines miss fails this one.
-    try:
-        failure = _shared(monoid, monoid.j_order().down_sets, "a down-set")
-    except ValueError as exc:
-        if not (antisymmetric and graded):
-            return result
-        failure = str(exc)
-    result.add_first(f"n={n}: distinct elements generate distinct ideals", failure)
+    # The walk's down-sets are the order's only when both lines pass.
+    if not (walk.flat or walk.thick or walk.ends):
+        result.add_first(
+            f"n={n}: distinct elements generate distinct ideals",
+            _shared(monoid, walk.order.down_sets, "a down-set"),
+        )
     return result
-
-
-def _first_flat_step(monoid: StylicMonoid, boxes: list[int]) -> Optional[str]:
-    """Names the first one-letter step that moves an element and adds no
-    boxes, or None: without one, the ideal order is antisymmetric."""
-    for side, graph in (("left", monoid.left_by_letter), ("right", monoid.right_by_letter)):
-        for x, step in graph.items():
-            for v, u in enumerate(step):
-                if u != v and boxes[u] <= boxes[v]:
-                    v_word, u_word = monoid.elements[v].render_word(), monoid.elements[u].render_word()
-                    return (
-                        f"{render_letter(x)} on the {side} takes {v_word!r} to {u_word!r}, "
-                        f"{boxes[v]} -> {boxes[u]} boxes"
-                    )
-    return None
-
-
-def _one_box_covers(monoid: StylicMonoid, boxes: list[int]) -> tuple[int, Optional[str]]:
-    """The one-box steps, counted, and the first cover that adds more than
-    one box, named, or None.  With antisymmetry, a one-box step is a cover.
-
-    The order is graded exactly when each step that adds k boxes is also a
-    chain of k one-box steps.  Elements go in decreasing box count, so each
-    child's one-box reach is complete before its parent's.  At the first
-    element with a thicker step outside that reach, the one that adds the
-    fewest boxes is a cover: a step between would be another such.  Steps
-    that add no boxes are the antisymmetry line's, and are left out."""
-    steps = [*monoid.left_by_letter.values(), *monoid.right_by_letter.values()]
-    reach = [0] * len(monoid)
-    covers, failure = 0, None
-    for v in sorted(range(len(monoid)), key=boxes.__getitem__, reverse=True):
-        children = {step[v] for step in steps}
-        one_box = [u for u in children if boxes[u] == boxes[v] + 1]
-        covers += len(one_box)
-        below = 1 << v
-        for u in one_box:
-            below |= reach[u]
-        reach[v] = below
-        thick = [u for u in children if boxes[u] > boxes[v] + 1 and not below >> u & 1]
-        if thick and failure is None:
-            u = min(thick, key=boxes.__getitem__)
-            v_word, u_word = monoid.elements[v].render_word(), monoid.elements[u].render_word()
-            failure = f"{u_word!r} covers {v_word!r} with {boxes[u] - boxes[v]} boxes more"
-    return covers, failure
 
 
 def verify_syntactic(monoid: StylicMonoid, maxlen: int = 6) -> SuiteResult:

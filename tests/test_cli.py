@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -661,11 +662,17 @@ def defined_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def public_definitions_nothing_uses(package):
-    """The public top-level functions, classes and constants of the
-    package's modules that no other code in the package names and
-    `__init__` does not export: its `_EXPORTS` table maps each module to
-    the names it exports."""
+def named(node):
+    """The name an expression node reads or binds, if any."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def definitions_nothing_uses(package):
+    """The definitions in the package's modules that no other code in the
+    package names: public top-level functions, classes and constants that
+    `__init__` does not export (its `_EXPORTS` table maps each module to the
+    names it exports), private top-level functions, and private methods.  A
+    definition's own body is not a use of it."""
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
     exported = {
         name.value
@@ -674,27 +681,40 @@ def public_definitions_nothing_uses(package):
         for names in node.value.values
         for name in names.elts
     }
-    used = set()
-    for tree in trees.values():
+    definitions = []
+    for module, tree in sorted(trees.items()):
         for node in tree.body:
-            own = set(defined_names(node))
-            for sub in ast.walk(node):
-                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if name is not None and name not in own:
-                    used.add(name)
+            for name in defined_names(node):
+                if not name.startswith("_") or isinstance(node, ast.FunctionDef):
+                    definitions.append((f"{module}.{name}", name, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (f"{module}.{node.name}.{method.name}", method.name, method)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and method.name.startswith("_")
+                    and not method.name.endswith("__")
+                ]
+    uses = Counter(named(sub) for tree in trees.values() for sub in ast.walk(tree))
     return [
-        f"{module}.{name}"
-        for module, tree in sorted(trees.items())
-        for node in tree.body
-        for name in defined_names(node)
-        if not name.startswith("_") and name not in used | exported
+        qualified
+        for qualified, name, node in definitions
+        if name not in exported and uses[name] == sum(named(sub) == name for sub in ast.walk(node))
     ]
 
 
 def test_every_public_definition_is_used_or_exported():
     # Oracles and test helpers live in tests/, not in the package.
     package = Path(stylic.__file__).resolve().parent
-    assert public_definitions_nothing_uses(package) == []
+    unused = definitions_nothing_uses(package)
+    assert [name for name in unused if not name.rsplit(".", 1)[1].startswith("_")] == []
+
+
+def test_every_private_function_and_method_is_used():
+    # A helper whose last caller went away is dead code, not an oracle.
+    package = Path(stylic.__file__).resolve().parent
+    unused = definitions_nothing_uses(package)
+    assert [name for name in unused if name.rsplit(".", 1)[1].startswith("_")] == []
 
 
 def fresh_python(code, *options):

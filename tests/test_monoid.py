@@ -202,11 +202,12 @@ def test_left_insert_into_empty():
     assert left_insert(3, NTableau(())) == NTableau(((3,),))
 
 
-def test_left_insert_matches_left_multiplication():
-    for n in (2, 3):
+def test_left_insert_matches_reinsertion_of_the_row_word():
+    # Reinsertion is the oracle for left insertion, on every N-tableau at
+    # n <= 5; the graded suite checks left insertion on the Cayley graph.
+    for n in range(1, 6):
         alphabet = Alphabet(n)
-        monoid = enumerate_styl(alphabet)
-        for e in monoid.elements:
+        for e in enumerate_styl(alphabet).elements:
             for x in alphabet.letters:
                 assert left_insert(x, e.tableau) == n_tableau((x,) + e.tableau.row_word())
 
@@ -223,7 +224,7 @@ def test_graded_names_the_first_wrong_left_insertion(monkeypatch, capsys):
     result = verify.verify_graded(monoid)
     failed = [line for line in result.lines if line.startswith("FAIL ")]
     assert failed == result.lines[:1]
-    assert failed[0].startswith("FAIL n=3: left insertion matches reinsertion")
+    assert failed[0].startswith("FAIL n=3: left insertion follows all 45 left Cayley edges")
     assert failed[0].endswith(
         f" (first counterexample: left insertion of b into {element.render_word()!r})"
     )
@@ -304,49 +305,54 @@ def a_false_relation_at_n3(monkeypatch):
 
 
 def ideals_of_ab_and_ba_coincide_at_n3(monkeypatch):
-    j_order = StylicMonoid.j_order
+    ideal_walk = StylicMonoid._ideal_walk
 
     def merged(monoid):
-        order = j_order(monoid)
+        walk = ideal_walk(monoid)
         if monoid.alphabet.n == 3:
             ab, ba = monoid.class_of_word((1, 2)), monoid.class_of_word((2, 1))
-            order.down_sets[ba] = order.down_sets[ab]
-        return order
+            walk.order.down_sets[ba] = walk.order.down_sets[ab]
+        return walk
 
-    monkeypatch.setattr(StylicMonoid, "j_order", merged)
+    monkeypatch.setattr(StylicMonoid, "_ideal_walk", merged)
 
 
-def corrupt_one_step_at_n3(monkeypatch, side, x, word, target):
-    # `styl verify` builds the monoid with one step of its Cayley graph moved.
+# One step of a Cayley graph moved: (graph, letter, word, the word it now reaches).
+ZERO_TIMES_A_IS_THE_IDENTITY = ("right_by_letter", 1, (3, 2, 1), ())
+A_TIMES_B_IS_A = ("right_by_letter", 2, (1,), (1,))
+
+
+def corrupt(monoid, side, x, word, target):
+    graph = getattr(monoid, side)
+    graph[x][monoid.class_of_word(word)] = monoid.class_of_word(target)
+
+
+def corrupt_steps_at_n3(monkeypatch, *steps):
+    # `styl verify` builds the monoid with these steps of its Cayley graphs moved.
     build = verify.enumerate_styl
 
     def corrupted(alphabet):
         monoid = build(alphabet)
         if alphabet.n == 3:
-            graph = getattr(monoid, side)
-            graph[x][monoid.class_of_word(word)] = monoid.class_of_word(target)
+            for step in steps:
+                corrupt(monoid, *step)
         return monoid
 
     monkeypatch.setattr(verify, "enumerate_styl", corrupted)
 
 
 def the_zero_times_a_is_the_identity_at_n3(monkeypatch):
-    corrupt_one_step_at_n3(monkeypatch, "right_by_letter", 1, (3, 2, 1), ())
+    corrupt_steps_at_n3(monkeypatch, ZERO_TIMES_A_IS_THE_IDENTITY)
 
 
 def a_times_b_is_a_at_n3(monkeypatch):
-    corrupt_one_step_at_n3(monkeypatch, "right_by_letter", 2, (1,), (1,))
+    corrupt_steps_at_n3(monkeypatch, A_TIMES_B_IS_A)
 
 
-def j_order_refuses_n3(monkeypatch):
-    j_order = StylicMonoid.j_order
-
-    def refusing(monoid):
-        if monoid.alphabet.n == 3:
-            raise ValueError("broken j_order")
-        return j_order(monoid)
-
-    monkeypatch.setattr(StylicMonoid, "j_order", refusing)
+def every_tableau_counts_one_box_more(monkeypatch):
+    # Every step still adds boxes, one per cover; only the ends move.
+    boxes = NTableau.boxes
+    monkeypatch.setattr(NTableau, "boxes", lambda tableau: boxes(tableau) + 1)
 
 
 def congruence_merges_ab_and_ba_at_n3(monkeypatch):
@@ -386,15 +392,15 @@ def congruence_merges_ab_and_ba_at_n3(monkeypatch):
             "a on the right takes 'cba' to '1', 6 -> 0 boxes",
         ),
         ("graded", 2, a_times_b_is_a_at_n3, "'ba' covers 'a' with 2 boxes more"),
+        ("graded", 2, every_tableau_counts_one_box_more, "co-ranks run from 1 to 7, expected 0 to 6"),
         ("graded", 3, ideals_of_ab_and_ba_coincide_at_n3, "'ab' and 'ba' share a down-set"),
-        ("graded", 3, j_order_refuses_n3, "broken j_order"),
         ("syntactic", 1, congruence_merges_ab_and_ba_at_n3, "'ab' and 'ba' share a class"),
         ("confluence", 1, normalize_refuses_c, "'c': broken normalize"),
     ],
     ids=[
         "row-word", "from-partition-refuses", "from-partition-misses", "idempotents-missed",
         "idempotents-extra", "relations", "left-insertion", "antisymmetric", "graded",
-        "distinct-ideals", "ideal-order-refused",
+        "co-ranks", "distinct-ideals",
         "two-sided-congruence", "normal-forms",
     ],
 )
@@ -409,6 +415,52 @@ def test_a_wrong_kernel_fails_its_line_and_names_the_counterexample(
     assert main(["verify", suite, "-n", "3"]) == 1
     out, err = capsys.readouterr()
     assert f"[{suite}] FAIL" in out and err == ""
+
+
+def test_a_flat_step_and_a_thick_cover_fail_their_own_lines(monkeypatch):
+    # Both faults in one monoid: each order line names its own, and with no
+    # order to read, the distinct-ideals line is left out.
+    corrupt_steps_at_n3(monkeypatch, ZERO_TIMES_A_IS_THE_IDENTITY, A_TIMES_B_IS_A)
+    (result,) = verify.run_suite("graded", 3)
+    assert [line[:5] for line in result.lines] == ["PASS ", "FAIL ", "FAIL "]
+    assert result.lines[1].endswith(
+        " (first counterexample: a on the right takes 'cba' to '1', 6 -> 0 boxes)"
+    )
+    assert result.lines[2].endswith(" (first counterexample: 'ba' covers 'a' with 2 boxes more)")
+
+
+@pytest.mark.parametrize(
+    "steps, fault",
+    [
+        (
+            [ZERO_TIMES_A_IS_THE_IDENTITY],
+            lambda i: f"one-letter step from {i['cba']} to {i['1']} does not add boxes (6 -> 0)",
+        ),
+        (
+            [A_TIMES_B_IS_A],
+            lambda i: f"cover {i['ba']} -> {i['a']} changes box count by 2, expected 1",
+        ),
+        (
+            [ZERO_TIMES_A_IS_THE_IDENTITY, A_TIMES_B_IS_A],
+            lambda i: f"one-letter step from {i['cba']} to {i['1']} does not add boxes (6 -> 0)",
+        ),
+    ],
+    ids=["flat", "thick", "flat-first"],
+)
+def test_j_order_raises_the_walks_first_fault(steps, fault):
+    monoid = enumerate_styl(Alphabet(3))
+    for step in steps:
+        corrupt(monoid, *step)
+    index = {e.render_word(): e.index for e in monoid.elements}
+    with pytest.raises(ValueError) as raised:
+        monoid.j_order()
+    assert str(raised.value) == fault(index)
+
+
+def test_j_order_raises_on_co_ranks_that_miss_the_height(monkeypatch):
+    every_tableau_counts_one_box_more(monkeypatch)
+    with pytest.raises(ValueError, match=r"^co-ranks run from 1 to 7, expected 0 to 6$"):
+        enumerate_styl(Alphabet(3)).j_order()
 
 
 def test_the_distinct_tableaux_line_names_two_elements_that_share_one(monkeypatch, capsys):
