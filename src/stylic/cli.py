@@ -58,9 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("-n", type=int, required=True)
     verify.add_argument(
         "--maxlen", type=int, default=6,
-        help="longest word in the presentation slice (n <= 3), the plactic separators "
-        "(n <= 3, capped at 4) and the confluence normal-form words (n <= 3), "
-        f"and nothing else (1 to {VERIFY_MAXLEN_CAP})",
+        help="longest word in the presentation slice (n <= 3) and the plactic separators "
+        f"(n <= 3, capped at 4), and nothing else (1 to {VERIFY_MAXLEN_CAP})",
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--force", action="store_true", help="allow n = 7")

@@ -14,12 +14,10 @@ converts at the boundary into the same kernel.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .core import Alphabet, LetterSet, Word, decreasing_word, letters_of, mask_of
 from .columns import act_word, column_leq, render_column
@@ -186,35 +184,19 @@ def _measure_less(after: tuple[int, ...], before: tuple[int, ...], table: PairTa
     return False
 
 
-def _normalize(
-    word: tuple[int, ...], pick: Callable[[list[int]], int], table: PairTable
-) -> tuple[int, ...]:
-    """Rewrite at the redex `pick` chooses until none is left."""
+def _normalize(word: tuple[int, ...], table: PairTable) -> tuple[int, ...]:
+    """Rewrite at the leftmost redex until none is left."""
     while slots := _redexes(word, table):
-        word = _rewrite(word, pick(slots), table)
+        word = _rewrite(word, slots[0], table)
     return word
 
 
-def normalize_column_word(
-    word: ColumnWord,
-    strategy: str | random.Random = "leftmost",
-    table: Optional[PairTable] = None,
-) -> ColumnWord:
-    """Apply rules until none applies; the normal form is the unique
-    weakly increasing column word in the class, independent of strategy
-    ("leftmost", "rightmost" or a random.Random picking among the redexes).
-    Pass one table to share the rules across many words."""
-    if strategy == "leftmost":
-        pick = itemgetter(0)
-    elif strategy == "rightmost":
-        pick = itemgetter(-1)
-    elif isinstance(strategy, random.Random):
-        pick = strategy.choice
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+def normalize_column_word(word: ColumnWord) -> ColumnWord:
+    """Apply rules, leftmost first, until none applies.  The normal form is
+    the column word of P(w), for w the word read column by column, whatever
+    the order of rewriting: `verify confluence` certifies this pair by pair."""
     check_column_word(word)
-    table = PairTable() if table is None else table
-    return _columns(_normalize(_masks(word), pick, table))
+    return _columns(_normalize(_masks(word), PairTable()))
 
 
 def tableau_column_word(tableau: Tableau) -> ColumnWord:
@@ -258,7 +240,6 @@ def local_confluence_check(
             if rule is not None and not _measure_less(rule, (c1, c2), table):
                 report.measure_violations.append(render_column_word(_columns((c1, c2))))
     terminates = not report.measure_violations
-    leftmost = itemgetter(0)
     for c1 in columns:
         for c2 in columns:
             if table[c1, c2] is None:
@@ -270,7 +251,7 @@ def local_confluence_check(
                 if terminates:
                     peak = (c1, c2, c3)
                     left, right = (_rewrite(peak, i, table) for i in (0, 1))
-                    if _normalize(left, leftmost, table) != _normalize(right, leftmost, table):
+                    if _normalize(left, table) != _normalize(right, table):
                         report.nonjoinable.append(render_column_word(_columns(peak)))
     return report
 

@@ -4,6 +4,7 @@ state the paper's lemmas with, each served as a session fixture."""
 
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from typing import Optional
 
 import pytest
@@ -91,6 +92,21 @@ def all_normal_forms(word, table):
                 seen.add(w2)
                 stack.append(w2)
     return normal_forms, violations
+
+
+def normalize_by(word, pick, table):
+    """Rewrite a word of column masks at the redex that `pick` chooses
+    among all of them, until none is left."""
+    while slots := _redexes(word, table):
+        word = _rewrite(word, pick(slots), table)
+    return word
+
+
+def three_strategy_normal_forms(word, rng, table):
+    """The normal forms of a word of column masks under leftmost,
+    rightmost and random rewriting: one form, by confluence.  The rules
+    must lower the measure, or rewriting may cycle."""
+    return {normalize_by(word, pick, table) for pick in (itemgetter(0), itemgetter(-1), rng.choice)}
 
 
 @cache
@@ -267,6 +283,11 @@ def flatten_column_word_oracle():
 @pytest.fixture(scope="session", name="all_normal_forms")
 def all_normal_forms_oracle():
     return all_normal_forms
+
+
+@pytest.fixture(scope="session", name="three_strategy_normal_forms")
+def three_strategy_normal_forms_oracle():
+    return three_strategy_normal_forms
 
 
 @pytest.fixture(scope="session", name="holed_skew")

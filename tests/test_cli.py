@@ -203,6 +203,13 @@ def test_verify_confluence(capsys):
     assert "343" in out
 
 
+def test_maxlen_does_not_bound_the_confluence_suite(capsys):
+    # The --maxlen help names the checks it bounds; confluence is not one.
+    outputs = [run(capsys, "verify", "confluence", "-n", "3", "--maxlen", m) for m in ("1", "8")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
 def count_builds(monkeypatch):
     """Patch the builder that `verify` enumerates through; return the list
     of (monoid, copy of its Cayley graphs when built) that it fills."""

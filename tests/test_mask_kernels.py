@@ -109,11 +109,13 @@ def test_evac_matches_pyramid_and_is_involution(case):
 
 @SETTINGS
 @given(st.integers(5, 8), st.data())
-def test_column_rewriting_matches_tableau_columns(flatten_column_word, all_normal_forms, n, data):
+def test_column_rewriting_matches_tableau_columns(
+    flatten_column_word, all_normal_forms, three_strategy_normal_forms, n, data
+):
     column = st.frozensets(st.integers(1, n), min_size=1)
     word = tuple(data.draw(st.lists(column, min_size=1, max_size=5)))
     expected = tableau_column_word(p_tableau(flatten_column_word(word)))
     assert all_normal_forms(_masks(word), PairTable()) == ({_masks(expected)}, [])
+    assert normalize_column_word(word) == expected
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    for strategy in ("leftmost", "rightmost", rng):
-        assert normalize_column_word(word, strategy) == expected
+    assert three_strategy_normal_forms(_masks(word), rng, PairTable()) == {_masks(expected)}

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stylic import syntactic, verify
+from stylic import rewriting, syntactic, verify
 from stylic.cli import main
 from stylic.columns import act_word
 from stylic.core import (
@@ -44,7 +44,7 @@ from stylic.monoid import (
     to_partition,
     up,
 )
-from stylic.rewriting import normalize_column_word, stylic_relations
+from stylic.rewriting import stylic_relations
 from stylic.tableaux import Tableau, p_tableau, young_leq
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -266,13 +266,47 @@ def left_insert_refuses_b(monkeypatch):
     monkeypatch.setattr(verify, "left_insert", refusing)
 
 
-def normalize_refuses_c(monkeypatch):
-    def refusing(letters, strategy, table):
-        if frozenset({3}) in letters:
-            raise ValueError("broken normalize")
-        return normalize_column_word(letters, strategy, table)
+def p_tableau_refuses_c(monkeypatch):
+    def refusing(w):
+        if 3 in w:
+            raise ValueError("broken p_tableau")
+        return p_tableau(w)
 
-    monkeypatch.setattr(verify, "normalize_column_word", refusing)
+    monkeypatch.setattr(verify, "p_tableau", refusing)
+
+
+def bell_number_grows_at_4(monkeypatch):
+    monkeypatch.setattr(verify, "bell_number", lambda k: bell_number(k) + (k == 4))
+
+
+def congruence_misses_cab(monkeypatch):
+    reaches = verify.congruence_reaches
+
+    def missing(u, targets, relations, cap):
+        reached, pruned = reaches(u, targets, relations, cap)
+        return reached - {(3, 1, 2)}, pruned
+
+    monkeypatch.setattr(verify, "congruence_reaches", missing)
+
+
+def separating_words_are_empty(monkeypatch):
+    monkeypatch.setattr(syntactic, "column_separating_word", lambda c1, c2, alphabet: ())
+
+
+def no_shape_separator_with_c(monkeypatch):
+    separator = syntactic._separator
+
+    def missing(u, pu, v, pv, alphabet):
+        return None if 3 in u + v else separator(u, pu, v, pv, alphabet)
+
+    monkeypatch.setattr(syntactic, "_separator", missing)
+
+
+def normalize_stops_at_c(monkeypatch):
+    normalize = rewriting._normalize
+    monkeypatch.setattr(
+        rewriting, "_normalize", lambda word, table: word if word[0] == 4 else normalize(word, table)
+    )
 
 
 def idempotents_miss_the_last_at_n3(monkeypatch):
@@ -375,6 +409,7 @@ def congruence_merges_ab_and_ba_at_n3(monkeypatch):
             "bijection", 14, n_tableau_refuses_a_row_word_with_c,
             "the row word of 'c': broken n_tableau",
         ),
+        ("bijection", 12, bell_number_grows_at_4, "|Styl(A)| = 15"),
         ("bijection", 16, from_partition_refuses_a_partition_of_c, "c: broken from_partition"),
         ("bijection", 16, from_partition_drops_c, "no partition gives the tableau of 'c'"),
         (
@@ -386,6 +421,7 @@ def congruence_merges_ab_and_ba_at_n3(monkeypatch):
             "'acb' is idempotent, but no strictly decreasing word's class",
         ),
         ("presentation", 2, a_false_relation_at_n3, "'c' = 'ac'"),
+        ("presentation", 3, congruence_misses_cab, "'acb'~'cab'"),
         ("graded", 0, left_insert_refuses_b, "left insertion of b into 'ab': broken left_insert"),
         (
             "graded", 1, the_zero_times_a_is_the_identity_at_n3,
@@ -394,14 +430,21 @@ def congruence_merges_ab_and_ba_at_n3(monkeypatch):
         ("graded", 2, a_times_b_is_a_at_n3, "'ba' covers 'a' with 2 boxes more"),
         ("graded", 2, every_tableau_counts_one_box_more, "co-ranks run from 1 to 7, expected 0 to 6"),
         ("graded", 3, ideals_of_ab_and_ba_coincide_at_n3, "'ab' and 'ba' share a down-set"),
+        (
+            "syntactic", 0, separating_words_are_empty,
+            "context '' fails to separate 'a' and 'b'",
+        ),
         ("syntactic", 1, congruence_merges_ab_and_ba_at_n3, "'ab' and 'ba' share a class"),
-        ("confluence", 1, normalize_refuses_c, "'c': broken normalize"),
+        ("syntactic", 2, no_shape_separator_with_c, "no separator found for '' vs 'c'"),
+        ("confluence", 0, normalize_stops_at_c, "non-joinable peak (c)(a)(ba)"),
+        ("confluence", 1, p_tableau_refuses_c, "(a)(c): broken p_tableau"),
     ],
     ids=[
-        "row-word", "from-partition-refuses", "from-partition-misses", "idempotents-missed",
-        "idempotents-extra", "relations", "left-insertion", "antisymmetric", "graded",
-        "co-ranks", "distinct-ideals",
-        "two-sided-congruence", "normal-forms",
+        "row-word", "bijection-count", "from-partition-refuses", "from-partition-misses",
+        "idempotents-missed", "idempotents-extra", "relations", "presentation-slice",
+        "left-insertion", "antisymmetric", "graded", "co-ranks", "distinct-ideals",
+        "left-classes", "two-sided-congruence", "plactic-separators", "confluence-scan",
+        "normal-forms",
     ],
 )
 def test_a_wrong_kernel_fails_its_line_and_names_the_counterexample(

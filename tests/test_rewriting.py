@@ -139,16 +139,15 @@ def test_normalize_examples():
     assert normalize_column_word(letters) == tableau_column_word(t)
 
 
-def test_normal_forms_match_tableau_columns():
-    rng = random.Random(3)
+def test_normal_forms_match_tableau_columns(three_strategy_normal_forms):
+    rng, table = random.Random(3), PairTable()
     for w in words_up_to(3, 5):
         if not w:
             continue
         letters = tuple(frozenset({x}) for x in w)
         expected = tableau_column_word(p_tableau(w))
         assert normalize_column_word(letters) == expected
-        assert normalize_column_word(letters, "rightmost") == expected
-        assert normalize_column_word(letters, rng) == expected
+        assert three_strategy_normal_forms(_masks(letters), rng, table) == {_masks(expected)}
 
 
 def test_rewrite_steps_decrease_the_measure_and_preserve_the_class(flatten_column_word):
@@ -242,10 +241,10 @@ def test_a_rule_that_does_not_decrease_the_measure_fails_its_line(monkeypatch):
     monkeypatch.setattr(
         rewriting, "column_pair_reduce", lambda c1, c2: TWO_CYCLE.get((c1, c2)) or reduce(c1, c2)
     )
-    result = verify.verify_confluence(3, maxlen=1)
+    result = verify.verify_confluence(3)
     assert result.lines[0] == (
         "FAIL n=3: 343 column triples scanned, 42 overlapping peaks, all joinable, "
-        "measure strictly decreasing (first measure violation at (b)(a))"
+        "measure strictly decreasing (first counterexample: measure violation at (b)(a))"
     )
 
 
@@ -273,9 +272,9 @@ def test_a_cycling_rule_table_fails_verify_without_normalizing():
     assert done.stdout.splitlines() == [
         "[confluence] FAIL",
         "  FAIL n=3: 343 column triples scanned, 42 overlapping peaks, all joinable, "
-        "measure strictly decreasing (first measure violation at (b)(a))",
-        "  FAIL n=3, len<=6: normal forms equal tableau columns on 1092 words under three "
-        "strategies (first counterexample: not normalized: measure violation at (b)(a))",
+        "measure strictly decreasing (first counterexample: measure violation at (b)(a))",
+        "  FAIL n=3: normal forms equal tableau columns under every rewriting order, "
+        "certified on all 49 column pairs (first counterexample: (b)(a))",
     ]
 
 
@@ -290,14 +289,6 @@ def test_column_word_text_round_trip():
         parse_column_word("()")
 
 
-def test_normalize_rejects_an_unknown_strategy():
-    # No rule applies to a single column, so the strategy is never consulted.
-    with pytest.raises(ValueError, match="unknown strategy"):
-        normalize_column_word((frozenset({1}),), "bogus")
-    with pytest.raises(ValueError, match="unknown strategy"):
-        normalize_column_word((col("b"), col("a")), "middle")
-
-
 def test_no_rule_applies_to_a_pair_in_column_order():
     word = _masks((col("ba"), col("b")))
     assert PairTable()[word] is None
@@ -305,7 +296,7 @@ def test_no_rule_applies_to_a_pair_in_column_order():
 
 
 def test_mask_kernel_matches_tableau_columns_on_all_short_column_words(
-    flatten_column_word, all_normal_forms
+    flatten_column_word, all_normal_forms, three_strategy_normal_forms
 ):
     # Every column word of length <= 4 over 3 letters, against P of its
     # flattened word.
@@ -318,9 +309,8 @@ def test_mask_kernel_matches_tableau_columns_on_all_short_column_words(
             count += 1
             expected = tableau_column_word(p_tableau(flatten_column_word(word)))
             assert all_normal_forms(_masks(word), table) == ({_masks(expected)}, [])
-            for strategy in ("leftmost", "rightmost", rng):
-                assert normalize_column_word(word, strategy) == expected
-                assert normalize_column_word(word, strategy, table) == expected
+            assert normalize_column_word(word) == expected
+            assert three_strategy_normal_forms(_masks(word), rng, table) == {_masks(expected)}
     assert count == 7 + 7**2 + 7**3 + 7**4
 
 
@@ -335,7 +325,7 @@ def test_confluence_reduces_each_column_pair_once(monkeypatch):
     monkeypatch.setattr(rewriting, "column_pair_reduce", counted)
     assert verify.verify_confluence(5).ok
     assert calls and len(calls) == len(set(calls))
-    assert len(calls) <= 15 * 15  # pairs of nonempty columns at n = 4
+    assert len(calls) <= 31 * 31  # pairs of nonempty columns at n = 5
 
 
 def test_confluence_fails_on_one_wrong_pair(monkeypatch, capsys):
@@ -351,7 +341,85 @@ def test_confluence_fails_on_one_wrong_pair(monkeypatch, capsys):
     result = verify.verify_confluence(3)
     assert not result.ok
     assert result.lines[0].startswith("FAIL n=3: ")
-    assert "first non-joinable peak" in result.lines[0]
-    assert result.lines[1].startswith("FAIL n=3, len<=6: ")
+    assert "(first counterexample: non-joinable peak " in result.lines[0]
+    assert result.lines[1].startswith("FAIL n=3: normal forms ")
     assert main(["verify", "confluence", "-n", "3"]) == 1
     assert "[confluence] FAIL" in capsys.readouterr().out
+
+
+# Changes of rules, each breaking one or two of the certificate's three
+# facts: the kernel changed, its changed values, and the pair the
+# certificate names.
+B, A = col("b"), col("a")
+CERTIFICATE_BREAKS = {
+    # (b)(a) is no tableau, yet no rule applies to it (fact 1 alone).
+    "irreducible non-tableau": ("column_leq", {(B, A): True}, "(b)(a)"),
+    # (a)(b) is a tableau, yet it rewrites to itself (facts 1 and 3).
+    "reducible tableau": ("column_leq", {(A, col("b")): False}, "(a)(b)"),
+    # A stray (a) stays behind, so P changes (fact 2 alone).
+    "wrong": ("column_pair_reduce", {(B, A): (col("ba"), A)}, "(b)(a)"),
+    # The rule keeps (b)(a) as it is, so the measure stays (fact 3 alone).
+    "loop": ("column_pair_reduce", {(B, A): (B, A)}, "(b)(a)"),
+    # Facts 2 and 3 both fail at (b)(a).
+    "two-cycle": ("column_pair_reduce", TWO_CYCLE, "(b)(a)"),
+}
+
+
+def change_rules(monkeypatch, name, changed):
+    kernel = getattr(rewriting, name)
+    monkeypatch.setattr(
+        rewriting, name, lambda c1, c2: changed[c1, c2] if (c1, c2) in changed else kernel(c1, c2)
+    )
+
+
+@pytest.mark.parametrize("change", CERTIFICATE_BREAKS)
+def test_each_broken_fact_fails_the_normal_form_line_and_names_the_pair(monkeypatch, capsys, change):
+    name, changed, pair = CERTIFICATE_BREAKS[change]
+    change_rules(monkeypatch, name, changed)
+    result = verify.verify_confluence(3)
+    assert result.lines[1] == (
+        "FAIL n=3: normal forms equal tableau columns under every rewriting order, "
+        f"certified on all 49 column pairs (first counterexample: {pair})"
+    )
+    assert main(["verify", "confluence", "-n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "[confluence] FAIL" in out and err == ""
+
+
+def test_a_reduction_refused_above_the_scan_fails_the_normal_form_line(monkeypatch, capsys):
+    # The scan stops at n = 4; the certificate reads every pair at n = 5.
+    reduce = rewriting.column_pair_reduce
+
+    def refusing(c1, c2):
+        if 5 in c1 | c2:
+            raise ValueError("broken reduce")
+        return reduce(c1, c2)
+
+    monkeypatch.setattr(rewriting, "column_pair_reduce", refusing)
+    result = verify.verify_confluence(5)
+    assert result.lines[0].startswith("PASS n=4: ")
+    assert result.lines[1].startswith("FAIL n=5: ")
+    assert result.lines[1].endswith(" (first counterexample: (a)(ea): broken reduce)")
+    assert main(["verify", "confluence", "-n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert "[confluence] FAIL" in out and err == ""
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("change", ["rules", "wrong"])
+def test_the_pair_certificate_agrees_with_the_word_loop(
+    monkeypatch, three_strategy_normal_forms, change, n
+):
+    # The word loop normalizes every word of length <= 6 three ways, as
+    # `verify confluence` did before it certified pairs.
+    changed = {} if change == "rules" else CERTIFICATE_BREAKS[change][1]
+    change_rules(monkeypatch, "column_pair_reduce", changed)
+    certified = verify.normal_form_counterexample(n, PairTable()) is None
+    rng, table = random.Random(7), PairTable()
+    looped = all(
+        three_strategy_normal_forms(_masks(tuple(frozenset({x}) for x in w)), rng, table)
+        == {_masks(tableau_column_word(p_tableau(w)))}
+        for w in words_up_to(n, 6)
+        if w
+    )
+    assert certified == looped == (not changed or n < 2)  # (b)(a) needs two letters
