@@ -31,7 +31,8 @@ _EXPORTS = {
     ),
     "evacuation": (
         "SkewPartition", "build_pyramid", "delta_direct", "delta_jdt", "evac",
-        "evac_via_pyramid", "jdt", "partition_chain",
+        "evac_via_pyramid", "jdt", "jdt_all_results", "partition_chain",
+        "pyramid_by_completion",
     ),
     "rewriting": (
         "column_pair_reduce", "congruence_equal", "knuth_relations",
@@ -41,6 +42,7 @@ _EXPORTS = {
         "lambda_shape", "left_syntactic_check", "plactic_left_syntactic_check",
         "plactic_separator", "syntactic_monoid_check",
     ),
+    "verify": ("all_labelled_skews",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -257,29 +257,35 @@ def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Rando
     return SetPartition._from_masks(rows)
 
 
+def _jdt_results(
+    inner: tuple[int, ...], rows: tuple[int, ...], memo: dict[tuple, tuple[SetPartition, ...]]
+) -> tuple[SetPartition, ...]:
+    """The results of sliding the state (inner, row masks) out over every
+    sequence of corner choices, by dynamic programming over the states that
+    slides reach: memo maps each state with an inner shape to its results,
+    so that a state reached from several others is slid once."""
+    if not inner:
+        return (SetPartition._from_masks(rows),)
+    key = (inner, rows)
+    results = memo.get(key)
+    if results is None:
+        out: set[SetPartition] = set()
+        for pick in _corners(inner):
+            moved_inner, moved_rows = list(inner), list(rows)
+            _slide(moved_inner, moved_rows, pick)
+            out.update(_jdt_results(tuple(moved_inner), tuple(moved_rows), memo))
+        results = memo[key] = tuple(out)
+    return results
+
+
 def jdt_all_results(
     skew: SkewPartition, memo: Optional[dict[tuple, tuple[SetPartition, ...]]] = None
 ) -> set[SetPartition]:
-    """Results over every sequence of corner choices, by dynamic programming
-    over the states (inner, row masks) that slides reach.  memo maps each
-    state with an inner shape to its results; pass one dict across many skews
-    so that a state reached from several of them is slid once."""
-    memo = {} if memo is None else memo
-
-    def rec(inner: tuple[int, ...], rows: tuple[int, ...]) -> tuple[SetPartition, ...]:
-        if not inner:
-            return (SetPartition._from_masks(rows),)
-        key = (inner, rows)
-        if key not in memo:
-            out: set[SetPartition] = set()
-            for pick in _corners(inner):
-                moved_inner, moved_rows = list(inner), list(rows)
-                _slide(moved_inner, moved_rows, pick)
-                out.update(rec(tuple(moved_inner), tuple(moved_rows)))
-            memo[key] = tuple(out)
-        return memo[key]
-
-    return set(rec(skew.inner, tuple(skew._row_masks())))
+    """Results over every sequence of corner choices.  memo maps each state
+    (inner, row masks) with an inner shape to its results; pass one dict
+    across many skews so that a state reached from several of them is slid
+    once."""
+    return set(_jdt_results(skew.inner, tuple(skew._row_masks()), {} if memo is None else memo))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +398,7 @@ def partition_chain(partition: SetPartition) -> list[Composition]:
     return chain
 
 
-def partition_from_chain(chain: list[Composition], letters: list[int]) -> SetPartition:
+def partition_from_chain(chain: Sequence[Composition], letters: list[int]) -> SetPartition:
     """Inverse of partition_chain: rebuild the partition from its chain of
     shapes and the sorted list of letters to place."""
     steps = [()] + list(chain) if not chain or chain[0] != () else list(chain)
@@ -431,18 +437,19 @@ class EvacuationPyramid:
         lower end of each arrow has been accepted as a composition."""
         m = self.size
         for i in range(m + 1):
-            chain = self.chains[i]
-            for j in range(len(chain) - 1):
-                if not _cover_row(chain[j], chain[j + 1]):
-                    raise ValueError(f"chain {i} step {j} is not a covering move")
-        for i in range(m):
-            for j in range(m - i):
-                lower = self.chains[i + 1][j]
-                upper = self.chains[i][j + 1]
-                if not _cover_row(lower, upper):
-                    raise ValueError(
-                        f"cross arrow ({i + 1},{j}) -> ({i},{j + 1}) is not a covering move"
-                    )
+            _check_row_arrows(self.chains[i], self.chains[i + 1] if i < m else (), i)
+
+
+def _check_row_arrows(chain: Sequence[Composition], lower: Sequence[Composition], i: int) -> None:
+    """The arrows new at row i of a pyramid: each step of its chain, and each
+    cross arrow from lower, the row below it, into the chain.  Raises
+    ValueError naming the first that is not a covering move."""
+    for j in range(len(chain) - 1):
+        if not _cover_row(chain[j], chain[j + 1]):
+            raise ValueError(f"chain {i} step {j} is not a covering move")
+    for j, below in enumerate(lower):
+        if not _cover_row(below, chain[j + 1]):
+            raise ValueError(f"cross arrow ({i + 1},{j}) -> ({i},{j + 1}) is not a covering move")
 
 
 def build_pyramid(partition: SetPartition) -> EvacuationPyramid:
@@ -472,33 +479,37 @@ def complete_rhombus(c1: Composition, c2: Composition, c3: Composition) -> Compo
     return c2
 
 
+def completion_row(chain: Sequence[Composition]) -> tuple[Composition, ...]:
+    """The next row of a pyramid from one row alone, one rhombus at a time:
+    from the chain of a partition (starting at ()), the chain of its delta."""
+    row: list[Composition] = [()]
+    for j in range(1, len(chain) - 1):
+        row.append(complete_rhombus(row[j - 1], chain[j], chain[j + 1]))
+    return tuple(row)
+
+
 def pyramid_by_completion(partition: SetPartition) -> EvacuationPyramid:
-    """Rebuild the entire pyramid from its leftmost chain alone, one rhombus
-    at a time; agrees with build_pyramid."""
-    m = sum(partition.shape())
-    rows: list[tuple[Composition, ...]] = [((),) + tuple(partition_chain(partition))]
-    for i in range(m):
-        prev = rows[i]
-        row: list[Composition] = [()]
-        for j in range(1, m - i):
-            row.append(complete_rhombus(row[j - 1], prev[j], prev[j + 1]))
-        rows.append(tuple(row))
+    """Rebuild the entire pyramid from its leftmost chain alone, one row at
+    a time; agrees with build_pyramid."""
+    rows = [((),) + tuple(partition_chain(partition))]
+    for _ in range(sum(partition.shape())):
+        rows.append(completion_row(rows[-1]))
     return EvacuationPyramid(tuple(rows))
 
 
-def evac_from_pyramid(
-    pyramid: EvacuationPyramid, partition: SetPartition, alphabet: Alphabet
+def evac_from_right_side(
+    right_side: Sequence[Composition], partition: SetPartition, alphabet: Alphabet
 ) -> SetPartition:
     """Read the evacuated partition off the right side of its pyramid."""
     letters = sorted(alphabet.theta_letter(x) for x in partition.ground())
-    return partition_from_chain(pyramid.right_side(), letters)
+    return partition_from_chain(right_side, letters)
 
 
 def evac_via_pyramid(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
     """Read the evacuated partition off the right side of the pyramid."""
     if not partition.block_count():
         return partition
-    return evac_from_pyramid(build_pyramid(partition), partition, alphabet)
+    return evac_from_right_side(build_pyramid(partition).right_side(), partition, alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -206,17 +206,19 @@ def tableau_column_word(tableau: Tableau) -> ColumnWord:
 
 @dataclass
 class ConfluenceReport:
-    """The peaks whose two reducts reach different normal forms, and the
-    rules that do not decrease the termination measure, as column words."""
+    """The peaks whose two reducts reach different normal forms, the rules
+    that do not decrease the termination measure, as column words, and the
+    pairs whose rule `column_pair_reduce` refused, each with its message."""
 
     triples: int
     overlapping: int
     nonjoinable: list[str]
     measure_violations: list[str]
+    refused: list[str]
 
     @property
     def ok(self) -> bool:
-        return not self.nonjoinable and not self.measure_violations
+        return not self.nonjoinable and not self.measure_violations and not self.refused
 
 
 def local_confluence_check(
@@ -230,22 +232,28 @@ def local_confluence_check(
     reducts at position 0 and 1 must reach the same leftmost normal form.
     The peaks are counted either way, but normalized only once the measure
     holds, since a rule that does not decrease it can make rewriting cycle.
-    The other triples count as scanned."""
+    The other triples count as scanned.  A pair whose rule cannot be built
+    is reported, counts as irreducible, and stops the normalizing too."""
     table = PairTable() if table is None else table
     columns = range(1, 1 << alphabet.n)
-    report = ConfluenceReport(len(columns) ** 3, 0, [], [])
+    report = ConfluenceReport(len(columns) ** 3, 0, [], [], [])
     for c1 in columns:
         for c2 in columns:
-            rule = table[c1, c2]
-            if rule is not None and not _measure_less(rule, (c1, c2), table):
-                report.measure_violations.append(render_column_word(_columns((c1, c2))))
-    terminates = not report.measure_violations
+            try:
+                rule = table[c1, c2]
+                if rule is not None and not _measure_less(rule, (c1, c2), table):
+                    report.measure_violations.append(render_column_word(_columns((c1, c2))))
+            except ValueError as exc:
+                report.refused.append(f"{render_column_word(_columns((c1, c2)))}: {exc}")
+    terminates = not report.measure_violations and not report.refused
+    # `get` reads a pair whose rule was refused, and so left out of the
+    # table, as irreducible.
     for c1 in columns:
         for c2 in columns:
-            if table[c1, c2] is None:
+            if table.get((c1, c2)) is None:
                 continue
             for c3 in columns:
-                if table[c2, c3] is None:
+                if table.get((c2, c3)) is None:
                     continue
                 report.overlapping += 1
                 if terminates:

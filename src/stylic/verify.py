@@ -12,27 +12,31 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from itertools import combinations, permutations, product
+from functools import cache
+from itertools import combinations, product
+from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import Alphabet, Word, decreasing_word, render_letter, render_word, theta
+from .core import Alphabet, Word, decreasing_word, letters_of, render_letter, render_word, theta
 from .evacuation import (
+    Composition,
     Point,
     SkewPartition,
-    build_pyramid,
+    _check_row_arrows,
+    _jdt_results,
+    completion_row,
     delta_direct,
     delta_jdt,
     evac,
-    evac_from_pyramid,
+    evac_from_right_side,
     ideal_points,
     jdt,
-    jdt_all_results,
+    partition_chain,
     point_covers,
-    pyramid_by_completion,
     remove_from_partition,
 )
 from .monoid import (
+    EMPTY_PARTITION,
     SetPartition,
     StylicMonoid,
     all_partitions_of_subsets,
@@ -139,37 +143,116 @@ def compositions_up_to(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def increasing_labellings(
-    region: frozenset[Point], letters: tuple[int, ...]
-) -> Iterator[tuple[tuple[Point, int], ...]]:
-    """All bijective labellings of the region increasing for the plane order,
-    that is along each cover inside the region (a skew region is convex)."""
-    points = sorted(region)
-    covers = [(p, q) for p in points for q in point_covers(p) if q in region]
-    for perm in permutations(letters):
-        lab = dict(zip(points, perm))
-        if all(lab[p] < lab[q] for p, q in covers):
-            yield tuple(sorted(lab.items()))
+# A labelled skew as the exhaustive jeu de taquin line holds it: (outer,
+# inner, row masks), one mask of letters per row of the outer ideal.
+SkewState = tuple[Composition, Composition, tuple[int, ...]]
+
+
+def _rank_labellings(outer: Composition, inner: Composition) -> list[tuple[int, ...]]:
+    """The increasing labellings of outer minus inner by the ranks 1..m of
+    its letters, one mask per row (rank r is bit r - 1), ordered by their
+    labels read point by point in (x, y) order, as a filter over the
+    permutations of the ranks meets them.  The ranks are placed smallest
+    first, and a row above the inner ideal opens only after the row below
+    it, so that the minima of those rows rise."""
+    sizes = [part - (inner[y] if y < len(inner) else 0) for y, part in enumerate(outer)]
+    m, rows, found = sum(sizes), [0] * len(sizes), []
+
+    def place(rank: int) -> None:
+        if rank == m:
+            found.append(tuple(rows))
+            return
+        for y, size in enumerate(sizes):
+            if rows[y].bit_count() < size and (y <= len(inner) or rows[y - 1]):
+                rows[y] |= 1 << rank
+                place(rank + 1)
+                rows[y] ^= 1 << rank
+
+    place(0)
+    points = sorted((x, y) for y, part in enumerate(outer) for x in range(part - sizes[y], part))
+
+    def reading(masks: tuple[int, ...]) -> list[int]:
+        row_letters = [letters_of(mask) for mask in masks]
+        return [row_letters[y][x - outer[y] + sizes[y]] for x, y in points]
+
+    return sorted(found, key=reading)
+
+
+def _labelled_skew_states(n: int, outer_cap: int) -> Iterator[SkewState]:
+    """The skews of `all_labelled_skews`, in its order, as states.  Each
+    region's labellings by ranks are worked out once, and each subset of
+    the letters scatters them through its table: the mask of the letters
+    of each mask of ranks."""
+    comps = [(c, sum(c)) for c in compositions_up_to(outer_cap)[1:]]  # the nonempty ones
+    tables: dict[int, list[list[int]]] = {}  # size -> a table per subset, in order
+    for outer, outer_size in comps:
+        for inner, inner_size in comps:
+            m = outer_size - inner_size
+            if not 1 <= m <= n or not young_leq(inner, outer):
+                continue
+            if m not in tables:
+                tables[m] = []
+                for letters in combinations(range(1, n + 1), m):
+                    table = [0]
+                    for x in letters:
+                        table += [mask | 1 << (x - 1) for mask in table]
+                    tables[m].append(table)
+            labellings = _rank_labellings(outer, inner)
+            for table in tables[m]:
+                for ranks in labellings:
+                    yield outer, inner, tuple(map(table.__getitem__, ranks))
+
+
+def _check_skew_state(state: SkewState) -> None:
+    """Raises ValueError unless the row masks label outer minus inner
+    increasingly by distinct letters, as `SkewPartition` requires of its
+    labels: the rows are disjoint, each holds as many letters as its row has
+    points, and the minima of the rows above the inner ideal rise.  A mask
+    lists its row's letters increasing, so nothing else can fail."""
+    outer, inner, rows = state
+    if tuple(map(int.bit_count, rows)) != (*map(sub, outer, inner), *outer[len(inner) :]):
+        raise ValueError("the rows do not hold one letter per point of outer minus inner")
+    seen = 0
+    for row in rows:
+        if row & seen:
+            raise ValueError("a letter lies in two rows")
+        seen |= row
+    low = 0
+    for row in rows[len(inner) :]:
+        if row & -row < low:
+            raise ValueError("the first column does not increase")
+        low = row & -row
+
+
+def _state_labels(state: SkewState) -> tuple[tuple[Point, int], ...]:
+    """The labels of a state: each row's letters, increasing, at its points
+    right of the inner ideal."""
+    _, inner, rows = state
+    return tuple(
+        ((x, y), letter)
+        for y, row in enumerate(rows, start=1)
+        for x, letter in enumerate(letters_of(row), start=(inner[y - 1] if y <= len(inner) else 0) + 1)
+    )
+
+
+def _state_json(state: SkewState) -> str:
+    """A state named by the JSON of its skew, the form `styl compute jdt`
+    reads, or by its masks when they label no skew."""
+    outer, inner, rows = state
+    try:
+        skew = SkewPartition(outer, inner, _state_labels(state))
+    except ValueError:
+        return f"outer {list(outer)}, inner {list(inner)}, row masks {list(rows)}"
+    return _skew_json(skew)
 
 
 def all_labelled_skews(n: int, outer_cap: int) -> Iterator[SkewPartition]:
     """Every skew partition with outer ideal of size <= outer_cap, a
-    nonempty inner ideal, and labels drawn from subsets of {1..n}."""
-    comps = compositions_up_to(outer_cap)
-    for outer in comps:
-        if not outer:
-            continue
-        pts_outer = ideal_points(outer)
-        for inner in comps:
-            if not inner or not young_leq(inner, outer):
-                continue
-            region = pts_outer - ideal_points(inner)
-            m = len(region)
-            if not 1 <= m <= n:
-                continue
-            for letters in combinations(range(1, n + 1), m):
-                for labels in increasing_labellings(region, letters):
-                    yield SkewPartition(outer=outer, inner=inner, labels=labels)
+    nonempty inner ideal, and labels drawn from subsets of {1..n}: by outer
+    ideal, inner ideal and letter subset, then by the labels read point by
+    point in (x, y) order."""
+    for state in _labelled_skew_states(n, outer_cap):
+        yield SkewPartition(state[0], state[1], _state_labels(state))
 
 
 def random_labelled_skew(rng: random.Random, n: int, outer_cap: int = 10) -> SkewPartition:
@@ -188,11 +271,9 @@ def random_labelled_skew(rng: random.Random, n: int, outer_cap: int = 10) -> Ske
         )
         while inner and inner[-1] == 0:
             inner = inner[:-1]
-        if any(p == 0 for p in inner):
+        if not inner or 0 in inner or not 1 <= sum(outer) - sum(inner) <= n:
             continue
         region = ideal_points(tuple(outer)) - ideal_points(inner)
-        if not inner or not 1 <= len(region) <= n:
-            continue
         letters = sorted(rng.sample(range(1, n + 1), len(region)))
         remaining = set(region)
         labels = {}
@@ -271,6 +352,36 @@ def evacuation_counterexample(
         [lambda e: evacuated(partitions[e.index]) == partitions[phi[e.index]]],
         lambda e: f"evac at {e.render_word()!r}",
     )[0]
+
+
+Chain = tuple[Composition, ...]
+
+
+def _delta_steps(
+    partitions: Iterable[SetPartition],
+) -> Iterator[tuple[SetPartition, Chain, Optional[Chain], Optional[Chain]]]:
+    """Each nonempty r of a set of partitions closed under delta, by letter
+    count, with its chain from (), the chain of delta r, and the right side
+    of r's pyramid; None for the last two when delta r is missing from the
+    layer below.  Row i of r's pyramid is the chain of the i-th delta
+    iterate, so the pyramid is r's chain over the pyramid of delta r, and
+    its right side is that of delta r followed by the shape of r.  A check
+    of what is new at r, for every r, is thus a check of every pyramid, by
+    induction on the letter count; only the layer one letter down is kept."""
+    layer: dict[SetPartition, tuple[Chain, Optional[Chain]]] = {EMPTY_PARTITION: (((),), ((),))}
+    below: dict[SetPartition, tuple[Chain, Optional[Chain]]] = {}
+    size = 0
+    for r in sorted(partitions, key=lambda r: sum(r.shape())):
+        m = sum(r.shape())
+        if not m:
+            continue
+        if m > size:
+            below, layer, size = layer, {}, m
+        chain = ((),) + tuple(partition_chain(r))
+        lower, lower_right = below.get(delta_direct(r), (None, None))
+        right = lower_right and lower_right + chain[-1:]
+        layer[r] = chain, right
+        yield r, chain, lower, right
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +500,19 @@ def verify_presentation(monoids: Sequence[StylicMonoid], maxlen: int) -> SuiteRe
 
 def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
     """Evacuation intertwines the word involution; delta agrees with jeu de
-    taquin; the pyramid reconstructs evacuation; sliding is choice-free."""
+    taquin; the pyramid reconstructs evacuation; sliding is choice-free.
+
+    The pyramid lines take the partitions by letter count and check, at
+    each r, only the rows new to r's pyramid: the arrows of r's chain and
+    the cross arrows from the chain of delta r, that completing r's chain
+    by rhombi gives the chain of delta r, and that the right side of delta
+    r's pyramid followed by the shape of r reads off evac(r).  Row i of r's
+    pyramid is the chain of the i-th delta iterate, and delta removes one
+    letter, so by induction on the letter count this proves every pyramid
+    valid, rebuilt by completion and read off as evac, as whole pyramids
+    would.  The exhaustive jeu de taquin line holds its skews as row masks,
+    checks each as `SkewPartition` would, and searches the slides of the
+    masks directly; a skew is built only to name a counterexample."""
     result = SuiteResult("evacuation")
     alphabet = monoid.alphabet
     n = alphabet.n
@@ -415,36 +538,55 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
     result.add_first(
         f"n={n}: evacuation is an involution on {len(partitions)} partitions", involution
     )
-    # Side by side, the two pyramid lines share one pyramid at a time.
-    pyramid = lru_cache(maxsize=1)(build_pyramid)  # validates all arrows are covers
+
+    # The pyramid lines check only what is new at each partition, by
+    # induction along delta: its chain's arrows and the cross arrows from
+    # the chain of delta r, the completion of its chain, and its right side.
+    def right_side_evacuates(step: tuple) -> bool:
+        r, chain, lower, right = step
+        _check_row_arrows(chain, lower or (), 0)
+        return right is not None and evac_from_right_side(right, r, alphabet) == evacuated(r)
+
+    def completes_to_delta(step: tuple) -> bool:
+        _, chain, lower, _ = step
+        return completion_row(chain) == lower
+
+    def top_removal_commutes(step: tuple) -> bool:
+        r = step[0]
+        return evacuated(remove_from_partition(r, max(r.ground()))) == delta_direct(evacuated(r))
+
     lines = {
         f"n={n}: block-surgery delta equals jeu-de-taquin delta": (
-            lambda r: delta_direct(r) == delta_jdt(r)
+            lambda step: delta_direct(step[0]) == delta_jdt(step[0])
         ),
-        f"n={n}: pyramid right side reproduces evacuation": (
-            lambda r: evac_from_pyramid(pyramid(r), r, alphabet) == evacuated(r)
-        ),
-        f"n={n}: rhombus completion rebuilds the pyramid from its left chain": (
-            lambda r: pyramid_by_completion(r).chains == pyramid(r).chains
-        ),
+        f"n={n}: pyramid right side reproduces evacuation": right_side_evacuates,
+        f"n={n}: rhombus completion rebuilds the pyramid from its left chain": completes_to_delta,
         f"n={n}: removing the top letter then evacuating equals delta of the evacuation": (
-            lambda r: evacuated(remove_from_partition(r, max(r.ground())))
-            == delta_direct(evacuated(r))
+            top_removal_commutes
         ),
     }
-    nonempty = [r for r in partitions if r.block_count()]
-    failures = _first_counterexamples(nonempty, list(lines.values()), SetPartition.render)
+    failures = _first_counterexamples(
+        _delta_steps(partitions), list(lines.values()), lambda step: step[0].render()
+    )
     for message, failure in zip(lines, failures):
         result.add_first(message, failure)
 
     k = min(n, 4)
     memo: dict = {}  # slides stay inside the set, so each state is slid once
-    instances, failure = 0, None
-    for skew in all_labelled_skews(k, outer_cap=6):  # streamed, and counted past a failure
-        instances += 1
-        failure = failure or _first_counterexamples(
-            [skew], [lambda s: len(jdt_all_results(s, memo)) == 1], _skew_json
-        )[0]
+
+    def choice_free(state: SkewState) -> bool:
+        _check_skew_state(state)
+        return len(_jdt_results(state[1], state[2], memo)) == 1
+
+    instances = 0
+
+    def streamed() -> Iterator[SkewState]:  # and counted past a failure
+        nonlocal instances
+        for state in _labelled_skew_states(k, outer_cap=6):
+            instances += 1
+            yield state
+
+    (failure,) = _first_counterexamples(streamed(), [choice_free], _state_json)
     result.add_first(
         f"jeu de taquin is choice-independent on all {instances} labelled "
         f"skews (letters<={k}, outer<=6)",
@@ -588,7 +730,9 @@ def verify_confluence(n: int) -> SuiteResult:
     k = min(n, 4)
     report = local_confluence_check(Alphabet(k), table)
     failure = None
-    if report.nonjoinable:
+    if report.refused:
+        failure = report.refused[0]
+    elif report.nonjoinable:
         failure = f"non-joinable peak {report.nonjoinable[0]}"
     elif report.measure_violations:
         failure = f"measure violation at {report.measure_violations[0]}"

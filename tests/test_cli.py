@@ -818,7 +818,7 @@ def test_every_export_is_the_object_in_its_module():
             assert getattr(stylic, name) is getattr(source, name), name
             assert vars(stylic)[name] is getattr(source, name), name  # kept after first use
     assert sorted(stylic.__all__) == sorted(n for names in stylic._EXPORTS.values() for n in names)
-    assert len(stylic.__all__) == len(set(stylic.__all__)) == 52
+    assert len(stylic.__all__) == len(set(stylic.__all__)) == 55
 
 
 def test_an_unknown_name_raises_attribute_error_naming_it():

@@ -17,9 +17,11 @@ from stylic.evacuation import (
     _slide,
     build_pyramid,
     check_composition,
+    completion_row,
     delta_direct,
     delta_jdt,
     evac,
+    evac_from_right_side,
     evac_via_pyramid,
     ideal_points,
     interval_middles,
@@ -45,7 +47,6 @@ from stylic.tableaux import young_leq
 from stylic.verify import (
     all_labelled_skews,
     compositions_up_to,
-    increasing_labellings,
     random_labelled_skew,
     theta_on_classes,
     verify_bijection,
@@ -341,23 +342,23 @@ def test_a_shared_memo_gives_the_fresh_memo_results(n, outer_cap, count):
 def test_the_jdt_check_slides_each_state_and_corner_once(monkeypatch):
     skews = list(all_labelled_skews(4, outer_cap=6))
     state_corners = sum(len(evacuation._corners(skew.inner)) for skew in skews)
-    slide, search = evacuation._slide, verify.jdt_all_results
+    slide, search = evacuation._slide, verify._jdt_results
     slides, memos, searching = [0], set(), [False]
 
     def counted_slide(inner, rows, y):
         slides[0] += searching[0]
         return slide(inner, rows, y)
 
-    def counted_search(skew, memo=None):
+    def counted_search(inner, rows, memo):
         memos.add(id(memo))
         searching[0] = True
         try:
-            return search(skew, memo)
+            return search(inner, rows, memo)
         finally:
             searching[0] = False
 
     monkeypatch.setattr(evacuation, "_slide", counted_slide)
-    monkeypatch.setattr(verify, "jdt_all_results", counted_search)
+    monkeypatch.setattr(verify, "_jdt_results", counted_search)
     result = verify_evacuation(enumerate_styl(Alphabet(4)))
     assert result.lines[-2].startswith(
         "PASS jeu de taquin is choice-independent on all 2675 labelled skews"
@@ -367,21 +368,21 @@ def test_the_jdt_check_slides_each_state_and_corner_once(monkeypatch):
 
 
 def test_the_jdt_check_fails_when_the_search_drops_a_corner(monkeypatch, capsys):
-    corners, search = evacuation._corners, verify.jdt_all_results
+    corners, search = evacuation._corners, verify._jdt_results
 
     def dropping(comp):
         return corners(comp)[1:]
 
-    def search_without_one_corner(skew, memo=None):
+    def search_without_one_corner(inner, rows, memo):
         # Only the exhaustive search sees the mutation; jdt keeps every
         # choice, so the other lines of the suite still run.
         evacuation._corners = dropping
         try:
-            return search(skew, memo)
+            return search(inner, rows, memo)
         finally:
             evacuation._corners = corners
 
-    monkeypatch.setattr(verify, "jdt_all_results", search_without_one_corner)
+    monkeypatch.setattr(verify, "_jdt_results", search_without_one_corner)
     result = verify_evacuation(enumerate_styl(Alphabet(3)))
     failed = [line for line in result.lines if line.startswith("FAIL ")]
     assert failed == [
@@ -465,6 +466,114 @@ def test_pyramid_structure():
 def test_pyramid_of_singleton():
     pyramid = build_pyramid(parse_partition("a"))
     assert pyramid.chains == (((), (1,)), ((),))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_induction_along_delta_reads_the_whole_pyramids(n):
+    # Each step holds the first two rows and the right side of its
+    # partition's pyramid, so the suite's pyramid lines check the rows that
+    # build_pyramid and pyramid_by_completion hold.
+    alphabet = Alphabet(n)
+    partitions = list(all_partitions_of_subsets(alphabet))
+    steps = list(verify._delta_steps(partitions))
+    assert sorted(r.masks() for r, *_ in steps) == sorted(r.masks() for r in partitions[1:])
+    sizes = [sum(r.shape()) for r, *_ in steps]
+    assert sizes == sorted(sizes)
+    for r, chain, lower, right in steps:
+        pyramid = build_pyramid(r)
+        assert (chain, lower, right) == (*pyramid.chains[:2], tuple(pyramid.right_side()))
+        assert completion_row(chain) == pyramid_by_completion(r).chains[1] == lower
+        evacuation._check_row_arrows(chain, lower, 0)
+        assert evac_from_right_side(right, r, alphabet) == evac(r, alphabet)
+
+
+def whole_pyramid_lines(alphabet):
+    """The two pyramid lines as the suite checked them on whole pyramids:
+    each nonempty partition's pyramid built and validated, evacuation read
+    off its right side, and the pyramid rebuilt by completion.  A kernel
+    that refuses fails the line."""
+
+    def holds(check, r):
+        try:
+            return check(r)
+        except ValueError:
+            return False
+
+    nonempty = [r for r in all_partitions_of_subsets(alphabet) if r.block_count()]
+    return (
+        all(holds(lambda r: evac_via_pyramid(r, alphabet) == evac(r, alphabet), r) for r in nonempty),
+        all(holds(lambda r: pyramid_by_completion(r).chains == build_pyramid(r).chains, r) for r in nonempty),
+    )
+
+
+def the_other_middle_only_below_two_letters(monkeypatch):
+    complete = evacuation.complete_rhombus
+    monkeypatch.setattr(
+        evacuation, "complete_rhombus", lambda c1, c2, c3: c2 if sum(c1) >= 2 else complete(c1, c2, c3)
+    )
+
+
+def no_cover_onto_three_rows(monkeypatch):
+    cover_row = evacuation._cover_row
+    monkeypatch.setattr(
+        evacuation, "_cover_row", lambda lower, upper: 0 if len(upper) == 3 else cover_row(lower, upper)
+    )
+
+
+def chains_of_three_blocks_end_early(monkeypatch):
+    chain = evacuation.partition_chain
+
+    def early(partition):
+        steps = chain(partition)
+        return steps[:-2] + steps[-1:] * 2 if partition.block_count() == 3 else steps
+
+    monkeypatch.setattr(evacuation, "partition_chain", early)
+    monkeypatch.setattr(verify, "partition_chain", early)
+
+
+def right_sides_of_three_letters_read_backwards(monkeypatch):
+    read = evacuation.partition_from_chain
+    monkeypatch.setattr(
+        evacuation,
+        "partition_from_chain",
+        lambda chain, letters: read(chain, letters[::-1] if len(letters) == 3 else letters),
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda monkeypatch: None,
+        the_other_middle_only_below_two_letters,
+        no_cover_onto_three_rows,
+        chains_of_three_blocks_end_early,
+        right_sides_of_three_letters_read_backwards,
+    ],
+    ids=["unchanged", "one-middle", "refused-cover", "early-chain", "backward-reading"],
+)
+def test_the_inductive_pyramid_lines_pass_where_the_whole_pyramids_do(monkeypatch, mutate):
+    monoid = enumerate_styl(Alphabet(4))
+    mutate(monkeypatch)
+    lines = verify_evacuation(monoid).lines
+    inductive = tuple(lines[i].startswith("PASS ") for i in (3, 4))
+    assert inductive == whole_pyramid_lines(Alphabet(4))
+
+
+def test_a_cross_arrow_that_is_no_cover_fails_the_right_side_line(monkeypatch):
+    # The chain of delta(a/b) handed over as ((), (2,)): r's own chain and
+    # right side stay right, and (2,) -> (1, 1) covers nothing.
+    steps, r = verify._delta_steps, parse_partition("a/b")
+
+    def one_wrong_lower_chain(partitions):
+        for step in steps(partitions):
+            yield (r, step[1], ((), (2,)), step[3]) if step[0] == r else step
+
+    monkeypatch.setattr(verify, "_delta_steps", one_wrong_lower_chain)
+    lines = verify_evacuation(enumerate_styl(Alphabet(3))).lines
+    assert [i for i, line in enumerate(lines) if line.startswith("FAIL ")] == [3, 4]
+    assert lines[3].endswith(
+        " (first counterexample: a/b: cross arrow (1,1) -> (0,2) is not a covering move)"
+    )
 
 
 def test_removing_top_letter_commutes_with_evacuation():
@@ -633,7 +742,7 @@ def test_the_cover_check_matches_the_all_pairs_check(holed_skew):
     assert len(verdicts) == 4 and min(verdicts.values()) > 100
 
 
-def test_increasing_labellings_match_the_all_pairs_filter():
+def test_increasing_labellings_match_the_all_pairs_filter(increasing_labellings):
     for outer in compositions_up_to(5):
         for inner in compositions_up_to(sum(outer)):
             if not young_leq(inner, outer):
@@ -647,6 +756,79 @@ def test_increasing_labellings_match_the_all_pairs_filter():
                 if increasing_by_all_pairs(tuple(zip(points, perm)))
             ]
             assert list(increasing_labellings(region, letters)) == expected
+
+
+@pytest.mark.parametrize("n, outer_cap, count", [(3, 5, 394), (4, 6, 2675), (4, 7, 7697)])
+def test_the_mask_states_are_the_permutation_filters_skews(
+    labelled_skews_by_permutations, n, outer_cap, count
+):
+    # The same skews in the same order, by outer ideal, inner ideal and
+    # letter subset and then by labels, each passing the mask check and
+    # named by its skew's JSON.
+    expected = list(labelled_skews_by_permutations(n, outer_cap))
+    states = list(verify._labelled_skew_states(n, outer_cap))
+    skews = list(all_labelled_skews(n, outer_cap))
+    assert len(expected) == len(states) == len(skews) == count
+    assert [(s[0], s[1], tuple(sorted(verify._state_labels(s)))) for s in states] == expected
+    assert [(skew.outer, skew.inner, skew.labels) for skew in skews] == expected
+    for state, skew in zip(states, skews):
+        verify._check_skew_state(state)
+        assert list(state[2]) == skew._row_masks()
+        assert verify._state_json(state) == json.dumps(skew.to_json())
+
+
+def test_the_mask_check_refuses_what_skew_partition_refuses():
+    # Valid states with a letter moved to another row, swapped with one of
+    # another row, or dropped.
+    rng = random.Random(5)
+    states = list(verify._labelled_skew_states(4, 6))
+    verdicts = Counter()
+    for trial in range(3000):
+        outer, inner, rows = rng.choice(states)
+        rows = list(rows)
+        y, z = rng.randrange(len(rows)), rng.randrange(len(rows))
+        letter = rng.choice(letters_of(sum(rows)))
+        bit = 1 << (letter - 1)
+        if trial % 3 == 0:
+            rows[y] &= ~bit
+            rows[z] |= bit
+        elif trial % 3 == 1 and rows[z]:
+            other = 1 << (rng.choice(letters_of(rows[z])) - 1)
+            owner = next(i for i, row in enumerate(rows) if row & bit)
+            rows[owner] ^= bit | other
+            rows[z] ^= bit | other
+        else:
+            rows[y] &= ~bit
+        state = (outer, inner, tuple(rows))
+        try:
+            SkewPartition(outer, inner, verify._state_labels(state))
+            built = True
+        except ValueError:
+            built = False
+        try:
+            verify._check_skew_state(state)
+            checked = True
+        except ValueError:
+            checked = False
+        assert checked == built, state
+        verdicts[built] += 1
+    assert min(verdicts[True], verdicts[False]) > 300
+
+
+def test_a_state_that_labels_no_skew_fails_the_jdt_line(monkeypatch, capsys):
+    # b sits below a in the first column, above the inner ideal.
+    bad = ((1, 1, 1), (1,), (0, 0b10, 0b01))
+    monkeypatch.setattr(verify, "_labelled_skew_states", lambda n, outer_cap: iter([bad]))
+    result = verify_evacuation(enumerate_styl(Alphabet(3)))
+    failed = [line for line in result.lines if line.startswith("FAIL ")]
+    assert failed == [
+        "FAIL jeu de taquin is choice-independent on all 1 labelled skews (letters<=3, outer<=6)"
+        " (first counterexample: outer [1, 1, 1], inner [1], row masks [0, 2, 1]:"
+        " the first column does not increase)"
+    ]
+    assert main(["verify", "evacuation", "-n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "[evacuation] FAIL" in out and err == ""
 
 
 def random_labelled_skew_by_all_pairs(rng, n, outer_cap=10):
@@ -805,12 +987,14 @@ def test_word_ball_agrees_with_the_certificate_on_a_broken_evac(monkeypatch):
     assert verify_evacuation(enumerate_styl(Alphabet(3))).lines[0].startswith("FAIL ")
 
 
-def test_the_suite_evacuates_each_partition_once_and_builds_each_pyramid_once(monkeypatch):
+def test_the_suite_evacuates_each_partition_once_and_builds_each_chain_once(monkeypatch):
     # n = 5 has 203 partitions, 202 of them nonempty: one table of evac
     # serves the certificate and the involution, pyramid and delta lines,
-    # and the pyramid loop builds each pyramid once.  Both modules are
-    # patched, so hidden calls count too.
-    calls = {"evac": 0, "build_pyramid": 0}
+    # and the pyramid lines build and complete each chain once, by induction
+    # along delta, with no whole pyramid.  Both modules are patched, so
+    # hidden calls count too.
+    names = ["evac", "partition_chain", "completion_row", "build_pyramid", "pyramid_by_completion"]
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, function):
         def call(*args):
@@ -822,10 +1006,12 @@ def test_the_suite_evacuates_each_partition_once_and_builds_each_pyramid_once(mo
     for name in calls:
         wrapped = counted(name, getattr(evacuation, name))
         monkeypatch.setattr(evacuation, name, wrapped)
-        monkeypatch.setattr(verify, name, wrapped)
+        if hasattr(verify, name):
+            monkeypatch.setattr(verify, name, wrapped)
     assert verify_evacuation(enumerate_styl(Alphabet(5))).ok
     assert 0 < calls["evac"] <= 203
-    assert 0 < calls["build_pyramid"] <= 202
+    assert calls["partition_chain"] == calls["completion_row"] == 202
+    assert calls["build_pyramid"] == calls["pyramid_by_completion"] == 0
 
 
 def test_bijection_certifies_that_the_n_tableau_is_a_class_function():
@@ -977,23 +1163,27 @@ def test_all_set_partitions_refuses_letters_as_the_constructor_does(letters):
 
 
 def test_the_suites_build_no_public_partition_and_check_each_skew_once(monkeypatch):
-    expected_skews = len(list(all_labelled_skews(4, outer_cap=6))) + verify.RANDOM_SKEWS
+    # The exhaustive skews are checked as row masks, so only the random
+    # skews go through the constructor.
+    states = len(list(all_labelled_skews(4, outer_cap=6)))
     calls = Counter()
 
-    def counted(cls, name):
-        method = getattr(cls, name)
+    def counted(owner, name, key):
+        function = getattr(owner, name)
 
-        def call(self, *args):
-            calls[cls.__name__] += 1
-            return method(self, *args)
+        def call(*args):
+            calls[key] += 1
+            return function(*args)
 
-        monkeypatch.setattr(cls, name, call)
+        monkeypatch.setattr(owner, name, call)
 
-    counted(SetPartition, "__init__")
-    counted(SkewPartition, "__post_init__")
+    counted(SetPartition, "__init__", "SetPartition")
+    counted(SkewPartition, "__post_init__", "SkewPartition")
+    counted(verify, "_check_skew_state", "state")
     assert all(result.ok for result in verify.run_suite("all", 4))
     assert calls["SetPartition"] == 0
-    assert calls["SkewPartition"] == expected_skews == 2875
+    assert calls["SkewPartition"] == verify.RANDOM_SKEWS == 200
+    assert calls["state"] == states == 2675
 
 
 # ---------------------------------------------------------------------------
@@ -1023,7 +1213,7 @@ def delta_jdt_keeps_the_partition(monkeypatch):
 
 
 def pyramid_reads_the_partition_back(monkeypatch):
-    monkeypatch.setattr(verify, "evac_from_pyramid", lambda pyramid, partition, alphabet: partition)
+    monkeypatch.setattr(verify, "evac_from_right_side", lambda right, partition, alphabet: partition)
 
 
 def rhombus_completion_refuses(monkeypatch):
@@ -1039,7 +1229,7 @@ def removal_keeps_the_partition(monkeypatch):
 
 def search_finds_two_results(monkeypatch):
     two = {parse_partition("a"), parse_partition("b")}
-    monkeypatch.setattr(verify, "jdt_all_results", lambda skew, memo=None: two)
+    monkeypatch.setattr(verify, "_jdt_results", lambda inner, rows, memo: two)
 
 
 def random_strategy_refuses(monkeypatch):
@@ -1051,19 +1241,21 @@ def random_strategy_refuses(monkeypatch):
     monkeypatch.setattr(verify, "jdt", refusing)
 
 
-@pytest.mark.parametrize(
-    "line, mutate",
-    [
-        (0, fix_theta_on_classes),
-        (1, evac_refuses_its_own_output),
-        (2, delta_jdt_keeps_the_partition),
-        (3, pyramid_reads_the_partition_back),
-        (4, rhombus_completion_refuses),
-        (5, removal_keeps_the_partition),
-        (6, search_finds_two_results),
-        (7, random_strategy_refuses),
-    ],
-)
+# One row per way to break a kernel: the index of the one line it turns to
+# FAIL at n = 3.
+EVACUATION_BREAKS = [
+    (0, fix_theta_on_classes),
+    (1, evac_refuses_its_own_output),
+    (2, delta_jdt_keeps_the_partition),
+    (3, pyramid_reads_the_partition_back),
+    (4, rhombus_completion_refuses),
+    (5, removal_keeps_the_partition),
+    (6, search_finds_two_results),
+    (7, random_strategy_refuses),
+]
+
+
+@pytest.mark.parametrize("line, mutate", EVACUATION_BREAKS)
 def test_each_evacuation_line_fails_alone_and_names_a_counterexample(
     monkeypatch, capsys, line, mutate
 ):

@@ -9,7 +9,18 @@ from hypothesis import strategies as st
 
 from stylic.columns import act_word
 from stylic.core import Alphabet
-from stylic.evacuation import delta_direct, delta_jdt, evac, evac_via_pyramid, jdt
+from stylic.evacuation import (
+    _check_row_arrows,
+    build_pyramid,
+    completion_row,
+    delta_direct,
+    delta_jdt,
+    evac,
+    evac_from_right_side,
+    evac_via_pyramid,
+    jdt,
+    pyramid_by_completion,
+)
 from stylic.monoid import SetPartition, left_insert, n_tableau, pi, to_partition
 from stylic.rewriting import (
     PairTable,
@@ -18,7 +29,7 @@ from stylic.rewriting import (
     tableau_column_word,
 )
 from stylic.tableaux import p_tableau
-from stylic.verify import random_labelled_skew
+from stylic.verify import _delta_steps, random_labelled_skew
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -30,10 +41,10 @@ def words(draw):
 
 
 @st.composite
-def partitions(draw):
-    """A partition of a random subset of {1..n}: each letter gets a block
-    label, 0 leaving it out."""
-    n = draw(st.integers(8, 12))
+def partitions(draw, top=12):
+    """A partition of a random subset of {1..n}, 8 <= n <= top: each letter
+    gets a block label, 0 leaving it out."""
+    n = draw(st.integers(8, top))
     labels = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
     blocks: dict[int, list[int]] = {}
     for x, label in enumerate(labels, start=1):
@@ -105,6 +116,30 @@ def test_evac_matches_pyramid_and_is_involution(case):
     image = evac(r, alphabet)
     assert image == evac_via_pyramid(r, alphabet)
     assert evac(image, alphabet) == r
+
+
+@SETTINGS
+@given(partitions(top=10))
+def test_the_induction_along_delta_rebuilds_the_whole_pyramid(case):
+    # The delta orbit of r is closed under delta: its steps, read from r
+    # down, are the rows of r's pyramid, each completing to the next.
+    n, r = case
+    orbit = [r]
+    while orbit[-1].block_count():
+        orbit.append(delta_direct(orbit[-1]))
+    steps = list(_delta_steps(reversed(orbit)))[::-1]
+    assert [step[0] for step in steps] == orbit[:-1]
+    if not steps:
+        return
+    pyramid = build_pyramid(r)
+    assert tuple(chain for _, chain, _, _ in steps) + (((),),) == pyramid.chains
+    assert pyramid_by_completion(r).chains == pyramid.chains
+    for _, chain, lower, _ in steps:
+        _check_row_arrows(chain, lower, 0)
+        assert completion_row(chain) == lower
+    right = steps[0][3]
+    assert right == tuple(pyramid.right_side())
+    assert evac_from_right_side(right, r, Alphabet(n)) == evac(r, Alphabet(n))
 
 
 @SETTINGS

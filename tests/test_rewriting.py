@@ -405,6 +405,28 @@ def test_a_reduction_refused_above_the_scan_fails_the_normal_form_line(monkeypat
     assert "[confluence] FAIL" in out and err == ""
 
 
+def test_a_reduction_refused_inside_the_scan_fails_both_lines(monkeypatch, capsys):
+    # At n <= 4 the scan meets the refused pair first, and names it as the
+    # certificate does.
+    reduce = rewriting.column_pair_reduce
+
+    def refusing(c1, c2):
+        if 3 in c1 | c2:
+            raise ValueError("broken reduce")
+        return reduce(c1, c2)
+
+    monkeypatch.setattr(rewriting, "column_pair_reduce", refusing)
+    report = local_confluence_check(Alphabet(3))
+    assert not report.ok and report.refused[0] == "(a)(ca): broken reduce"
+    result = verify.verify_confluence(3)
+    assert [line[:5] for line in result.lines] == ["FAIL ", "FAIL "]
+    for line in result.lines:
+        assert line.endswith(" (first counterexample: (a)(ca): broken reduce)")
+    assert main(["verify", "confluence", "-n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "[confluence] FAIL" in out and err == ""
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("change", ["rules", "wrong"])
 def test_the_pair_certificate_agrees_with_the_word_loop(
