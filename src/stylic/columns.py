@@ -4,11 +4,12 @@ A column is a subset of the alphabet, equivalently the strictly decreasing
 word of its elements; the empty column is the identity state and renders as
 "1".  The action of a letter is the closed form
     x . gamma = (gamma \\ y) | {x},   y = min{z in gamma : z >= x},
-with a plain union when no such y exists.  `act_mask` is the single
-implementation of it, on column masks; `act_letter`, `act_word` and the
-enumerated monoid all go through it.  The tests cross-check it against the
-first column of the insertion tableau.  The column order extends both the
-alphabet order on singletons and reverse inclusion.
+with a plain union when no such y exists.  `act_masks`, the action of a
+whole word on a column mask in one loop, is the single implementation of
+it; `act_letter`, `act_word` and the moves of the enumerated monoid all
+call it.  The tests cross-check it against the first column of the
+insertion tableau.  The column order extends both the alphabet order on
+singletons and reverse inclusion.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .core import (
     Alphabet,
     LetterSet,
     Word,
+    _not_a_letter,
     letters_of,
     mask_of,
     parse_alpha_letter,
@@ -29,25 +31,29 @@ from .core import (
 EMPTY_COLUMN: LetterSet = frozenset()
 
 
-def act_mask(x: int, mask: int) -> int:
-    """Column insertion of letter x into a column mask: the least letter
-    y >= x is replaced by x, or x is added when there is none."""
-    at_least_x = mask >> (x - 1) << (x - 1)
-    bumped = at_least_x & -at_least_x  # 0 when no letter is >= x
-    return (mask ^ bumped) | 1 << (x - 1)
+def act_masks(w: Word, mask: int) -> int:
+    """Left action of a word on a column mask, its letters applied right to
+    left so that (uv).gamma = u.(v.gamma): each letter x takes the place of
+    the least letter y >= x, or joins the column when there is none."""
+    for x in reversed(w):
+        bit = 1 << (x - 1)
+        at_least_x = mask & -bit
+        mask = mask ^ (at_least_x & -at_least_x) | bit  # the bumped bit is 0 when no y
+    return mask
 
 
 def act_letter(x: int, column: LetterSet) -> LetterSet:
     """Column insertion of a single letter; the result always contains x."""
-    return frozenset(letters_of(act_mask(x, mask_of(column))))
+    return act_word((x,), column)
 
 
 def act_word(w: Word, column: LetterSet) -> LetterSet:
     """Left action of a word: letters applied right to left, so that
     (uv).gamma = u.(v.gamma)."""
-    mask = mask_of(column)
-    for x in reversed(w):
-        mask = act_mask(x, mask)
+    try:
+        mask = act_masks(w, mask_of(column))
+    except ValueError:  # a shift by a letter below 1
+        raise _not_a_letter(min((*w, *column))) from None
     return frozenset(letters_of(mask))
 
 

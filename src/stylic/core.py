@@ -84,6 +84,19 @@ def letters_of(mask: int) -> Word:
     return tuple(out)
 
 
+def _not_a_letter(x: object) -> ValueError:
+    return ValueError(f"{x!r} is not a letter: letters are positive integers")
+
+
+def _check_least_letter(x: int) -> None:
+    """Refuse the least entry of a word, row or block when it is below 1:
+    it is not a letter and has no bit in a mask.  The mask kernels skip
+    this test: a letter below 1 makes their shifts raise, and they name
+    their least letter then."""
+    if x < 1:
+        raise _not_a_letter(x)
+
+
 def theta(w: Word, alphabet: Alphabet) -> Word:
     """Reverse the word and replace each letter x by n+1-x.
 

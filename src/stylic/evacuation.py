@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Alphabet, Word, letters_of, parse_letter, render_letter
-from .monoid import SetPartition, _check_least_letter, _check_letter_types
+from .core import Alphabet, Word, _check_least_letter, letters_of, parse_letter, render_letter
+from .monoid import SetPartition, _check_letter_types
 from .tableaux import young_leq
 
 Composition = tuple[int, ...]
@@ -216,7 +216,7 @@ def _slide(inner: list[int], rows: list[int], y: int) -> None:
     corner in the first column ends the top inner row; there the smaller of
     the row's least letter and the least letter of the row above moves in,
     and while it comes from above, the empty cell climbs a row, as in
-    `_delta`.  A top row left empty leaves the shape."""
+    `_delta_step`.  A top row left empty leaves the shape."""
     if inner[y] > 1:
         inner[y] -= 1
         return
@@ -258,18 +258,20 @@ def jdt(skew: SkewPartition, strategy: str = "first", rng: Optional[random.Rando
 
 
 def _jdt_results(
-    inner: tuple[int, ...], rows: tuple[int, ...], memo: dict[tuple, tuple[SetPartition, ...]]
-) -> tuple[SetPartition, ...]:
-    """The results of sliding the state (inner, row masks) out over every
-    sequence of corner choices, by dynamic programming over the states that
-    slides reach: memo maps each state with an inner shape to its results,
-    so that a state reached from several others is slid once."""
+    inner: tuple[int, ...], rows: tuple[int, ...], memo: dict[tuple, tuple[tuple[int, ...], ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """The row masks of the distinct end states of sliding the state (inner,
+    row masks) out over every sequence of corner choices, by dynamic
+    programming over the states that slides reach: memo maps each state
+    with an inner shape to its results, so that a state reached from
+    several others is slid once.  The caller checks each distinct end
+    state, once."""
     if not inner:
-        return (SetPartition._from_masks(rows),)
+        return (rows,)
     key = (inner, rows)
     results = memo.get(key)
     if results is None:
-        out: set[SetPartition] = set()
+        out: set[tuple[int, ...]] = set()
         for pick in _corners(inner):
             moved_inner, moved_rows = list(inner), list(rows)
             _slide(moved_inner, moved_rows, pick)
@@ -279,46 +281,48 @@ def _jdt_results(
 
 
 def jdt_all_results(
-    skew: SkewPartition, memo: Optional[dict[tuple, tuple[SetPartition, ...]]] = None
+    skew: SkewPartition, memo: Optional[dict[tuple, tuple[tuple[int, ...], ...]]] = None
 ) -> set[SetPartition]:
     """Results over every sequence of corner choices.  memo maps each state
-    (inner, row masks) with an inner shape to its results; pass one dict
-    across many skews so that a state reached from several of them is slid
-    once."""
-    return set(_jdt_results(skew.inner, tuple(skew._row_masks()), {} if memo is None else memo))
+    (inner, row masks) with an inner shape to the row masks of its end
+    states; pass one dict across many skews so that a state reached from
+    several of them is slid once."""
+    ends = _jdt_results(skew.inner, tuple(skew._row_masks()), {} if memo is None else memo)
+    return set(map(SetPartition._from_masks, ends))
 
 
 # ---------------------------------------------------------------------------
 # The delta operator and evacuation.
 
 
-def _e_of(blocks: list[int]) -> int:
-    """The block index e of delta on block masks ordered by their minima,
-    counted from 0: the first block that is the last one, or whose
-    second-smallest letter lies below the minimum of the next block.  It is
-    the block reached by repeatedly jumping to the smallest letter to the
-    right, as long as that letter is a block minimum."""
-    for j in range(len(blocks) - 1):
-        below_next = (blocks[j + 1] & -blocks[j + 1]) - 1
-        if blocks[j] & (blocks[j] - 1) & below_next:
-            return j
-    return len(blocks) - 1
-
-
-def _delta(blocks: list[int], e: int) -> list[int]:
-    """delta on block masks ordered by their minima, given e counted from 0.
+def _delta_step(blocks: list[int]) -> int:
+    """delta in place on nonempty block masks ordered by their minima, in
+    one pass; returns the block index e, counted from 0.
 
     Each block before e trades its minimum for that of the next block, and
-    block e loses its minimum.  By the choice of e the blocks stay ordered
-    by their minima, and only a last block can empty out.
+    block e loses its minimum.  Block e is the first that is the last one,
+    or whose second-smallest letter lies below the minimum of the next
+    block: the block reached by repeatedly jumping to the smallest letter
+    to the right, as long as that letter is a block minimum.  By the choice
+    of e the blocks stay ordered by their minima, and only a last block
+    can empty out.
     """
-    out = list(blocks)
-    for j in range(e):
-        out[j] ^= (blocks[j] & -blocks[j]) | (blocks[j + 1] & -blocks[j + 1])
-    out[e] &= out[e] - 1
-    if not out[e]:
-        out.pop()
-    return out
+    low = blocks[0] & -blocks[0]
+    last = len(blocks) - 1
+    for j in range(last):
+        rest = blocks[j] ^ low
+        following = blocks[j + 1]
+        next_low = following & -following
+        if rest & (next_low - 1):
+            blocks[j] = rest
+            return j
+        blocks[j] = rest | next_low
+        low = next_low
+    if blocks[last] == low:
+        blocks.pop()
+    else:
+        blocks[last] ^= low
+    return last
 
 
 def delta_direct(partition: SetPartition) -> SetPartition:
@@ -327,7 +331,8 @@ def delta_direct(partition: SetPartition) -> SetPartition:
     if not partition.block_count():
         raise ValueError("empty partition")
     blocks = partition.masks()
-    return SetPartition._from_masks(_delta(blocks, _e_of(blocks)))
+    _delta_step(blocks)
+    return SetPartition._from_masks(blocks)
 
 
 def delta_jdt(partition: SetPartition) -> SetPartition:
@@ -359,9 +364,8 @@ def evac(partition: SetPartition, alphabet: Alphabet) -> SetPartition:
     # never changes the order of the blocks by their minima.
     steps = []
     while blocks:
-        e = _e_of(blocks)
-        steps.append((blocks[0] & -blocks[0], e))
-        blocks = _delta(blocks, e)
+        smallest = blocks[0] & -blocks[0]
+        steps.append((smallest, _delta_step(blocks)))
     for smallest, e in reversed(steps):
         replaced = 1 << (alphabet.n - smallest.bit_length())  # theta(b) = n + 1 - b
         if e == len(blocks):

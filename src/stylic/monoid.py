@@ -17,11 +17,13 @@ from itertools import accumulate
 from operator import ge, itemgetter, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
-from .columns import act_mask
+from .columns import act_masks
 from .core import (
     Alphabet,
     LetterSet,
     Word,
+    _check_least_letter,
+    _not_a_letter,
     decreasing_word,
     letters_of,
     mask_of,
@@ -85,14 +87,7 @@ def _check_letter_types(word: Iterable) -> None:
     True would pass for the letter 1."""
     for x in word:
         if type(x) is not int:
-            raise ValueError(f"{x!r} is not a letter: letters are positive integers")
-
-
-def _check_least_letter(x: int) -> None:
-    """Refuse the least entry of a row or block when it is below 1: it is
-    not a letter and has no bit in a mask."""
-    if x < 1:
-        raise ValueError(f"{x!r} is not a letter: letters are positive integers")
+            raise _not_a_letter(x)
 
 
 @dataclass(frozen=True, init=False)
@@ -288,17 +283,27 @@ def up(x: int, row: int) -> int:
 def _n_insert(rows: list[int], w: Word) -> None:
     """N-insert the letters of a word into row masks, bottom row first: each
     row absorbs the carried letter and passes up a copy of its least larger
-    letter."""
-    for x in w:
-        bit = 1 << (x - 1)
-        for i, row in enumerate(rows):
-            rows[i] = row | bit
-            above = row & -(bit << 1)
-            if not above:
-                break
-            bit = above & -above
-        else:
-            rows.append(bit)
+    letter.  A letter equal to the one before it changes nothing (a.a = a):
+    the copies it would pass up are already in place, so it is skipped."""
+    last = None
+    try:
+        for x in w:
+            if x == last:
+                continue
+            last = x
+            bit = 1 << (x - 1)
+            i = 0
+            for row in rows:
+                rows[i] = row | bit
+                above = row & -(bit << 1)
+                if not above:
+                    break
+                bit = above & -above
+                i += 1
+            else:
+                rows.append(bit)
+    except ValueError:  # a shift by a letter below 1
+        raise _not_a_letter(min(w)) from None
 
 
 def delta_word(w: Word) -> Word:
@@ -306,11 +311,14 @@ def delta_word(w: Word) -> Word:
     each letter contributes the least strictly larger letter already seen."""
     seen = 0
     out: list[int] = []
-    for x in w:
-        bumped = up(x, seen)
-        if bumped:
-            out.append(bumped.bit_length())
-        seen |= 1 << (x - 1)
+    try:
+        for x in w:
+            bumped = up(x, seen)
+            if bumped:
+                out.append(bumped.bit_length())
+            seen |= 1 << (x - 1)
+    except ValueError:  # a shift by a letter below 1
+        raise _not_a_letter(min(w)) from None
     return tuple(out)
 
 
@@ -355,16 +363,18 @@ def left_insert(x: int, tableau: NTableau) -> NTableau:
     return NTableau._from_masks(rows)
 
 
-def _partition_of(rows: list[int]) -> SetPartition:
+def _partition_of(rows: Sequence[int]) -> SetPartition:
     """The row differences, bottom row first: each keeps its row's minimum,
     so they come out ordered by their minima."""
-    return SetPartition._from_masks([row & ~above for row, above in zip(rows, rows[1:] + [0])])
+    blocks = [row & ~above for row, above in zip(rows, rows[1:])]
+    blocks.extend(rows[-1:])
+    return SetPartition._from_masks(blocks)
 
 
 def to_partition(tableau: NTableau) -> SetPartition:
     """The partition whose blocks are the successive row differences, the
     bottom row first."""
-    return _partition_of(tableau.masks())
+    return _partition_of(tableau._masks)
 
 
 def from_partition(partition: SetPartition) -> NTableau:
@@ -473,7 +483,7 @@ class StylicMonoid:
         # A child's transform is its letter's move translated through the
         # parent's, padded to the 256 bytes that bytes.translate takes.
         # A child's N-tableau is its parent's row masks with x N-inserted.
-        moves = {x: bytes(act_mask(x, m) for m in range(size)) for x in alphabet.letters}
+        moves = {x: bytes(act_masks((x,), m) for m in range(size)) for x in alphabet.letters}
         padding = bytes(256 - size)
         right: dict[int, list[int]] = {x: [] for x in alphabet.letters}
         i = 0

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import gt, le
 
-from .core import LetterSet, Word, render_letter
+from .core import LetterSet, Word, _check_least_letter, render_letter
 
 Shape = tuple[int, ...]
 
@@ -74,24 +74,27 @@ class Tableau:
         return {"rows": [[render_letter(x) for x in row] for row in self.rows]}
 
 
-def _row_insert(rows: list[list[int]], x: int) -> None:
-    """Row-insert a letter into plain rows, bottom row first, in place: each
-    row takes the carried letter in place of its least strictly larger one
-    and passes that one up."""
-    for row in rows:
-        j = bisect_right(row, x)
-        if j == len(row):
-            row.append(x)
-            return
-        row[j], x = x, row[j]
-    rows.append([x])
+def _row_insert(rows: list[list[int]], w: Word) -> None:
+    """Row-insert the letters of a word into plain rows, bottom row first,
+    in place: each row takes the carried letter in place of its least
+    strictly larger one and passes that one up."""
+    for x in w:
+        for row in rows:
+            j = bisect_right(row, x)
+            if j == len(row):
+                row.append(x)
+                break
+            row[j], x = x, row[j]
+        else:
+            rows.append([x])
 
 
 def p_tableau(w: Word) -> Tableau:
     """The insertion tableau P(w), by row insertion of the letters in order."""
+    if w:
+        _check_least_letter(min(w))
     rows: list[list[int]] = []
-    for x in w:
-        _row_insert(rows, x)
+    _row_insert(rows, w)
     return Tableau(tuple(map(tuple, rows)))
 
 

@@ -573,10 +573,16 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
 
     k = min(n, 4)
     memo: dict = {}  # slides stay inside the set, so each state is slid once
+    checked: set = set()  # end states whose partition check has run
 
     def choice_free(state: SkewState) -> bool:
         _check_skew_state(state)
-        return len(_jdt_results(state[1], state[2], memo)) == 1
+        results = _jdt_results(state[1], state[2], memo)
+        for rows in results:
+            if rows not in checked:
+                SetPartition._from_masks(rows)  # the partition check, once per end state
+                checked.add(rows)
+        return len(results) == 1
 
     instances = 0
 

@@ -10,7 +10,7 @@ from typing import Optional
 
 import pytest
 
-from stylic.core import decreasing_word
+from stylic.core import decreasing_word, letters_of
 from stylic.evacuation import check_composition, ideal_points, point_covers
 from stylic.monoid import EMPTY_NTABLEAU, NTableau, SetPartition, delta_word
 from stylic.rewriting import _measure_less, _redexes, _rewrite
@@ -30,6 +30,48 @@ def n_tableau_recursive(w):
         return EMPTY_NTABLEAU
     rest = n_tableau_recursive(delta_word(w))
     return NTableau((tuple(sorted(set(w))),) + rest.rows)
+
+
+def e_of_blocks(blocks):
+    """The block index e of delta on block masks ordered by their minima,
+    counted from 0: the first block that is the last one, or whose
+    second-smallest letter lies below the minimum of the next block."""
+    for j in range(len(blocks) - 1):
+        below_next = (blocks[j + 1] & -blocks[j + 1]) - 1
+        if blocks[j] & (blocks[j] - 1) & below_next:
+            return j
+    return len(blocks) - 1
+
+
+def delta_by_copy(blocks, e):
+    """delta on block masks given e, on a copy: each block before e trades
+    its minimum for that of the next block, and block e loses its minimum."""
+    out = list(blocks)
+    for j in range(e):
+        out[j] ^= (blocks[j] & -blocks[j]) | (blocks[j + 1] & -blocks[j + 1])
+    out[e] &= out[e] - 1
+    if not out[e]:
+        out.pop()
+    return out
+
+
+def evac_by_delta_copies(partition, alphabet):
+    """Evacuation by its recursion: evacuate delta of the partition, a
+    copy, then place the reversal of the removed minimum into block e."""
+
+    def rec(blocks):
+        if not blocks:
+            return []
+        e = e_of_blocks(blocks)
+        out = rec(delta_by_copy(blocks, e))
+        replaced = 1 << (alphabet.n - (blocks[0] & -blocks[0]).bit_length())
+        if e == len(out):
+            out.append(replaced)
+        else:
+            out[e] |= replaced
+        return out
+
+    return SetPartition(tuple(map(letters_of, rec(partition.masks()))))
 
 
 def column_insert(tableau, x):
@@ -360,3 +402,18 @@ def inflate_helper():
 @pytest.fixture(scope="session", name="canonical_inflation_exponents")
 def canonical_inflation_exponents_helper():
     return canonical_inflation_exponents
+
+
+@pytest.fixture(scope="session", name="e_of_blocks")
+def e_of_blocks_oracle():
+    return e_of_blocks
+
+
+@pytest.fixture(scope="session", name="delta_by_copy")
+def delta_by_copy_oracle():
+    return delta_by_copy
+
+
+@pytest.fixture(scope="session", name="evac_by_delta_copies")
+def evac_by_delta_copies_oracle():
+    return evac_by_delta_copies

@@ -115,7 +115,7 @@ def e_of(partition):
     to the right, as long as it is a block minimum."""
     if not partition.block_count():
         raise ValueError("empty partition")
-    return evacuation._e_of(partition.masks()) + 1
+    return evacuation._delta_step(partition.masks()) + 1
 
 
 def composition_covers(comp):
@@ -1228,7 +1228,7 @@ def removal_keeps_the_partition(monkeypatch):
 
 
 def search_finds_two_results(monkeypatch):
-    two = {parse_partition("a"), parse_partition("b")}
+    two = {tuple(parse_partition("a").masks()), tuple(parse_partition("b").masks())}
     monkeypatch.setattr(verify, "_jdt_results", lambda inner, rows, memo: two)
 
 

@@ -36,8 +36,12 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 @st.composite
 def words(draw):
+    """A word of up to 40 letters over 8 <= n <= 12, drawn as runs of a
+    repeated letter: the a.a = a skip of N-insertion and deep rows both
+    come up."""
     n = draw(st.integers(8, 12))
-    return n, tuple(draw(st.lists(st.integers(1, n), max_size=30)))
+    runs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, 4)), max_size=40))
+    return n, tuple(x for x, repeat in runs for _ in range(repeat))[:40]
 
 
 @st.composite

@@ -60,7 +60,7 @@ def test_row_insert_into_row():
         ((), 1, [[1]]),
     ]:
         rows = [list(row)]
-        _row_insert(rows, x)
+        _row_insert(rows, (x,))
         assert rows == expected
 
 
@@ -110,8 +110,7 @@ def test_two_sided_insertion_of_products(column_insert):
             for x in reversed(u):
                 by_columns = column_insert(by_columns, x)
             by_rows = [list(row) for row in p_tableau(u).rows]
-            for x in v:
-                _row_insert(by_rows, x)
+            _row_insert(by_rows, v)
             assert by_columns == expected
             assert Tableau(tuple(map(tuple, by_rows))) == expected
 
