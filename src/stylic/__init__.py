@@ -35,8 +35,9 @@ _EXPORTS = {
         "pyramid_by_completion",
     ),
     "rewriting": (
-        "column_pair_reduce", "congruence_equal", "knuth_relations",
+        "column_pair_reduce", "congruence_equal", "congruence_reaches", "knuth_relations",
         "local_confluence_check", "normalize_column_word", "stylic_relations",
+        "tableau_column_word",
     ),
     "syntactic": (
         "lambda_shape", "left_syntactic_check", "plactic_left_syntactic_check",

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, product
-from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import Alphabet, Word, decreasing_word, letters_of, render_letter, render_word, theta
@@ -23,7 +23,7 @@ from .evacuation import (
     Point,
     SkewPartition,
     _check_row_arrows,
-    _jdt_results,
+    _slide,
     completion_row,
     delta_direct,
     delta_jdt,
@@ -39,6 +39,7 @@ from .monoid import (
     EMPTY_PARTITION,
     SetPartition,
     StylicMonoid,
+    _check_block_masks,
     all_partitions_of_subsets,
     bell_number,
     enumerate_styl,
@@ -50,27 +51,23 @@ from .monoid import (
 )
 from .rewriting import (
     PairTable,
+    Relation,
     _columns,
     _measure_less,
-    congruence_reaches,
     local_confluence_check,
     render_column_word,
     stylic_relations,
-    tableau_column_word,
 )
 from .syntactic import (
     _statistic_congruence,
-    all_words,
     left_syntactic_check,
     plactic_left_syntactic_check,
     syntactic_monoid_check,
 )
-from .tableaux import p_tableau, young_leq
+from .tableaux import Tableau, p_tableau, young_leq
 
-# The alphabet size at which the presentation suite connects equal-action
-# words by rewriting, and the number of random skews on which the evacuation
-# suite compares jeu de taquin strategies.
-PRESENTATION_SLICE = 3
+# The number of random skews on which the evacuation suite compares jeu de
+# taquin strategies.
 RANDOM_SKEWS = 200
 
 
@@ -143,8 +140,8 @@ def compositions_up_to(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-# A labelled skew as the exhaustive jeu de taquin line holds it: (outer,
-# inner, row masks), one mask of letters per row of the outer ideal.
+# A labelled skew as `all_labelled_skews` builds it: (outer, inner, row
+# masks), one mask of letters per row of the outer ideal.
 SkewState = tuple[Composition, Composition, tuple[int, ...]]
 
 
@@ -203,27 +200,6 @@ def _labelled_skew_states(n: int, outer_cap: int) -> Iterator[SkewState]:
                     yield outer, inner, tuple(map(table.__getitem__, ranks))
 
 
-def _check_skew_state(state: SkewState) -> None:
-    """Raises ValueError unless the row masks label outer minus inner
-    increasingly by distinct letters, as `SkewPartition` requires of its
-    labels: the rows are disjoint, each holds as many letters as its row has
-    points, and the minima of the rows above the inner ideal rise.  A mask
-    lists its row's letters increasing, so nothing else can fail."""
-    outer, inner, rows = state
-    if tuple(map(int.bit_count, rows)) != (*map(sub, outer, inner), *outer[len(inner) :]):
-        raise ValueError("the rows do not hold one letter per point of outer minus inner")
-    seen = 0
-    for row in rows:
-        if row & seen:
-            raise ValueError("a letter lies in two rows")
-        seen |= row
-    low = 0
-    for row in rows[len(inner) :]:
-        if row & -row < low:
-            raise ValueError("the first column does not increase")
-        low = row & -row
-
-
 def _state_labels(state: SkewState) -> tuple[tuple[Point, int], ...]:
     """The labels of a state: each row's letters, increasing, at its points
     right of the inner ideal."""
@@ -233,17 +209,6 @@ def _state_labels(state: SkewState) -> tuple[tuple[Point, int], ...]:
         for y, row in enumerate(rows, start=1)
         for x, letter in enumerate(letters_of(row), start=(inner[y - 1] if y <= len(inner) else 0) + 1)
     )
-
-
-def _state_json(state: SkewState) -> str:
-    """A state named by the JSON of its skew, the form `styl compute jdt`
-    reads, or by its masks when they label no skew."""
-    outer, inner, rows = state
-    try:
-        skew = SkewPartition(outer, inner, _state_labels(state))
-    except ValueError:
-        return f"outer {list(outer)}, inner {list(inner)}, row masks {list(rows)}"
-    return _skew_json(skew)
 
 
 def all_labelled_skews(n: int, outer_cap: int) -> Iterator[SkewPartition]:
@@ -315,8 +280,10 @@ def class_function_counterexample(monoid: StylicMonoid) -> Optional[str]:
 
 
 def theta_on_classes(monoid: StylicMonoid) -> list[int]:
-    """phi[m]: the class of theta(u_m), with u_m the BFS word of element m."""
-    return [monoid.class_of_word(theta(e.word, monoid.alphabet)) for e in monoid.elements]
+    """phi[m]: the class of theta(u_m), with u_m the BFS word of element m.
+    theta checks each word against the alphabet, so the walk does not."""
+    alphabet = monoid.alphabet
+    return [monoid._times(monoid.identity, theta(e.word, alphabet)) for e in monoid.elements]
 
 
 def theta_counterexample(monoid: StylicMonoid, phi: list[int]) -> Optional[str]:
@@ -352,6 +319,182 @@ def evacuation_counterexample(
         [lambda e: evacuated(partitions[e.index]) == partitions[phi[e.index]]],
         lambda e: f"evac at {e.render_word()!r}",
     )[0]
+
+
+def _descent_depth(
+    left: bytes, moves: dict[bytes, list[bytes]], lengths: list[int]
+) -> Optional[int]:
+    """The fewest moves that take the word `left` to a shortlex-smaller
+    word, or None.  A move replaces a factor that is a pattern of `moves`
+    by one of its replacements; `lengths` lists the pattern lengths,
+    increasing.  The search keeps to words of at most |left| letters, and
+    then, if it finds none, of at most |left| + 1."""
+    bound = (len(left), left)
+    for cap in (len(left), len(left) + 1):
+        seen, layer, depth = {left}, [left], 0
+        while layer:
+            depth += 1
+            reached = []
+            for s in layer:
+                for i in range(len(s)):
+                    for k in lengths:
+                        if i + k > len(s):
+                            break
+                        for r in moves.get(s[i : i + k], ()):
+                            t = s[:i] + r + s[i + k :]
+                            if len(t) > cap or t in seen:
+                                continue
+                            if (len(t), t) < bound:
+                                return depth
+                            seen.add(t)
+                            reached.append(t)
+            layer = reached
+    return None
+
+
+def presentation_counterexample(
+    monoid: StylicMonoid, relations: Sequence[Relation]
+) -> tuple[int, int, Optional[str]]:
+    """The Froidure-Pin rules of the monoid, derived from the relations by
+    shortlex descent: the number of rules, the most moves a derivation
+    took, and the first rule with no derivation, or None.
+
+    Each right Cayley edge m -> m.x whose word u_m.x is not the BFS word
+    of m.x gives the rule u_m.x -> u_{m.x}.  In shortlex order of their
+    left sides, each rule must move to a shortlex-smaller word, applying
+    the relations either way and the rules derived before it forward.
+
+    None proves, given that the relations hold, that they generate the
+    whole congruence: every word w is equivalent to u_[w], the BFS word of
+    its class.  By strong induction on w in shortlex order.  A word that
+    holds no left side of a rule is a BFS word, read prefix by prefix: the
+    BFS words are closed under prefixes, each being its parent's word and
+    one letter, so the BFS word u_m followed by x is u_{m.x} or a left
+    side.  Otherwise w = s.l.t for a rule l -> u, and the derivation takes
+    l to a smaller word v by relations and by rules whose left sides are
+    smaller than l, which the induction covers.  So w is equivalent to the
+    smaller word s.v.t, of the same class, and so to u_[w]."""
+    moves: dict[bytes, list[bytes]] = {}
+    for l, r in relations:
+        moves.setdefault(bytes(l), []).append(bytes(r))
+        moves.setdefault(bytes(r), []).append(bytes(l))
+    lengths = sorted(set(map(len, moves)))
+    words = [bytes(e.word) for e in monoid.elements]
+    rules = []
+    for x, step in monoid.right_by_letter.items():
+        for m, j in enumerate(step):
+            left = words[m] + bytes((x,))
+            if left != words[j]:
+                rules.append((left, words[j]))
+    rules.sort(key=lambda rule: (len(rule[0]), rule[0]))
+    longest = 0
+    for left, right in rules:
+        depth = _descent_depth(left, moves, lengths)
+        if depth is None:
+            rule = f"{render_word(tuple(left))!r} -> {render_word(tuple(right))!r}"
+            return len(rules), longest, rule
+        longest = max(longest, depth)
+        moves.setdefault(left, []).append(right)
+        if len(left) not in lengths:
+            insort(lengths, len(left))
+    return len(rules), longest, None
+
+
+def slide_window_counterexample(monoid: StylicMonoid) -> tuple[int, Optional[str]]:
+    """One jeu de taquin slide on every window over the monoid's alphabet:
+    the number of windows, and the first on which the slide fails, named
+    by its skew's JSON, or None.
+
+    A window is a skew with inner ideal (1,): row 1, possibly empty, right
+    of the inner point, and above it rows that are nonempty and disjoint,
+    with rising minima.  The slide must empty the inner ideal, leave rows
+    that are nonempty and disjoint, with rising minima, and keep the class
+    of the row word.
+
+    None proves that jeu de taquin takes every skew s labelled by letters
+    <= n, of any size, to pi(row_word(s)), whatever the corners.  A slide
+    off the first column only shortens an inner row, so no row mask moves.
+    A slide in the first column starts at the top inner row y, whose one
+    inner point is (1, y); it changes only rows y and above, which form a
+    window, and keeps their union, so the rest of the row word stays and,
+    the class being a congruence, the class of the whole word stays.  The
+    slid rows are again those of a skew, so every slide keeps the class,
+    until the rows are the blocks of a partition r.  The rows of the
+    N-tableau of r are the unions of the tails of its blocks, so the row
+    word of r is that tableau's, and the bijection suite's reinsertion line
+    checks that N-inserting it gives the tableau back: pi(row_word(r)) = r.
+    pi is a function of the class, by the bijection suite's N-insertion
+    line, so r = pi(row_word(s)).
+
+    The windows are built from the top row down, each new row below with
+    a smaller minimum, and the class of the row word of the rows so far
+    is carried down the recursion, so a window's class is one walk of its
+    last union along the right Cayley graph.  A window whose slide moves
+    no mask keeps its class, and its class is not walked."""
+    n = monoid.alphabet.n
+    full = (1 << n) - 1
+    right = monoid.right_by_letter
+    # The right Cayley steps of each mask's letters, increasing.
+    paths = [[right[x] for x in letters_of(mask)] for mask in range(full + 1)]
+    count, first = 0, None
+
+    def times(m: int, mask: int) -> int:
+        for step in paths[mask]:
+            m = step[m]
+        return m
+
+    def row_word_class(rows: list[int]) -> int:  # rows bottom first
+        m, union = monoid.identity, 0
+        for row in reversed(rows):
+            union |= row
+            m = times(m, union)
+        return m
+
+    def visit(above: list[int], before: int, union: int, low: int) -> None:
+        # above: the rows over row 1, bottom first; before: the class of
+        # their row word; low: the least letter of the lowest, as a bit.
+        nonlocal count, first
+        free = full & ~union
+        count += 1 << free.bit_count()
+        moved: Optional[list[int]] = None
+        row = free
+        while True:  # every row 1 inside free, the empty one last
+            window = [row, *above]
+            slid, inner = window.copy(), [1]
+            try:
+                _slide(inner, slid, 0)
+                if inner:
+                    raise ValueError("the slide leaves the inner point")
+                if slid == window:
+                    # The rows over row 1 are a window's, so the rows fail
+                    # the check only when row 1 is empty or not below them.
+                    if not 0 < row & -row < low:
+                        _check_block_masks(slid)
+                else:
+                    _check_block_masks(slid)
+                    if slid[1:] != moved:
+                        moved = slid[1:]
+                        after = row_word_class(moved)
+                    # The rows are disjoint, so their sum is their union.
+                    if times(before, union | row) != times(after, sum(slid)):
+                        raise ValueError("the slide changes the class of the row word")
+            except ValueError as exc:
+                if first is None:
+                    outer = (row.bit_count() + 1, *map(int.bit_count, above))
+                    skew = SkewPartition(outer, (1,), _state_labels((outer, (1,), tuple(window))))
+                    first = f"{_skew_json(skew)}: {exc}"
+            if not row:
+                break
+            row = (row - 1) & free
+        below = free
+        while below:
+            if below & -below < low:
+                grown = union | below
+                visit([below, *above], times(before, grown), grown, below & -below)
+            below = (below - 1) & free
+
+    visit([], monoid.identity, 0, 1 << n)
+    return count, first
 
 
 Chain = tuple[Composition, ...]
@@ -453,15 +596,14 @@ def verify_bijection(monoids: Sequence[StylicMonoid]) -> SuiteResult:
     return result
 
 
-def verify_presentation(monoids: Sequence[StylicMonoid], maxlen: int) -> SuiteResult:
+def verify_presentation(monoids: Sequence[StylicMonoid]) -> SuiteResult:
     """The defining relations hold in the monoids for the alphabet sizes
-    1..n, and at desk scale the bounded rewriting closure connects every
-    pair of equal-action words."""
+    1..n, and they generate the whole congruence: they derive every
+    Froidure-Pin rule of each monoid by shortlex descent."""
     result = SuiteResult("presentation")
     for monoid in monoids:
-        alphabet = monoid.alphabet
-        k = alphabet.n
-        relations = stylic_relations(alphabet)
+        k = monoid.alphabet.n
+        relations = stylic_relations(monoid.alphabet)
         bad = next(
             (
                 f"{render_word(l)!r} = {render_word(r)!r}"
@@ -473,28 +615,12 @@ def verify_presentation(monoids: Sequence[StylicMonoid], maxlen: int) -> SuiteRe
         result.add_first(
             f"n={k}: all {len(relations)} defining relations hold in the enumerated monoid", bad
         )
-    monoid = monoids[min(len(monoids), PRESENTATION_SLICE) - 1]
-    alphabet = monoid.alphabet
-    k = alphabet.n
-    classes: dict[int, list[Word]] = {}
-    for w in all_words(alphabet, maxlen):
-        classes.setdefault(monoid.class_of_word(w), []).append(w)
-    relations = stylic_relations(alphabet)
-    gaps: list[str] = []
-    pruned_any = False
-    for words in classes.values():
-        rep = min(words, key=lambda w: (len(w), w))
-        cap = 2 * max(len(w) for w in words) + 2
-        reached, pruned = congruence_reaches(rep, words, relations, cap)
-        pruned_any = pruned_any or pruned
-        gaps.extend(f"{render_word(rep)!r}~{render_word(w)!r}" for w in words if w not in reached)
-    result.add_first(
-        f"n={k}, len<={maxlen}: {len(classes)} classes, all words connected "
-        f"under the relations within cap 2*len+2",
-        next(iter(gaps), None),
-    )
-    if pruned_any:
-        result.lines.append("  note: the length cap pruned some rewriting moves")
+        rules, longest, failure = presentation_counterexample(monoid, relations)
+        result.add_first(
+            f"n={k}: the relations derive all {rules} Froidure-Pin rules by shortlex descent "
+            f"(longest derivation {longest}), so they present the monoid",
+            failure,
+        )
     return result
 
 
@@ -510,17 +636,19 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
     pyramid is the chain of the i-th delta iterate, and delta removes one
     letter, so by induction on the letter count this proves every pyramid
     valid, rebuilt by completion and read off as evac, as whole pyramids
-    would.  The exhaustive jeu de taquin line holds its skews as row masks,
-    checks each as `SkewPartition` would, and searches the slides of the
-    masks directly; a skew is built only to name a counterexample."""
+    would.  The jeu de taquin line checks one slide on every window, which
+    proves every skew over the alphabet choice-free, and the random skews
+    compare the strategies of `jdt` itself."""
     result = SuiteResult("evacuation")
     alphabet = monoid.alphabet
     n = alphabet.n
 
     # One table of evac serves every line.  The involution line fills it
     # first, so evac also runs on its own outputs, where those come first.
+    # One table of delta serves the delta and top-removal lines.
     partitions = list(all_partitions_of_subsets(alphabet))
     evacuated = cache(lambda r: evac(r, alphabet))
+    delta = cache(delta_direct)
     (involution,) = _first_counterexamples(
         partitions, [lambda r: evacuated(evacuated(r)) == r], SetPartition.render
     )
@@ -553,11 +681,12 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
 
     def top_removal_commutes(step: tuple) -> bool:
         r = step[0]
-        return evacuated(remove_from_partition(r, max(r.ground()))) == delta_direct(evacuated(r))
+        top = sum(r.masks()).bit_length()  # the blocks are disjoint: sum is union
+        return evacuated(remove_from_partition(r, top)) == delta(evacuated(r))
 
     lines = {
         f"n={n}: block-surgery delta equals jeu-de-taquin delta": (
-            lambda step: delta_direct(step[0]) == delta_jdt(step[0])
+            lambda step: delta(step[0]) == delta_jdt(step[0])
         ),
         f"n={n}: pyramid right side reproduces evacuation": right_side_evacuates,
         f"n={n}: rhombus completion rebuilds the pyramid from its left chain": completes_to_delta,
@@ -571,31 +700,10 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
     for message, failure in zip(lines, failures):
         result.add_first(message, failure)
 
-    k = min(n, 4)
-    memo: dict = {}  # slides stay inside the set, so each state is slid once
-    checked: set = set()  # end states whose partition check has run
-
-    def choice_free(state: SkewState) -> bool:
-        _check_skew_state(state)
-        results = _jdt_results(state[1], state[2], memo)
-        for rows in results:
-            if rows not in checked:
-                SetPartition._from_masks(rows)  # the partition check, once per end state
-                checked.add(rows)
-        return len(results) == 1
-
-    instances = 0
-
-    def streamed() -> Iterator[SkewState]:  # and counted past a failure
-        nonlocal instances
-        for state in _labelled_skew_states(k, outer_cap=6):
-            instances += 1
-            yield state
-
-    (failure,) = _first_counterexamples(streamed(), [choice_free], _state_json)
+    windows, failure = slide_window_counterexample(monoid)
     result.add_first(
-        f"jeu de taquin is choice-independent on all {instances} labelled "
-        f"skews (letters<={k}, outer<=6)",
+        f"n={n}: a jeu de taquin slide keeps the class of the row word on all {windows} "
+        "windows, so every order of slides ends at pi of the row word",
         failure,
     )
     rng = random.Random(seed)
@@ -689,6 +797,16 @@ def verify_syntactic(monoid: StylicMonoid, maxlen: int = 6) -> SuiteResult:
     return result
 
 
+def _column_masks(tableau: Tableau) -> tuple[int, ...]:
+    """The columns of a tableau, left to right, as letter masks read off
+    its rows."""
+    masks = [0] * len(tableau.rows[0]) if tableau.rows else []
+    for row in tableau.rows:
+        for j, x in enumerate(row):
+            masks[j] |= 1 << (x - 1)
+    return tuple(masks)
+
+
 def normal_form_counterexample(n: int, table: PairTable) -> Optional[str]:
     """The first pair c1 c2 of nonempty column masks over n letters on which
     one of three facts fails, or None: (1) no rule applies to c1 c2 exactly
@@ -712,7 +830,7 @@ def normal_form_counterexample(n: int, table: PairTable) -> Optional[str]:
 
     def holds(pair: tuple[int, int]) -> bool:
         tableau = p_tableau(reading(pair))
-        irreducible = _columns(pair) == tableau_column_word(tableau)
+        irreducible = pair == _column_masks(tableau)
         rule = table[pair]
         if rule is None:
             return irreducible
@@ -763,7 +881,7 @@ SUITES = {
         [build(k) for k in range(1, n + 1)]
     ),
     "presentation": lambda build, n, maxlen, seed: verify_presentation(
-        [build(k) for k in range(1, n + 1)], maxlen
+        [build(k) for k in range(1, n + 1)]
     ),
     "evacuation": lambda build, n, maxlen, seed: verify_evacuation(build(n), seed),
     "graded": lambda build, n, maxlen, seed: verify_graded(build(n)),

@@ -210,6 +210,13 @@ def test_maxlen_does_not_bound_the_confluence_suite(capsys):
     assert outputs[0][0] == 0
 
 
+def test_maxlen_does_not_bound_the_presentation_suite(capsys):
+    # The descent certifies every rule at its own length, with no word cap.
+    outputs = [run(capsys, "verify", "presentation", "-n", "4", "--maxlen", m) for m in ("1", "8")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "len<=" not in outputs[0][1]
+
+
 def count_builds(monkeypatch):
     """Patch the builder that `verify` enumerates through; return the list
     of (monoid, copy of its Cayley graphs when built) that it fills."""
@@ -818,7 +825,7 @@ def test_every_export_is_the_object_in_its_module():
             assert getattr(stylic, name) is getattr(source, name), name
             assert vars(stylic)[name] is getattr(source, name), name  # kept after first use
     assert sorted(stylic.__all__) == sorted(n for names in stylic._EXPORTS.values() for n in names)
-    assert len(stylic.__all__) == len(set(stylic.__all__)) == 55
+    assert len(stylic.__all__) == len(set(stylic.__all__)) == 57
 
 
 def test_an_unknown_name_raises_attribute_error_naming_it():

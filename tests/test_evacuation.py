@@ -1,5 +1,6 @@
 import ast
 import json
+import operator
 import random
 from collections import Counter
 from itertools import permutations, product, takewhile
@@ -339,11 +340,79 @@ def test_a_shared_memo_gives_the_fresh_memo_results(n, outer_cap, count):
     assert len(skews) == len(shared) == count
 
 
+# The exhaustive jeu de taquin line that `verify evacuation` ran before its
+# window line, kept as an oracle: every labelled skew with at most n letters
+# and an outer ideal of at most outer_cap points, held as a state (outer,
+# inner, row masks), checked as `SkewPartition` would check it, and searched
+# over every order of corners, with one memo across all skews.
+
+
+def check_skew_state(state):
+    """Raises ValueError unless the row masks label outer minus inner
+    increasingly by distinct letters, as `SkewPartition` requires of its
+    labels: the rows are disjoint, each holds as many letters as its row has
+    points, and the minima of the rows above the inner ideal rise.  A mask
+    lists its row's letters increasing, so nothing else can fail."""
+    outer, inner, rows = state
+    if tuple(map(int.bit_count, rows)) != (*map(operator.sub, outer, inner), *outer[len(inner) :]):
+        raise ValueError("the rows do not hold one letter per point of outer minus inner")
+    seen = 0
+    for row in rows:
+        if row & seen:
+            raise ValueError("a letter lies in two rows")
+        seen |= row
+    low = 0
+    for row in rows[len(inner) :]:
+        if row & -row < low:
+            raise ValueError("the first column does not increase")
+        low = row & -row
+
+
+def state_json(state):
+    """A state named by the JSON of its skew, the form `styl compute jdt`
+    reads, or by its masks when they label no skew."""
+    outer, inner, rows = state
+    try:
+        skew = SkewPartition(outer, inner, verify._state_labels(state))
+    except ValueError:
+        return f"outer {list(outer)}, inner {list(inner)}, row masks {list(rows)}"
+    return json.dumps(skew.to_json())
+
+
+def exhaustive_jdt_line(n, outer_cap=6, states=None):
+    """The count of skew states checked and the first that fails, named by
+    `state_json`, or None.  A state fails when the mask check refuses it,
+    when its slides end in more than one state, or when an end state is no
+    partition; the partition check runs once per distinct end state."""
+    memo, checked = {}, set()
+
+    def choice_free(state):
+        check_skew_state(state)
+        results = evacuation._jdt_results(state[1], state[2], memo)
+        for rows in results:
+            if rows not in checked:
+                SetPartition._from_masks(rows)
+                checked.add(rows)
+        return len(results) == 1
+
+    instances = 0
+
+    def streamed():  # and counted past a failure
+        nonlocal instances
+        for state in verify._labelled_skew_states(n, outer_cap) if states is None else states:
+            instances += 1
+            yield state
+
+    (failure,) = verify._first_counterexamples(streamed(), [choice_free], state_json)
+    return instances, failure
+
+
 def test_the_jdt_check_slides_each_state_and_corner_once(monkeypatch):
     skews = list(all_labelled_skews(4, outer_cap=6))
     state_corners = sum(len(evacuation._corners(skew.inner)) for skew in skews)
-    slide, search = evacuation._slide, verify._jdt_results
+    slide, search = evacuation._slide, evacuation._jdt_results
     slides, memos, searching = [0], set(), [False]
+    calls = Counter()
 
     def counted_slide(inner, rows, y):
         slides[0] += searching[0]
@@ -357,40 +426,129 @@ def test_the_jdt_check_slides_each_state_and_corner_once(monkeypatch):
         finally:
             searching[0] = False
 
+    def counted(function, key):
+        def call(*args):
+            calls[key] += 1
+            return function(*args)
+
+        return call
+
     monkeypatch.setattr(evacuation, "_slide", counted_slide)
-    monkeypatch.setattr(verify, "_jdt_results", counted_search)
-    result = verify_evacuation(enumerate_styl(Alphabet(4)))
-    assert result.lines[-2].startswith(
-        "PASS jeu de taquin is choice-independent on all 2675 labelled skews"
-    )
+    monkeypatch.setattr(evacuation, "_jdt_results", counted_search)
+    monkeypatch.setattr(SkewPartition, "__post_init__", counted(SkewPartition.__post_init__, "skew"))
+    monkeypatch.setitem(globals(), "check_skew_state", counted(check_skew_state, "state"))
+    assert exhaustive_jdt_line(4) == (2675, None)
     assert len(memos) == 1
     assert 0 < slides[0] <= state_corners
+    # Each skew is checked once as row masks, and none is built.
+    assert calls == {"state": 2675}
 
 
-def test_the_jdt_check_fails_when_the_search_drops_a_corner(monkeypatch, capsys):
-    corners, search = evacuation._corners, verify._jdt_results
+def test_the_jdt_check_fails_when_the_search_drops_a_corner(monkeypatch):
+    corners, search = evacuation._corners, evacuation._jdt_results
 
     def dropping(comp):
         return corners(comp)[1:]
 
     def search_without_one_corner(inner, rows, memo):
-        # Only the exhaustive search sees the mutation; jdt keeps every
-        # choice, so the other lines of the suite still run.
+        # Only the exhaustive search sees the mutation.
         evacuation._corners = dropping
         try:
             return search(inner, rows, memo)
         finally:
             evacuation._corners = corners
 
-    monkeypatch.setattr(verify, "_jdt_results", search_without_one_corner)
-    result = verify_evacuation(enumerate_styl(Alphabet(3)))
-    failed = [line for line in result.lines if line.startswith("FAIL ")]
-    assert failed == [
-        "FAIL jeu de taquin is choice-independent on all 1088 labelled skews (letters<=3, outer<=6)"
-        ' (first counterexample: {"outer": [1, 1], "inner": [1], "labels": [[[1, 2], "a"]]})'
+    monkeypatch.setattr(evacuation, "_jdt_results", search_without_one_corner)
+    assert exhaustive_jdt_line(3) == (
+        1088, '{"outer": [1, 1], "inner": [1], "labels": [[[1, 2], "a"]]}'
+    )
+
+
+def test_the_one_end_state_is_pi_of_the_row_word():
+    # Differential: on every skew the exhaustive line covers, the search
+    # over all orders of corners finds one end state, the one that the
+    # window line proves for every skew.
+    count = 0
+    for skew in all_labelled_skews(4, outer_cap=6):
+        assert jdt_all_results(skew) == {pi(skew.row_word())}
+        count += 1
+    assert count == 2675
+
+
+@pytest.mark.parametrize(
+    "n, windows", enumerate([3, 10, 37, 151, 674, 3263, 17007], start=1)
+)
+def test_the_window_line_passes_on_every_window(n, windows):
+    assert verify.slide_window_counterexample(enumerate_styl(Alphabet(n))) == (windows, None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_windows_are_the_skews_over_one_inner_point(
+    n, labelled_skews_by_permutations, holed_skew, downward_move
+):
+    # The window line's count and verdict by the point walk: each skew with
+    # inner ideal (1,) over letters <= n, and the one with no label, slid
+    # once by hole moves, each a checked state, keeps the class of its row
+    # word.
+    monoid = enumerate_styl(Alphabet(n))
+    windows = [((1,), ())] + [
+        (outer, labels)
+        for outer, inner, labels in labelled_skews_by_permutations(n, n + 1)
+        if inner == (1,)
     ]
-    assert main(["verify", "evacuation", "-n", "3"]) == 1
-    assert "[evacuation] FAIL" in capsys.readouterr().out
+    for outer, labels in windows:
+        state = holed_skew(outer, (), labels, (1, 1))
+        while state.hole is not None:
+            state = downward_move(state)
+        before = SkewPartition(outer, (1,), labels).row_word()
+        after = SkewPartition(state.outer, (), state.labels).row_word()
+        assert monoid.class_of_word(before) == monoid.class_of_word(after)
+    assert verify.slide_window_counterexample(monoid) == (len(windows), None)
+
+
+def named_window(failure):
+    """The skew that a window line's counterexample names, and its reason."""
+    named, _, reason = failure.partition("}: ")
+    return skew_from_json(json.loads(named + "}")), reason
+
+
+def test_a_slide_of_the_larger_letter_fails_the_window_line_naming_a_window(monkeypatch):
+    monkeypatch.setattr(verify, "_slide", slide_the_larger_cover)
+    monoid = enumerate_styl(Alphabet(3))
+    count, failure = verify.slide_window_counterexample(monoid)
+    skew, reason = named_window(failure)
+    assert count == 37 and reason == "the slide changes the class of the row word"
+    assert skew.inner == (1,) and render_word(skew.row_word()) == "bcabc"
+    rows = skew._row_masks()
+    slide_the_larger_cover([1], rows, 0)
+    slid = partition_to_skew(SetPartition._from_masks(rows))
+    assert monoid.class_of_word(skew.row_word()) != monoid.class_of_word(slid.row_word())
+
+
+@pytest.mark.parametrize(
+    "slide, outer, reason",
+    [
+        # The hole is dropped and no letter moves: the empty window keeps
+        # an empty row, where a partition has none.
+        (lambda inner, rows, y: inner.pop(), (1,), "partition blocks must be nonempty"),
+        # Nothing moves and the hole stays.
+        (lambda inner, rows, y: None, (3,), "the slide leaves the inner point"),
+        # A right slide, then an empty row on top: the row word, and so its
+        # class, stay the same, and only the check on the rows fails.
+        (
+            lambda inner, rows, y: (_slide(inner, rows, y), rows.append(0)),
+            (3,),
+            "partition blocks must be nonempty",
+        ),
+    ],
+    ids=["empty-row", "hole-stays", "empty-top-row"],
+)
+def test_a_slide_that_leaves_no_skew_fails_the_window_line(monkeypatch, slide, outer, reason):
+    monkeypatch.setattr(verify, "_slide", slide)
+    count, failure = verify.slide_window_counterexample(enumerate_styl(Alphabet(2)))
+    skew, named_reason = named_window(failure)
+    assert count == 10 and named_reason == reason
+    assert (skew.outer, skew.inner) == (outer, (1,))
 
 
 def test_skew_row_words():
@@ -772,9 +930,9 @@ def test_the_mask_states_are_the_permutation_filters_skews(
     assert [(s[0], s[1], tuple(sorted(verify._state_labels(s)))) for s in states] == expected
     assert [(skew.outer, skew.inner, skew.labels) for skew in skews] == expected
     for state, skew in zip(states, skews):
-        verify._check_skew_state(state)
+        check_skew_state(state)
         assert list(state[2]) == skew._row_masks()
-        assert verify._state_json(state) == json.dumps(skew.to_json())
+        assert state_json(state) == json.dumps(skew.to_json())
 
 
 def test_the_mask_check_refuses_what_skew_partition_refuses():
@@ -806,7 +964,7 @@ def test_the_mask_check_refuses_what_skew_partition_refuses():
         except ValueError:
             built = False
         try:
-            verify._check_skew_state(state)
+            check_skew_state(state)
             checked = True
         except ValueError:
             checked = False
@@ -815,20 +973,12 @@ def test_the_mask_check_refuses_what_skew_partition_refuses():
     assert min(verdicts[True], verdicts[False]) > 300
 
 
-def test_a_state_that_labels_no_skew_fails_the_jdt_line(monkeypatch, capsys):
+def test_a_state_that_labels_no_skew_fails_the_jdt_line():
     # b sits below a in the first column, above the inner ideal.
     bad = ((1, 1, 1), (1,), (0, 0b10, 0b01))
-    monkeypatch.setattr(verify, "_labelled_skew_states", lambda n, outer_cap: iter([bad]))
-    result = verify_evacuation(enumerate_styl(Alphabet(3)))
-    failed = [line for line in result.lines if line.startswith("FAIL ")]
-    assert failed == [
-        "FAIL jeu de taquin is choice-independent on all 1 labelled skews (letters<=3, outer<=6)"
-        " (first counterexample: outer [1, 1, 1], inner [1], row masks [0, 2, 1]:"
-        " the first column does not increase)"
-    ]
-    assert main(["verify", "evacuation", "-n", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert "[evacuation] FAIL" in out and err == ""
+    assert exhaustive_jdt_line(3, states=[bad]) == (
+        1, "outer [1, 1, 1], inner [1], row masks [0, 2, 1]: the first column does not increase"
+    )
 
 
 def random_labelled_skew_by_all_pairs(rng, n, outer_cap=10):
@@ -1121,6 +1271,7 @@ def test_a_slide_of_the_larger_cover_fails_the_end_check(monkeypatch, jdt_by_mov
     # with tells 570 of them apart.
     assert wrong == 570
     # The suite fails its delta line and both jeu de taquin lines.
+    monkeypatch.setattr(verify, "_slide", slide_the_larger_cover)
     result = verify_evacuation(enumerate_styl(Alphabet(3)))
     failed = [i for i, line in enumerate(result.lines) if line.startswith("FAIL ")]
     assert failed == [2, 6, 7]
@@ -1163,9 +1314,8 @@ def test_all_set_partitions_refuses_letters_as_the_constructor_does(letters):
 
 
 def test_the_suites_build_no_public_partition_and_check_each_skew_once(monkeypatch):
-    # The exhaustive skews are checked as row masks, so only the random
-    # skews go through the constructor.
-    states = len(list(all_labelled_skews(4, outer_cap=6)))
+    # The window line builds a skew only to name a failing window, so only
+    # the random skews go through the constructor.
     calls = Counter()
 
     def counted(owner, name, key):
@@ -1179,11 +1329,9 @@ def test_the_suites_build_no_public_partition_and_check_each_skew_once(monkeypat
 
     counted(SetPartition, "__init__", "SetPartition")
     counted(SkewPartition, "__post_init__", "SkewPartition")
-    counted(verify, "_check_skew_state", "state")
     assert all(result.ok for result in verify.run_suite("all", 4))
     assert calls["SetPartition"] == 0
     assert calls["SkewPartition"] == verify.RANDOM_SKEWS == 200
-    assert calls["state"] == states == 2675
 
 
 # ---------------------------------------------------------------------------
@@ -1227,9 +1375,9 @@ def removal_keeps_the_partition(monkeypatch):
     monkeypatch.setattr(verify, "remove_from_partition", lambda partition, z: partition)
 
 
-def search_finds_two_results(monkeypatch):
-    two = {tuple(parse_partition("a").masks()), tuple(parse_partition("b").masks())}
-    monkeypatch.setattr(verify, "_jdt_results", lambda inner, rows, memo: two)
+def window_slide_moves_the_larger_letter_in(monkeypatch):
+    # Only the window line sees it: delta_jdt and jdt slide in evacuation.
+    monkeypatch.setattr(verify, "_slide", slide_the_larger_cover)
 
 
 def random_strategy_refuses(monkeypatch):
@@ -1250,7 +1398,7 @@ EVACUATION_BREAKS = [
     (3, pyramid_reads_the_partition_back),
     (4, rhombus_completion_refuses),
     (5, removal_keeps_the_partition),
-    (6, search_finds_two_results),
+    (6, window_slide_moves_the_larger_letter_in),
     (7, random_strategy_refuses),
 ]
 

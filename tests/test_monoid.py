@@ -280,14 +280,32 @@ def bell_number_grows_at_4(monkeypatch):
     monkeypatch.setattr(verify, "bell_number", lambda k: bell_number(k) + (k == 4))
 
 
-def congruence_misses_cab(monkeypatch):
-    reaches = verify.congruence_reaches
+# The five families of defining relations, told apart by the left side of
+# each instance, with a < b < c.
+RELATION_FAMILIES = {
+    "bac=bca": lambda l, r: len(set(l)) == 3 and l[1] < l[0] < l[2],
+    "acb=cab": lambda l, r: len(set(l)) == 3 and l[0] < l[2] < l[1],
+    "baa=aba": lambda l, r: len(l) == 3 and len(set(l)) == 2 and l[1] == l[2],
+    "bba=bab": lambda l, r: len(l) == 3 and len(set(l)) == 2 and l[0] == l[1],
+    "aa=a": lambda l, r: len(l) == 2,
+}
 
-    def missing(u, targets, relations, cap):
-        reached, pruned = reaches(u, targets, relations, cap)
-        return reached - {(3, 1, 2)}, pruned
 
-    monkeypatch.setattr(verify, "congruence_reaches", missing)
+def relations_without_at_n3(family):
+    """stylic_relations with one family left out at n = 3."""
+    def kept(alphabet):
+        relations = stylic_relations(alphabet)
+        if alphabet.n != 3:
+            return relations
+        return [(l, r) for l, r in relations if not RELATION_FAMILIES[family](l, r)]
+
+    return kept
+
+
+def bac_equal_to_bca_dropped_at_n3(monkeypatch):
+    # Only n = 3 has instances of the family and drops them: every relation
+    # left still holds, and only the n = 3 descent fails.
+    monkeypatch.setattr(verify, "stylic_relations", relations_without_at_n3("bac=bca"))
 
 
 def separating_words_are_empty(monkeypatch):
@@ -439,8 +457,8 @@ WRONG_KERNELS = [
         "bijection", 17, idempotents_take_in_c_at_n3,
         "'acb' is idempotent, but no strictly decreasing word's class",
     ),
-    ("presentation", 2, a_false_relation_at_n3, "'c' = 'ac'"),
-    ("presentation", 3, congruence_misses_cab, "'acb'~'cab'"),
+    ("presentation", 4, a_false_relation_at_n3, "'c' = 'ac'"),
+    ("presentation", 5, bac_equal_to_bca_dropped_at_n3, "'bca' -> 'bac'"),
     ("graded", 0, left_insert_refuses_b, "left insertion of b into 'ab': broken left_insert"),
     (
         "graded", 1, the_zero_times_a_is_the_identity_at_n3,
@@ -461,7 +479,7 @@ WRONG_KERNELS = [
 WRONG_KERNEL_IDS = [
     "row-word", "bijection-count", "distinct-tableaux", "class-function",
     "from-partition-refuses", "from-partition-misses",
-    "idempotents-missed", "idempotents-extra", "relations", "presentation-slice",
+    "idempotents-missed", "idempotents-extra", "relations", "presentation-descent",
     "left-insertion", "antisymmetric", "graded", "co-ranks", "distinct-ideals",
     "left-classes", "two-sided-congruence", "plactic-separators", "confluence-scan",
     "normal-forms",
@@ -504,6 +522,58 @@ def test_every_suite_line_has_a_forced_fail_row():
         if (suite, check_kind(text)) not in covered
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "family, rule",
+    [
+        ("bac=bca", "'bca' -> 'bac'"),
+        ("acb=cab", "'cab' -> 'acb'"),
+        ("baa=aba", "'aba' -> 'ba'"),
+        ("bba=bab", "'bab' -> 'ba'"),
+        ("aa=a", "'aa' -> 'a'"),
+    ],
+)
+def test_each_relation_family_is_needed_by_the_descent(monkeypatch, family, rule):
+    # Without any one family the relations left still hold, and the n = 3
+    # descent names the first rule it cannot derive.
+    monkeypatch.setattr(verify, "stylic_relations", relations_without_at_n3(family))
+    result = verify.verify_presentation([enumerate_styl(Alphabet(3))])
+    assert [line[:5] for line in result.lines] == ["PASS ", "FAIL "]
+    assert result.lines[1].startswith("FAIL n=3: the relations derive all 31 Froidure-Pin rules")
+    assert result.lines[1].endswith(f" (first counterexample: {rule})")
+
+
+@pytest.mark.parametrize("n, longest", enumerate([1, 2, 2, 4, 6, 6, 22], start=1))
+def test_the_descent_has_one_rule_per_edge_off_the_bfs_tree(n, longest):
+    # Each element but the identity is reached by one edge of the BFS tree.
+    monoid = enumerate_styl(Alphabet(n))
+    rules = len(monoid) * n - (len(monoid) - 1)
+    assert verify.presentation_counterexample(monoid, stylic_relations(monoid.alphabet)) == (
+        rules, longest, None
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_each_bfs_word_is_the_shortlex_least_word_of_its_class(n):
+    monoid = enumerate_styl(Alphabet(n))
+    longest = max(len(e.word) for e in monoid.elements)
+    least = {}
+    for w in sorted(syntactic.all_words(monoid.alphabet, longest), key=lambda w: (len(w), w)):
+        least.setdefault(monoid.class_of_word(w), w)
+    assert least == {e.index: e.word for e in monoid.elements}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_bfs_words_are_closed_under_prefixes(n):
+    # Each word is its parent's and one letter, and the right Cayley graph
+    # takes the parent there by that letter.
+    monoid = enumerate_styl(Alphabet(n))
+    words = {e.word for e in monoid.elements}
+    assert all(e.word[:i] in words for e in monoid.elements for i in range(len(e.word)))
+    for e in monoid.elements[1:]:
+        assert e.word == monoid.elements[e.parent].word + (e.via_letter,)
+        assert monoid.right_by_letter[e.via_letter][e.parent] == e.index
 
 
 def test_a_flat_step_and_a_thick_cover_fail_their_own_lines(monkeypatch):
