@@ -61,7 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="longest word in the plactic separators (n <= 3, capped at 4), "
         f"and nothing else (1 to {VERIFY_MAXLEN_CAP})",
     )
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the evacuation suite's random jdt skews, and nothing else",
+    )
     verify.add_argument("--force", action="store_true", help="allow n = 7")
     return parser
 

@@ -264,8 +264,7 @@ def _jdt_results(
     row masks) out over every sequence of corner choices, by dynamic
     programming over the states that slides reach: memo maps each state
     with an inner shape to its results, so that a state reached from
-    several others is slid once.  The caller checks each distinct end
-    state, once."""
+    several others is slid once."""
     if not inner:
         return (rows,)
     key = (inner, rows)
@@ -280,14 +279,10 @@ def _jdt_results(
     return results
 
 
-def jdt_all_results(
-    skew: SkewPartition, memo: Optional[dict[tuple, tuple[tuple[int, ...], ...]]] = None
-) -> set[SetPartition]:
-    """Results over every sequence of corner choices.  memo maps each state
-    (inner, row masks) with an inner shape to the row masks of its end
-    states; pass one dict across many skews so that a state reached from
-    several of them is slid once."""
-    ends = _jdt_results(skew.inner, tuple(skew._row_masks()), {} if memo is None else memo)
+def jdt_all_results(skew: SkewPartition) -> set[SetPartition]:
+    """Results over every sequence of corner choices, each state that the
+    slides reach slid once."""
+    ends = _jdt_results(skew.inner, tuple(skew._row_masks()), {})
     return set(map(SetPartition._from_masks, ends))
 
 

@@ -14,7 +14,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import Alphabet, Word, decreasing_word, letters_of, render_letter, render_word, theta
@@ -140,70 +140,24 @@ def compositions_up_to(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-# A labelled skew as `all_labelled_skews` builds it: (outer, inner, row
-# masks), one mask of letters per row of the outer ideal.
-SkewState = tuple[Composition, Composition, tuple[int, ...]]
+def increasing_labellings(
+    region: frozenset[Point], letters: Sequence[int]
+) -> Iterator[tuple[tuple[Point, int], ...]]:
+    """All bijective labellings of the region by the letters that increase
+    for the plane order, that is along each cover inside the region (a skew
+    region is convex): every permutation of the letters over the sorted
+    points, filtered, so ordered by their labels read point by point."""
+    points = sorted(region)
+    covers = [(p, q) for p in points for q in point_covers(p) if q in region]
+    for perm in permutations(letters):
+        label = dict(zip(points, perm))
+        if all(label[p] < label[q] for p, q in covers):
+            yield tuple(zip(points, perm))
 
 
-def _rank_labellings(outer: Composition, inner: Composition) -> list[tuple[int, ...]]:
-    """The increasing labellings of outer minus inner by the ranks 1..m of
-    its letters, one mask per row (rank r is bit r - 1), ordered by their
-    labels read point by point in (x, y) order, as a filter over the
-    permutations of the ranks meets them.  The ranks are placed smallest
-    first, and a row above the inner ideal opens only after the row below
-    it, so that the minima of those rows rise."""
-    sizes = [part - (inner[y] if y < len(inner) else 0) for y, part in enumerate(outer)]
-    m, rows, found = sum(sizes), [0] * len(sizes), []
-
-    def place(rank: int) -> None:
-        if rank == m:
-            found.append(tuple(rows))
-            return
-        for y, size in enumerate(sizes):
-            if rows[y].bit_count() < size and (y <= len(inner) or rows[y - 1]):
-                rows[y] |= 1 << rank
-                place(rank + 1)
-                rows[y] ^= 1 << rank
-
-    place(0)
-    points = sorted((x, y) for y, part in enumerate(outer) for x in range(part - sizes[y], part))
-
-    def reading(masks: tuple[int, ...]) -> list[int]:
-        row_letters = [letters_of(mask) for mask in masks]
-        return [row_letters[y][x - outer[y] + sizes[y]] for x, y in points]
-
-    return sorted(found, key=reading)
-
-
-def _labelled_skew_states(n: int, outer_cap: int) -> Iterator[SkewState]:
-    """The skews of `all_labelled_skews`, in its order, as states.  Each
-    region's labellings by ranks are worked out once, and each subset of
-    the letters scatters them through its table: the mask of the letters
-    of each mask of ranks."""
-    comps = [(c, sum(c)) for c in compositions_up_to(outer_cap)[1:]]  # the nonempty ones
-    tables: dict[int, list[list[int]]] = {}  # size -> a table per subset, in order
-    for outer, outer_size in comps:
-        for inner, inner_size in comps:
-            m = outer_size - inner_size
-            if not 1 <= m <= n or not young_leq(inner, outer):
-                continue
-            if m not in tables:
-                tables[m] = []
-                for letters in combinations(range(1, n + 1), m):
-                    table = [0]
-                    for x in letters:
-                        table += [mask | 1 << (x - 1) for mask in table]
-                    tables[m].append(table)
-            labellings = _rank_labellings(outer, inner)
-            for table in tables[m]:
-                for ranks in labellings:
-                    yield outer, inner, tuple(map(table.__getitem__, ranks))
-
-
-def _state_labels(state: SkewState) -> tuple[tuple[Point, int], ...]:
-    """The labels of a state: each row's letters, increasing, at its points
-    right of the inner ideal."""
-    _, inner, rows = state
+def _state_labels(inner: Composition, rows: Sequence[int]) -> tuple[tuple[Point, int], ...]:
+    """The labels of a skew given by its row masks: each row's letters,
+    increasing, at its points right of the inner ideal."""
     return tuple(
         ((x, y), letter)
         for y, row in enumerate(rows, start=1)
@@ -216,8 +170,17 @@ def all_labelled_skews(n: int, outer_cap: int) -> Iterator[SkewPartition]:
     nonempty inner ideal, and labels drawn from subsets of {1..n}: by outer
     ideal, inner ideal and letter subset, then by the labels read point by
     point in (x, y) order."""
-    for state in _labelled_skew_states(n, outer_cap):
-        yield SkewPartition(state[0], state[1], _state_labels(state))
+    comps = compositions_up_to(outer_cap)[1:]  # the nonempty ones
+    for outer in comps:
+        for inner in comps:
+            if not young_leq(inner, outer):
+                continue
+            region = ideal_points(outer) - ideal_points(inner)
+            if not 1 <= len(region) <= n:
+                continue
+            for letters in combinations(range(1, n + 1), len(region)):
+                for labels in increasing_labellings(region, letters):
+                    yield SkewPartition(outer, inner, labels)
 
 
 def random_labelled_skew(rng: random.Random, n: int, outer_cap: int = 10) -> SkewPartition:
@@ -481,7 +444,7 @@ def slide_window_counterexample(monoid: StylicMonoid) -> tuple[int, Optional[str
             except ValueError as exc:
                 if first is None:
                     outer = (row.bit_count() + 1, *map(int.bit_count, above))
-                    skew = SkewPartition(outer, (1,), _state_labels((outer, (1,), tuple(window))))
+                    skew = SkewPartition(outer, (1,), _state_labels((1,), window))
                     first = f"{_skew_json(skew)}: {exc}"
             if not row:
                 break
@@ -501,16 +464,18 @@ Chain = tuple[Composition, ...]
 
 
 def _delta_steps(
-    partitions: Iterable[SetPartition],
+    partitions: Iterable[SetPartition], delta: Callable[[SetPartition], SetPartition]
 ) -> Iterator[tuple[SetPartition, Chain, Optional[Chain], Optional[Chain]]]:
     """Each nonempty r of a set of partitions closed under delta, by letter
     count, with its chain from (), the chain of delta r, and the right side
     of r's pyramid; None for the last two when delta r is missing from the
-    layer below.  Row i of r's pyramid is the chain of the i-th delta
-    iterate, so the pyramid is r's chain over the pyramid of delta r, and
-    its right side is that of delta r followed by the shape of r.  A check
-    of what is new at r, for every r, is thus a check of every pyramid, by
-    induction on the letter count; only the layer one letter down is kept."""
+    layer below.  delta is the caller's, so that a cached one computes
+    each partition's delta once.  Row i of r's pyramid is the chain of the
+    i-th delta iterate, so the pyramid is r's chain over the pyramid of
+    delta r, and its right side is that of delta r followed by the shape of
+    r.  A check of what is new at r, for every r, is thus a check of every
+    pyramid, by induction on the letter count; only the layer one letter
+    down is kept."""
     layer: dict[SetPartition, tuple[Chain, Optional[Chain]]] = {EMPTY_PARTITION: (((),), ((),))}
     below: dict[SetPartition, tuple[Chain, Optional[Chain]]] = {}
     size = 0
@@ -521,7 +486,7 @@ def _delta_steps(
         if m > size:
             below, layer, size = layer, {}, m
         chain = ((),) + tuple(partition_chain(r))
-        lower, lower_right = below.get(delta_direct(r), (None, None))
+        lower, lower_right = below.get(delta(r), (None, None))
         right = lower_right and lower_right + chain[-1:]
         layer[r] = chain, right
         yield r, chain, lower, right
@@ -645,7 +610,8 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
 
     # One table of evac serves every line.  The involution line fills it
     # first, so evac also runs on its own outputs, where those come first.
-    # One table of delta serves the delta and top-removal lines.
+    # One table of delta serves the pyramid steps and the delta and
+    # top-removal lines.
     partitions = list(all_partitions_of_subsets(alphabet))
     evacuated = cache(lambda r: evac(r, alphabet))
     delta = cache(delta_direct)
@@ -695,7 +661,7 @@ def verify_evacuation(monoid: StylicMonoid, seed: int = 0) -> SuiteResult:
         ),
     }
     failures = _first_counterexamples(
-        _delta_steps(partitions), list(lines.values()), lambda step: step[0].render()
+        _delta_steps(partitions, delta), list(lines.values()), lambda step: step[0].render()
     )
     for message, failure in zip(lines, failures):
         result.add_first(message, failure)

@@ -4,7 +4,6 @@ state the paper's lemmas with, each served as a session fixture."""
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Optional
 
@@ -15,7 +14,6 @@ from stylic.evacuation import check_composition, ideal_points, point_covers
 from stylic.monoid import EMPTY_NTABLEAU, NTableau, SetPartition, delta_word
 from stylic.rewriting import _measure_less, _redexes, _rewrite
 from stylic.tableaux import Tableau, p_tableau, young_leq
-from stylic.verify import compositions_up_to
 
 
 def act_word_via_tableau(w, column):
@@ -205,36 +203,6 @@ class HoledSkew:
         return dict(self.labels)
 
 
-def increasing_labellings(region, letters):
-    """All bijective labellings of the region increasing for the plane order,
-    that is along each cover inside the region (a skew region is convex):
-    every permutation of the letters over the sorted points, filtered."""
-    points = sorted(region)
-    covers = [(p, q) for p in points for q in point_covers(p) if q in region]
-    for perm in permutations(letters):
-        lab = dict(zip(points, perm))
-        if all(lab[p] < lab[q] for p, q in covers):
-            yield tuple(sorted(lab.items()))
-
-
-def labelled_skews_by_permutations(n, outer_cap):
-    """(outer, inner, labels) of every skew with outer ideal of size <=
-    outer_cap, a nonempty inner ideal and labels drawn from subsets of
-    {1..n}, by outer ideal, inner ideal and letter subset, each subset's
-    labellings found by the permutation filter."""
-    comps = compositions_up_to(outer_cap)
-    for outer in comps[1:]:
-        for inner in comps[1:]:
-            if not young_leq(inner, outer):
-                continue
-            region = ideal_points(outer) - ideal_points(inner)
-            if not 1 <= len(region) <= n:
-                continue
-            for letters in combinations(range(1, n + 1), len(region)):
-                for labels in increasing_labellings(region, letters):
-                    yield outer, inner, labels
-
-
 def gamma_minus(column, alphabet):
     """Shift every letter down by one, dropping the smallest letter."""
     for x in column:
@@ -377,16 +345,6 @@ def downward_move_oracle():
 @pytest.fixture(scope="session")
 def jdt_by_moves():
     return walk_of_downward_moves
-
-
-@pytest.fixture(scope="session", name="increasing_labellings")
-def increasing_labellings_oracle():
-    return increasing_labellings
-
-
-@pytest.fixture(scope="session", name="labelled_skews_by_permutations")
-def labelled_skews_by_permutations_oracle():
-    return labelled_skews_by_permutations
 
 
 @pytest.fixture(scope="session", name="gamma_minus")

@@ -828,6 +828,33 @@ def test_every_export_is_the_object_in_its_module():
     assert len(stylic.__all__) == len(set(stylic.__all__)) == 57
 
 
+def test_every_module_level_name_is_used_in_the_package_or_exported():
+    # The package holds only the code it runs or exports: each module-level
+    # def, class and constant is read somewhere in the package outside its
+    # own definition, or is exported.
+    trees = [ast.parse(path.read_text()) for path in Path(stylic.__file__).parent.glob("*.py")]
+    defined, named = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                own = set()
+            defined |= own
+            for n in ast.walk(node):
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                if name is not None and name not in own:
+                    named.add(name)
+    exported = set(stylic.__all__)
+    unused = sorted(name for name in defined - named - exported if not name.startswith("__"))
+    assert not unused
+    # The names that only the exports keep.
+    assert {"all_labelled_skews", "jdt_all_results", "parse_column"} <= defined - named
+
+
 def test_an_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         stylic.no_such_name

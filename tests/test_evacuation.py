@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import operator
 import random
@@ -335,7 +336,8 @@ def test_a_shared_memo_gives_the_fresh_memo_results(n, outer_cap, count):
     shared: dict = {}
     skews = list(all_labelled_skews(n, outer_cap))
     for skew in skews:
-        assert jdt_all_results(skew, shared) == jdt_all_results(skew) == {jdt(skew)}
+        ends = evacuation._jdt_results(skew.inner, tuple(skew._row_masks()), shared)
+        assert set(map(SetPartition._from_masks, ends)) == jdt_all_results(skew) == {jdt(skew)}
     # Slides never leave the set, so its skews are exactly the states.
     assert len(skews) == len(shared) == count
 
@@ -345,6 +347,11 @@ def test_a_shared_memo_gives_the_fresh_memo_results(n, outer_cap, count):
 # and an outer ideal of at most outer_cap points, held as a state (outer,
 # inner, row masks), checked as `SkewPartition` would check it, and searched
 # over every order of corners, with one memo across all skews.
+
+
+def skew_state(skew):
+    """The state (outer, inner, row masks) of a skew."""
+    return skew.outer, skew.inner, tuple(skew._row_masks())
 
 
 def check_skew_state(state):
@@ -373,7 +380,7 @@ def state_json(state):
     reads, or by its masks when they label no skew."""
     outer, inner, rows = state
     try:
-        skew = SkewPartition(outer, inner, verify._state_labels(state))
+        skew = SkewPartition(outer, inner, verify._state_labels(inner, rows))
     except ValueError:
         return f"outer {list(outer)}, inner {list(inner)}, row masks {list(rows)}"
     return json.dumps(skew.to_json())
@@ -384,6 +391,8 @@ def exhaustive_jdt_line(n, outer_cap=6, states=None):
     `state_json`, or None.  A state fails when the mask check refuses it,
     when its slides end in more than one state, or when an end state is no
     partition; the partition check runs once per distinct end state."""
+    if states is None:
+        states = map(skew_state, all_labelled_skews(n, outer_cap))
     memo, checked = {}, set()
 
     def choice_free(state):
@@ -399,7 +408,7 @@ def exhaustive_jdt_line(n, outer_cap=6, states=None):
 
     def streamed():  # and counted past a failure
         nonlocal instances
-        for state in verify._labelled_skew_states(n, outer_cap) if states is None else states:
+        for state in states:
             instances += 1
             yield state
 
@@ -440,8 +449,9 @@ def test_the_jdt_check_slides_each_state_and_corner_once(monkeypatch):
     assert exhaustive_jdt_line(4) == (2675, None)
     assert len(memos) == 1
     assert 0 < slides[0] <= state_corners
-    # Each skew is checked once as row masks, and none is built.
-    assert calls == {"state": 2675}
+    # Each skew is built once, as the enumeration lists it, and checked
+    # once as row masks.
+    assert calls == {"skew": 2675, "state": 2675}
 
 
 def test_the_jdt_check_fails_when_the_search_drops_a_corner(monkeypatch):
@@ -483,18 +493,14 @@ def test_the_window_line_passes_on_every_window(n, windows):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_the_windows_are_the_skews_over_one_inner_point(
-    n, labelled_skews_by_permutations, holed_skew, downward_move
-):
+def test_the_windows_are_the_skews_over_one_inner_point(n, holed_skew, downward_move):
     # The window line's count and verdict by the point walk: each skew with
     # inner ideal (1,) over letters <= n, and the one with no label, slid
     # once by hole moves, each a checked state, keeps the class of its row
     # word.
     monoid = enumerate_styl(Alphabet(n))
     windows = [((1,), ())] + [
-        (outer, labels)
-        for outer, inner, labels in labelled_skews_by_permutations(n, n + 1)
-        if inner == (1,)
+        (skew.outer, skew.labels) for skew in all_labelled_skews(n, n + 1) if skew.inner == (1,)
     ]
     for outer, labels in windows:
         state = holed_skew(outer, (), labels, (1, 1))
@@ -633,7 +639,7 @@ def test_the_induction_along_delta_reads_the_whole_pyramids(n):
     # build_pyramid and pyramid_by_completion hold.
     alphabet = Alphabet(n)
     partitions = list(all_partitions_of_subsets(alphabet))
-    steps = list(verify._delta_steps(partitions))
+    steps = list(verify._delta_steps(partitions, delta_direct))
     assert sorted(r.masks() for r, *_ in steps) == sorted(r.masks() for r in partitions[1:])
     sizes = [sum(r.shape()) for r, *_ in steps]
     assert sizes == sorted(sizes)
@@ -722,8 +728,8 @@ def test_a_cross_arrow_that_is_no_cover_fails_the_right_side_line(monkeypatch):
     # right side stay right, and (2,) -> (1, 1) covers nothing.
     steps, r = verify._delta_steps, parse_partition("a/b")
 
-    def one_wrong_lower_chain(partitions):
-        for step in steps(partitions):
+    def one_wrong_lower_chain(partitions, delta):
+        for step in steps(partitions, delta):
             yield (r, step[1], ((), (2,)), step[3]) if step[0] == r else step
 
     monkeypatch.setattr(verify, "_delta_steps", one_wrong_lower_chain)
@@ -900,7 +906,7 @@ def test_the_cover_check_matches_the_all_pairs_check(holed_skew):
     assert len(verdicts) == 4 and min(verdicts.values()) > 100
 
 
-def test_increasing_labellings_match_the_all_pairs_filter(increasing_labellings):
+def test_increasing_labellings_match_the_all_pairs_filter():
     for outer in compositions_up_to(5):
         for inner in compositions_up_to(sum(outer)):
             if not young_leq(inner, outer):
@@ -913,33 +919,30 @@ def test_increasing_labellings_match_the_all_pairs_filter(increasing_labellings)
                 for perm in permutations(letters)
                 if increasing_by_all_pairs(tuple(zip(points, perm)))
             ]
-            assert list(increasing_labellings(region, letters)) == expected
+            assert list(verify.increasing_labellings(region, letters)) == expected
 
 
-@pytest.mark.parametrize("n, outer_cap, count", [(3, 5, 394), (4, 6, 2675), (4, 7, 7697)])
-def test_the_mask_states_are_the_permutation_filters_skews(
-    labelled_skews_by_permutations, n, outer_cap, count
-):
-    # The same skews in the same order, by outer ideal, inner ideal and
-    # letter subset and then by labels, each passing the mask check and
-    # named by its skew's JSON.
-    expected = list(labelled_skews_by_permutations(n, outer_cap))
-    states = list(verify._labelled_skew_states(n, outer_cap))
-    skews = list(all_labelled_skews(n, outer_cap))
-    assert len(expected) == len(states) == len(skews) == count
-    assert [(s[0], s[1], tuple(sorted(verify._state_labels(s)))) for s in states] == expected
-    assert [(skew.outer, skew.inner, skew.labels) for skew in skews] == expected
-    for state, skew in zip(states, skews):
-        check_skew_state(state)
-        assert list(state[2]) == skew._row_masks()
-        assert state_json(state) == json.dumps(skew.to_json())
+@pytest.mark.parametrize(
+    "n, outer_cap, count, digest",
+    [
+        (3, 5, 394, "fd6eaaf72b5d2715"),
+        (4, 6, 2675, "a7c04f3911088da0"),
+        (4, 7, 7697, "d80cd69f79d7d14d"),
+    ],
+)
+def test_the_labelled_skews_keep_their_order(n, outer_cap, count, digest):
+    # Criterion 06 and the exhaustive oracles read these skews: the sha256
+    # of their JSON lines pins which skews they are and in what order.
+    lines = [json.dumps(skew.to_json()) + "\n" for skew in all_labelled_skews(n, outer_cap)]
+    assert len(lines) == count
+    assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == digest
 
 
 def test_the_mask_check_refuses_what_skew_partition_refuses():
     # Valid states with a letter moved to another row, swapped with one of
     # another row, or dropped.
     rng = random.Random(5)
-    states = list(verify._labelled_skew_states(4, 6))
+    states = list(map(skew_state, all_labelled_skews(4, 6)))
     verdicts = Counter()
     for trial in range(3000):
         outer, inner, rows = rng.choice(states)
@@ -959,7 +962,7 @@ def test_the_mask_check_refuses_what_skew_partition_refuses():
             rows[y] &= ~bit
         state = (outer, inner, tuple(rows))
         try:
-            SkewPartition(outer, inner, verify._state_labels(state))
+            SkewPartition(outer, inner, verify._state_labels(inner, rows))
             built = True
         except ValueError:
             built = False

@@ -131,7 +131,7 @@ def test_the_induction_along_delta_rebuilds_the_whole_pyramid(case):
     orbit = [r]
     while orbit[-1].block_count():
         orbit.append(delta_direct(orbit[-1]))
-    steps = list(_delta_steps(reversed(orbit)))[::-1]
+    steps = list(_delta_steps(reversed(orbit), delta_direct))[::-1]
     assert [step[0] for step in steps] == orbit[:-1]
     if not steps:
         return
