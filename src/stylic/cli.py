@@ -76,7 +76,7 @@ def _enumeration_cap(args) -> None:
     if args.n > cap:
         raise ValueError(
             f"n = {args.n} exceeds the ceiling {cap} of {args.command}"
-            + ("" if args.force else " (use --force for 7)")
+            + ("" if args.force else f" (use --force for {ENUMERATION_CEILING})")
         )
 
 

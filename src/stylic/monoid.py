@@ -202,12 +202,12 @@ class SetPartition:
         return len(self._masks)
 
     def render(self, digits: bool = False) -> str:
+        """Letters a-z, or with digits one digit per letter when every
+        letter is at most 9; either text parses back to the partition."""
         if not self._masks:
             return "(empty)"
-        if digits:
-            sep = "" if all(x <= 9 for x in self.ground()) else "."
-            return "/".join(sep.join(str(x) for x in b) for b in self.blocks)
-        return "/".join("".join(render_letter(x) for x in b) for b in self.blocks)
+        show = str if digits and sum(self._masks) < 1 << 9 else render_letter
+        return "/".join("".join(map(show, b)) for b in self.blocks)
 
     def to_json(self) -> list[list[str]]:
         return [[render_letter(x) for x in b] for b in self.blocks]
@@ -449,15 +449,14 @@ class JOrder:
 
 
 class _IdealWalk(NamedTuple):
-    """One walk of the ideal order: the order it builds, and its first
-    faults, or None.  flat is (side, letter, v, u), a step from v to u that
-    adds no boxes; thick is (u, v), a cover that adds more than one box;
-    ends is the message for co-ranks that do not run from 0 to the height."""
+    """One walk of the ideal order: the order it builds, and the text of
+    its first faults, or None.  antisymmetry names the first one-letter
+    step that adds no boxes; grading names the first cover that adds more
+    than one box, or else co-ranks that do not run from 0 to the height."""
 
     order: JOrder
-    flat: Optional[tuple[str, int, int, int]]
-    thick: Optional[tuple[int, int]]
-    ends: Optional[str]
+    antisymmetry: Optional[str]
+    grading: Optional[str]
 
 
 class StylicMonoid:
@@ -596,19 +595,8 @@ class StylicMonoid:
         adds no boxes, then a cover that adds more than one, then co-ranks
         that do not run from 0 to n(n+1)/2."""
         walk = self._ideal_walk()
-        boxes = walk.order.coranks
-        if walk.flat:
-            _, _, v, u = walk.flat
-            raise ValueError(
-                f"one-letter step from {v} to {u} does not add boxes ({boxes[v]} -> {boxes[u]})"
-            )
-        if walk.thick:
-            u, v = walk.thick
-            raise ValueError(
-                f"cover {u} -> {v} changes box count by {boxes[u] - boxes[v]}, expected 1"
-            )
-        if walk.ends:
-            raise ValueError(walk.ends)
+        if walk.antisymmetry or walk.grading:
+            raise ValueError(walk.antisymmetry or walk.grading)
         return walk.order
 
     def _ideal_walk(self) -> _IdealWalk:
@@ -621,11 +609,12 @@ class StylicMonoid:
         are the covers.  This is the whole order when every step that moves
         v adds boxes (antisymmetry) and every child that adds k > 1 boxes
         lies in that reach (grading).  The first faults: a step that adds
-        no boxes (flat), and a child that adds more than one box outside the
-        reach (thick) -- the one with the fewest boxes is a cover, since a
-        step between would be another such."""
+        no boxes, and a child that adds more than one box outside the
+        reach -- the one with the fewest boxes is a cover, since a step
+        between would be another such."""
         size = len(self.elements)
         boxes = [e.tableau.boxes() for e in self.elements]
+        word = lambda i: self.elements[i].render_word()
         labelled = [
             (side, x, step)
             for side, graph in (("left", self.left_by_letter), ("right", self.right_by_letter))
@@ -633,7 +622,7 @@ class StylicMonoid:
         ]
         down: list[DownSet] = [DownSet()] * size
         covers: list[tuple[int, int]] = []
-        flat = thick = None
+        antisymmetry = grading = None
         for v in sorted(range(size), key=boxes.__getitem__, reverse=True):
             children = {step[v] for _, _, step in labelled}
             children.discard(v)
@@ -644,28 +633,32 @@ class StylicMonoid:
                     below |= down[u]
                     covers.append((u, v))
             down[v] = DownSet(below)
-            if flat is None and any(boxes[u] < one_box for u in children):
-                flat = next(
-                    (side, x, v, step[v])
+            if antisymmetry is None and any(boxes[u] < one_box for u in children):
+                side, x, u = next(
+                    (side, x, step[v])
                     for side, x, step in labelled
                     if step[v] != v and boxes[step[v]] < one_box
                 )
-            if thick is None:
+                antisymmetry = (
+                    f"{render_letter(x)} on the {side} takes {word(v)!r} to {word(u)!r}, "
+                    f"{boxes[v]} -> {boxes[u]} boxes"
+                )
+            if grading is None:
                 far = [u for u in children if boxes[u] > one_box and not below >> u & 1]
                 if far:
-                    thick = (min(far, key=boxes.__getitem__), v)
+                    u = min(far, key=boxes.__getitem__)
+                    grading = f"{word(u)!r} covers {word(v)!r} with {boxes[u] - boxes[v]} boxes more"
         covers.sort(key=lambda edge: (edge[1], edge[0]))
 
         n = self.alphabet.n
         height = n * (n + 1) // 2
-        ends = None
-        if boxes[self.identity] != 0 or boxes[self.zero] != height:
-            ends = (
+        if grading is None and (boxes[self.identity] != 0 or boxes[self.zero] != height):
+            grading = (
                 f"co-ranks run from {boxes[self.identity]} to {boxes[self.zero]}, "
                 f"expected 0 to {height}"
             )
         order = JOrder(down_sets=down, hasse_edges=covers, coranks=boxes, height=height)
-        return _IdealWalk(order, flat, thick, ends)
+        return _IdealWalk(order, antisymmetry, grading)
 
     def to_json(self) -> dict:
         """The entire export as one dict, table included: `write_json`'s

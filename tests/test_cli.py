@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -158,12 +159,24 @@ def test_peak_memory_note_is_the_commands_own():
 
 
 def test_partition_renderings_round_trip():
-    from stylic.monoid import parse_partition, pi
+    # Every partition of every set of one to three letters from 1..12: a
+    # letter above 9 is written as a letter, since "3/12" reads as {3}/{1,2}.
+    from itertools import combinations
+
+    from stylic.monoid import all_set_partitions, parse_partition, pi
     from stylic.core import parse_word
 
     r = pi(parse_word("cabd"))
-    assert parse_partition(r.render()) == r
-    assert parse_partition(r.render(digits=True)) == r
+    cases = [r] + [
+        partition
+        for k in range(1, 4)
+        for letters in combinations(range(1, 13), k)
+        for partition in all_set_partitions(letters)
+    ]
+    assert len(cases) == 1 + 1244
+    for partition in cases:
+        assert parse_partition(partition.render()) == partition
+        assert parse_partition(partition.render(digits=True)) == partition
 
 
 def test_enumerate_idempotents(capsys):
@@ -296,8 +309,44 @@ def test_usage_errors(capsys):
     assert code == 2  # letter outside the alphabet
     code, _, err = run(capsys, "enumerate", "monoid", "-n", "9")
     assert code == 2 and "ceiling" in err
+    assert run(capsys, "verify", "all", "-n", "7") == (
+        2, "", "error: n = 7 exceeds the ceiling 6 of verify (use --force for 7)\n"
+    )
     code, _, err = run(capsys, "compute", "jdt", "{bad json", "-n", "3")
     assert code == 2
+
+
+def test_enumerate_jorder_reports_the_walks_first_fault(monkeypatch, capsys):
+    # The zero times a is the identity: one step that adds no boxes.
+    from stylic import monoid
+
+    build = monoid.enumerate_styl
+
+    def corrupted(alphabet):
+        built = build(alphabet)
+        built.right_by_letter[1][built.zero] = built.identity
+        return built
+
+    monkeypatch.setattr(monoid, "enumerate_styl", corrupted)
+    assert run(capsys, "enumerate", "jorder", "-n", "3") == (
+        2, "", "error: a on the right takes 'cba' to '1', 6 -> 0 boxes\n"
+    )
+
+
+def test_the_readme_cli_examples_run(capsys):
+    # The `styl` lines of the first code block under the README's CLI heading.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("styl ")
+    ]
+    assert len(commands) == 14
+    for args in commands:
+        code, out, _ = run(capsys, *args)
+        assert code == 0, args
+        assert "FAIL" not in out, args
 
 
 @pytest.mark.parametrize(
@@ -329,14 +378,14 @@ def test_malformed_jdt_json_is_a_usage_error(capsys, text):
 def test_integer_jdt_labels_are_letters(capsys):
     skew = '{"outer":[2],"inner":[1],"labels":[[[2,1],10]]}'
     code, out, err = run(capsys, "compute", "jdt", skew, "-n", "12")
-    assert (code, out, err) == (0, "10\n", "")
+    assert (code, out, err) == (0, "j\n", "")
     skew = '{"outer":[2],"inner":[1],"labels":[[[2,1],2]]}'
     assert run(capsys, "compute", "jdt", skew, "-n", "2") == (0, "2\n", "")
 
 
 def test_string_jdt_labels_are_one_letter(capsys):
     skew = '{"outer":[3],"inner":[2],"labels":[[[3,1],"10"]]}'
-    assert run(capsys, "compute", "jdt", skew, "-n", "12") == (0, "10\n", "")
+    assert run(capsys, "compute", "jdt", skew, "-n", "12") == (0, "j\n", "")
     skew = '{"outer":[3],"inner":[2],"labels":[[[3,1],"j"]]}'
     assert run(capsys, "compute", "jdt", skew, "-n", "12") == (0, "j\n", "")
 
@@ -785,7 +834,7 @@ def test_certifications_survive_optimized_mode():
     lines = proc.stdout.splitlines()
     assert lines[0] == "asserts off"
     assert lines[1].startswith("enumerate raised closure found 15 transformations")
-    assert lines[2].startswith("j_order raised one-letter step from")
+    assert lines[2] == "j_order raised a on the right takes 'cba' to '1', 6 -> 0 boxes"
     assert lines[3].startswith("column_pair_reduce raised multiset leftover")
     assert lines[4] == "confluence failed ['(b)(a)']"
     assert lines[-1] == "evac exit 1"

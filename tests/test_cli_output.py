@@ -41,6 +41,9 @@ PINNED = [
     ("compute delta 13/28/457/6 -n 8 --json", 0, "81dcd672f131cec7", ""),
     (f"compute jdt {JDT} -n 2", 0, "0263829989b6fd95", ""),
     (f"compute jdt {JDT} -n 2 --json", 0, "e84a766ded01d671", ""),
+    ("verify graded -n 7 --force", 0, "1934b69bc4deb337", ""),
+    ("enumerate jorder -n 4 --json", 0, "06243006c1aa83a5", ""),
+    ("enumerate jorder -n 3 --dot", 0, "244b69037831b567", ""),
 ]
 
 

@@ -589,31 +589,28 @@ def test_a_flat_step_and_a_thick_cover_fail_their_own_lines(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "steps, fault",
+    "mutate, line",
     [
+        (lambda patch: corrupt_steps_at_n3(patch, ZERO_TIMES_A_IS_THE_IDENTITY), 1),
+        (lambda patch: corrupt_steps_at_n3(patch, A_TIMES_B_IS_A), 2),
         (
-            [ZERO_TIMES_A_IS_THE_IDENTITY],
-            lambda i: f"one-letter step from {i['cba']} to {i['1']} does not add boxes (6 -> 0)",
+            lambda patch: corrupt_steps_at_n3(patch, ZERO_TIMES_A_IS_THE_IDENTITY, A_TIMES_B_IS_A),
+            1,
         ),
-        (
-            [A_TIMES_B_IS_A],
-            lambda i: f"cover {i['ba']} -> {i['a']} changes box count by 2, expected 1",
-        ),
-        (
-            [ZERO_TIMES_A_IS_THE_IDENTITY, A_TIMES_B_IS_A],
-            lambda i: f"one-letter step from {i['cba']} to {i['1']} does not add boxes (6 -> 0)",
-        ),
+        (every_tableau_counts_one_box_more, 2),
     ],
-    ids=["flat", "thick", "flat-first"],
+    ids=["flat", "thick", "flat-first", "co-ranks"],
 )
-def test_j_order_raises_the_walks_first_fault(steps, fault):
-    monoid = enumerate_styl(Alphabet(3))
-    for step in steps:
-        corrupt(monoid, *step)
-    index = {e.render_word(): e.index for e in monoid.elements}
+def test_j_order_raises_the_walks_first_fault(monkeypatch, mutate, line):
+    # j_order raises the counterexample of the first failing order line of
+    # `verify graded`, word for word.
+    mutate(monkeypatch)
+    (result,) = verify.run_suite("graded", 3)
+    failed = [i for i, text in enumerate(result.lines) if text.startswith("FAIL ")]
+    assert failed[0] == line
     with pytest.raises(ValueError) as raised:
-        monoid.j_order()
-    assert str(raised.value) == fault(index)
+        verify.enumerate_styl(Alphabet(3)).j_order()
+    assert result.lines[line].endswith(f" (first counterexample: {raised.value})")
 
 
 def test_j_order_raises_on_co_ranks_that_miss_the_height(monkeypatch):
@@ -915,8 +912,15 @@ def test_one_product_allocates_no_table():
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("fewer", [True, False])
-def test_j_order_rejects_a_step_that_does_not_add_boxes(fewer):
+@pytest.mark.parametrize(
+    "fewer, fault",
+    [
+        (True, "b on the right takes 'a' to '1', 1 -> 0 boxes"),
+        (False, "b on the right takes 'a' to 'b', 1 -> 1 boxes"),
+    ],
+    ids=["True", "False"],
+)
+def test_j_order_rejects_a_step_that_does_not_add_boxes(fewer, fault):
     # Point one right-multiplication edge at the identity (fewer boxes), or
     # at another element with as many boxes.
     monoid = enumerate_styl(Alphabet(3))
@@ -926,8 +930,9 @@ def test_j_order_rejects_a_step_that_does_not_add_boxes(fewer):
         i for i in range(len(monoid)) if i != v and boxes[i] == boxes[v]
     )
     monoid.right_by_letter[2][v] = target
-    with pytest.raises(ValueError, match="does not add boxes"):
+    with pytest.raises(ValueError) as raised:
         monoid.j_order()
+    assert str(raised.value) == fault
 
 
 def test_word_equals_reinserted_row_word():
