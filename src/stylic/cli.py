@@ -183,7 +183,7 @@ def _cmd_enumerate(args) -> int:
     import json
 
     from .core import Alphabet, render_letter
-    from .monoid import ENUMERATION_CEILING, enumerate_styl
+    from .monoid import enumerate_styl
 
     if args.dot and args.what != "jorder":
         raise ValueError(f"--dot draws the jorder diagram, not {args.what}")
@@ -245,7 +245,7 @@ def _cmd_enumerate(args) -> int:
                     if rank:
                         words = " ".join(monoid.elements[i].render_word() for i in rank)
                         print(f"co-rank {corank:2d}: {words}")
-    if args.n == ENUMERATION_CEILING:
+    if args.n > ENUMERATION_DEFAULT_CAP:
         size = len(monoid)
         print(
             f"note: n = {args.n}: {size} elements"

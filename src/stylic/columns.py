@@ -9,7 +9,7 @@ whole word on a column mask in one loop, is the single implementation of
 it; `act_letter`, `act_word` and the moves of the enumerated monoid all
 call it.  The tests cross-check it against the first column of the
 insertion tableau.  The column order extends both the alphabet order on
-singletons and reverse inclusion.
+singletons and reverse inclusion; `leq_masks` decides it on masks.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .core import (
     render_letter,
     support,
 )
-
-EMPTY_COLUMN: LetterSet = frozenset()
 
 
 def act_masks(w: Word, mask: int) -> int:
@@ -57,24 +55,22 @@ def act_word(w: Word, column: LetterSet) -> LetterSet:
     return frozenset(letters_of(mask))
 
 
-def all_columns(alphabet: Alphabet) -> list[LetterSet]:
-    """All 2^n columns, in bitmask order."""
-    return list(alphabet.subsets())
+def leq_masks(c1: int, c2: int) -> bool:
+    """The column order on masks: c1 <= c2 when the two columns can stand
+    side by side in a tableau, with every column below the empty one.
+    Concretely: c2 empty, or both nonempty with |c1| >= |c2| and the i-th
+    smallest letter of c1 at most the i-th smallest of c2."""
+    while c2:
+        if not c1 or c1 & -c1 > c2 & -c2:
+            return False
+        c1 &= c1 - 1
+        c2 &= c2 - 1
+    return True
 
 
 def column_leq(c1: LetterSet, c2: LetterSet) -> bool:
-    """The column order: c1 <= c2 when the two columns can stand side by
-    side in a tableau, with every column below the empty one.
-
-    Concretely: c2 empty, or both nonempty with |c1| >= |c2| and the i-th
-    smallest element of c1 at most the i-th smallest of c2.
-    """
-    if not c2:
-        return True
-    if not c1 or len(c1) < len(c2):
-        return False
-    s1, s2 = sorted(c1), sorted(c2)
-    return all(a <= b for a, b in zip(s1, s2))
+    """The column order on frozenset columns, by `leq_masks`."""
+    return leq_masks(mask_of(c1), mask_of(c2))
 
 
 @dataclass(frozen=True)
@@ -97,26 +93,26 @@ def kernel_interval(w: Word, delta: LetterSet, alphabet: Alphabet) -> KernelInte
     The fibre is scanned over the entire column space and certified to be the
     interval [delta, maximum] of the column order.
     """
-    letters = list(w)
-    if letters != sorted(letters, reverse=True) or len(set(letters)) != len(letters):
+    if any(a <= b for a, b in zip(w, w[1:])):
         raise ValueError("w must be a strictly decreasing word")
     if not support(w) <= delta:
         raise ValueError("delta must be a fixpoint of w (it must contain Supp(w))")
-    members = frozenset(g for g in all_columns(alphabet) if act_word(w, g) == delta)
-    if delta not in members:
+    if not delta <= alphabet.full_set:  # no column over the alphabet is delta
         raise ValueError("fibre does not contain its fixpoint")
-    if not all(column_leq(delta, g) for g in members):
+    target, columns = mask_of(delta), range(1 << alphabet.n)
+    members = [g for g in columns if act_masks(w, g) == target]
+    if target not in members:
+        raise ValueError("fibre does not contain its fixpoint")
+    if not all(leq_masks(target, g) for g in members):
         raise ValueError("fixpoint is not the minimum of its fibre")
-    maximal = [g for g in members if not any(column_leq(g, h) and g != h for h in members)]
+    maximal = [g for g in members if not any(leq_masks(g, h) and g != h for h in members)]
     if len(maximal) != 1:
         raise ValueError(f"fibre has {len(maximal)} maximal elements, expected 1")
     maximum = maximal[0]
-    interval = frozenset(
-        g for g in all_columns(alphabet) if column_leq(delta, g) and column_leq(g, maximum)
-    )
-    if members != interval:
+    if members != [g for g in columns if leq_masks(target, g) and leq_masks(g, maximum)]:
         raise ValueError("fibre is not an interval of the column order")
-    return KernelInterval(minimum=delta, maximum=maximum, members=members)
+    columns_of = frozenset(frozenset(letters_of(g)) for g in members)
+    return KernelInterval(delta, frozenset(letters_of(maximum)), columns_of)
 
 
 def render_column(column: LetterSet) -> str:

@@ -12,6 +12,7 @@ level of composition chains.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -156,6 +157,14 @@ class SkewPartition:
         }
 
 
+def _json_text(value: object) -> str:
+    """A value as JSON text for an error message, or its repr if JSON cannot write it."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _int_tuple(value: object, what: str, length: Optional[int] = None) -> tuple[int, ...]:
     if (
         not isinstance(value, list)
@@ -163,7 +172,7 @@ def _int_tuple(value: object, what: str, length: Optional[int] = None) -> tuple[
         or length is not None and len(value) != length
     ):
         count = "" if length is None else f"{length} "
-        raise ValueError(f"{what} must be a list of {count}integers, got {value!r}")
+        raise ValueError(f"{what} must be a list of {count}integers, got {_json_text(value)}")
     return tuple(value)
 
 
@@ -175,21 +184,21 @@ def skew_from_json(data: object) -> SkewPartition:
     ideal above SKEW_CEILING points, and when outer minus inner does not
     hold one point per label."""
     if not isinstance(data, dict):
-        raise ValueError(f"skew shape must be a JSON object, got {data!r}")
+        raise ValueError(f"skew shape must be a JSON object, got {_json_text(data)}")
     keys = {"outer", "inner", "labels"}
     if not {"outer", "labels"} <= data.keys() <= keys:
         raise ValueError(f"skew shape needs outer and labels, and takes only {sorted(keys)}")
     if not isinstance(data["labels"], list):
-        raise ValueError(f"labels must be a list, got {data['labels']!r}")
+        raise ValueError(f"labels must be a list, got {_json_text(data['labels'])}")
     labels = []
     for item in data["labels"]:
         if not isinstance(item, list) or len(item) != 2:
-            raise ValueError(f"a label must be [[x, y], letter], got {item!r}")
+            raise ValueError(f"a label must be [[x, y], letter], got {_json_text(item)}")
         point, letter = item
         if isinstance(letter, str):
             letter = parse_letter(letter.strip())
         elif type(letter) is not int or letter < 1:
-            raise ValueError(f"label {letter!r} is not a positive integer or a string")
+            raise ValueError(f"label {_json_text(letter)} is not a positive integer or a string")
         labels.append((_int_tuple(point, "a label point", 2), letter))
     outer = _int_tuple(data["outer"], "outer")
     inner = _int_tuple(data.get("inner", []), "inner")

@@ -7,9 +7,9 @@ insertion tableaux.
 
 The column rewriting runs on tuples of column masks (letter x is bit x - 1)
 through a `PairTable`: a check builds one, and it computes the rule for
-each adjacent pair of columns once, from `column_leq` and
-`column_pair_reduce`.  `normalize_column_word` takes frozenset columns and
-converts at the boundary into the same kernel.
+each adjacent pair of columns once, from the mask kernels `leq_masks` and
+`reduce_masks`.  `column_pair_reduce` and `normalize_column_word` take
+frozenset columns and convert at the boundary into the same kernels.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .core import Alphabet, LetterSet, Word, decreasing_word, letters_of, mask_of
-from .columns import act_word, column_leq, render_column
+from .core import Alphabet, LetterSet, Word, _check_least_letter, letters_of, mask_of
+from .columns import act_masks, leq_masks, render_column
 from .tableaux import Tableau
 
 Relation = tuple[Word, Word]
@@ -115,19 +115,23 @@ def congruence_reaches(
 # The column rewriting system.
 
 
+def reduce_masks(c1: int, c2: int) -> tuple[int, int]:
+    """Reduce an adjacent pair of column masks: the first column absorbs
+    what it can (by acting on the second), the multiset leftover forms the
+    new second column, and a letter left over twice is refused.  Fixed
+    point exactly when the pair already sits in a tableau."""
+    reduced = act_masks(letters_of(c1)[::-1], c2)
+    twice = c1 & c2 & ~reduced
+    if twice:
+        x = (twice & -twice).bit_length()
+        raise ValueError(f"multiset leftover holds {x} 2 times, not at most once")
+    return reduced, (c1 ^ c2) & ~reduced | c1 & c2 & reduced
+
+
 def column_pair_reduce(c1: LetterSet, c2: LetterSet) -> tuple[LetterSet, LetterSet]:
-    """Reduce an adjacent column pair: the first column absorbs what it can
-    (by acting on the second), the multiset leftover forms the new second
-    column.  Fixed point exactly when the pair already sits in a tableau."""
-    reduced = act_word(decreasing_word(c1), c2)
-    leftover = set()
-    for x in c1 | c2:
-        count = (x in c1) + (x in c2) - (x in reduced)
-        if not 0 <= count <= 1:
-            raise ValueError(f"multiset leftover holds {x} {count} times, not at most once")
-        if count:
-            leftover.add(x)
-    return reduced, frozenset(leftover)
+    """The rule on frozenset columns, by `reduce_masks`."""
+    _check_least_letter(min(c1 | c2, default=1))
+    return _columns(reduce_masks(mask_of(c1), mask_of(c2)))
 
 
 def check_column_word(word: ColumnWord) -> None:
@@ -141,18 +145,17 @@ class PairTable(dict):
 
     (c1, c2) maps to None when c1 <= c2 in the column order, so that no rule
     applies, and otherwise to the one or two masks that replace the pair.
-    Each entry comes from `column_leq` and `column_pair_reduce` once, so the
+    Each entry comes from `leq_masks` and `reduce_masks` once, so the
     multiset check runs on every reducible pair a check meets.  Callers
     build a table for a check or a suite; there is no module-level table,
     so none outlives the rules it was filled from.
     """
 
     def __missing__(self, pair: tuple[int, int]) -> Optional[tuple[int, ...]]:
-        c1, c2 = (frozenset(letters_of(c)) for c in pair)
         rule = None
-        if not column_leq(c1, c2):
-            reduced, leftover = column_pair_reduce(c1, c2)
-            rule = (mask_of(reduced), mask_of(leftover)) if leftover else (mask_of(reduced),)
+        if not leq_masks(*pair):
+            reduced, leftover = reduce_masks(*pair)
+            rule = (reduced, leftover) if leftover else (reduced,)
         self[pair] = rule
         return rule
 
@@ -208,7 +211,7 @@ def tableau_column_word(tableau: Tableau) -> ColumnWord:
 class ConfluenceReport:
     """The peaks whose two reducts reach different normal forms, the rules
     that do not decrease the termination measure, as column words, and the
-    pairs whose rule `column_pair_reduce` refused, each with its message."""
+    pairs whose rule `reduce_masks` refused, each with its message."""
 
     triples: int
     overlapping: int

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Hashable, Iterable, Optional, Sequence
 
-from .columns import EMPTY_COLUMN, act_word
-from .core import Alphabet, LetterSet, Word, decreasing_word, render_word
+from .columns import act_masks
+from .core import Alphabet, Word, decreasing_word, letters_of, render_word
 from .monoid import StylicMonoid, enumerate_styl
 from .tableaux import Shape, Tableau, longest_strictly_decreasing, p_tableau
 
@@ -44,24 +44,21 @@ def all_words(alphabet: Alphabet, maxlen: int) -> list[Word]:
     return out
 
 
-def column_separating_word(c1: LetterSet, c2: LetterSet, alphabet: Alphabet) -> Word:
-    """A word x whose action sends the two distinct columns to columns of
-    different sizes, built the way the left-congruence classes are told
-    apart: by size, then by largest letter, then by shifting the prefix
-    above the first disagreement."""
+def column_separating_word(c1: int, c2: int) -> Word:
+    """A word x whose action sends the two distinct column masks to
+    columns of different sizes, built the way the left-congruence classes
+    are told apart: by size, then by largest letter, then by shifting the
+    prefix above the first disagreement."""
     if c1 == c2:
         raise ValueError("columns are equal; no separating word exists")
-    if len(c1) != len(c2):
+    if c1.bit_count() != c2.bit_count():
         return ()
-    d1, d2 = decreasing_word(c1), decreasing_word(c2)
-    if d1[0] != d2[0]:
-        return (max(d1[0], d2[0]),)
-    p = next(i for i in range(len(d1)) if d1[i] != d2[i])
-    bigger = max(d1[p], d2[p])
-    w = d1[1:p] + (bigger,)
-    rest = column_separating_word(act_word(w, c1), act_word(w, c2), alphabet)
-    x = rest + w
-    if len(act_word(x, c1)) == len(act_word(x, c2)):
+    # Read downward, the columns first disagree at the larger letter, the
+    # largest letter in one column only; both hold every letter above it.
+    bigger = (c1 ^ c2).bit_length()
+    w = letters_of(c1 >> bigger << bigger)[::-1][1:] + (bigger,)
+    x = column_separating_word(act_masks(w, c1), act_masks(w, c2)) + w
+    if act_masks(x, c1).bit_count() == act_masks(x, c2).bit_count():
         raise ValueError(f"{render_word(x)!r} does not separate the two columns")
     return x
 
@@ -76,19 +73,19 @@ def left_syntactic_check(alphabet: Alphabet, maxlen: int) -> CongruenceReport:
     distinct columns.  This covers every word, so maxlen bounds nothing;
     the callers pass their word-length cap and it is not read.
     """
-    buckets: dict[LetterSet, Word] = {}
+    buckets: dict[int, Word] = {}
     failures: list[str] = []
-    for column in alphabet.subsets():
-        w = decreasing_word(column)
-        if act_word(w, EMPTY_COLUMN) == column:
+    for column in range(1 << alphabet.n):
+        w = decreasing_word(letters_of(column))
+        if act_masks(w, 0) == column:
             buckets[column] = w
         else:
             failures.append(f"{render_word(w)!r} does not reach its own column")
     report = CongruenceReport(classes=len(buckets), pairs_checked=0, failures=failures)
-    for c1, c2 in combinations(sorted(buckets, key=sorted), 2):
+    for c1, c2 in combinations(sorted(buckets, key=letters_of), 2):
         report.pairs_checked += 1
         u, v = buckets[c1], buckets[c2]
-        x = column_separating_word(c1, c2, alphabet)
+        x = column_separating_word(c1, c2)
         if longest_strictly_decreasing(x + u) == longest_strictly_decreasing(x + v):
             report.failures.append(
                 f"context {render_word(x)!r} fails to separate "
@@ -153,16 +150,12 @@ def _separator(u: Word, pu: Tableau, v: Word, pv: Tableau, alphabet: Alphabet) -
         raise ValueError("words have the same insertion tableau")
     if pu.shape() != pv.shape():
         return ()
-    cols_u = [frozenset(c) for c in pu.columns()]
-    cols_v = [frozenset(c) for c in pv.columns()]
-    nc = next(i for i in range(len(cols_u)) if cols_u[i] != cols_v[i])
-    du = decreasing_word(cols_u[nc])
-    dv = decreasing_word(cols_v[nc])
-    p = next(i for i in range(len(du)) if du[i] != dv[i])
-    b = max(du[p], dv[p])
-    y = tuple(x for x in sorted(alphabet.letters, reverse=True) if x >= b)
-    cap = nc + 1 + alphabet.n
-    for m in range(1, cap + 1):
+    pairs = zip(pu._column_masks(), pv._column_masks())
+    nc, differ = next((i, cu ^ cv) for i, (cu, cv) in enumerate(pairs) if cu != cv)
+    # The columns have one size, so, as in `column_separating_word`, the
+    # larger of their first disagreeing letters is the largest in one only.
+    y = tuple(range(alphabet.n, differ.bit_length() - 1, -1))
+    for m in range(1, nc + 2 + alphabet.n):
         x = y * m
         if lambda_shape(x + u) != lambda_shape(x + v):
             return x

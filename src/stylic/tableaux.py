@@ -59,6 +59,14 @@ class Tableau:
             for j in range(width)
         ]
 
+    def _column_masks(self) -> tuple[int, ...]:
+        """The columns, left to right, as letter masks read off the rows."""
+        masks = [0] * len(self.rows[0]) if self.rows else []
+        for row in self.rows:
+            for j, x in enumerate(row):
+                masks[j] |= 1 << (x - 1)
+        return tuple(masks)
+
     def first_column(self) -> LetterSet:
         return frozenset(row[0] for row in self.rows)
 

@@ -64,7 +64,7 @@ from .syntactic import (
     plactic_left_syntactic_check,
     syntactic_monoid_check,
 )
-from .tableaux import Tableau, p_tableau, young_leq
+from .tableaux import p_tableau, young_leq
 
 # The number of random skews on which the evacuation suite compares jeu de
 # taquin strategies.
@@ -754,16 +754,6 @@ def verify_syntactic(monoid: StylicMonoid, maxlen: int = 6) -> SuiteResult:
     return result
 
 
-def _column_masks(tableau: Tableau) -> tuple[int, ...]:
-    """The columns of a tableau, left to right, as letter masks read off
-    its rows."""
-    masks = [0] * len(tableau.rows[0]) if tableau.rows else []
-    for row in tableau.rows:
-        for j, x in enumerate(row):
-            masks[j] |= 1 << (x - 1)
-    return tuple(masks)
-
-
 def normal_form_counterexample(n: int, table: PairTable) -> Optional[str]:
     """The first pair c1 c2 of nonempty column masks over n letters on which
     one of three facts fails, or None: (1) no rule applies to c1 c2 exactly
@@ -780,14 +770,14 @@ def normal_form_counterexample(n: int, table: PairTable) -> Optional[str]:
     tableau is a condition on adjacent columns, so the word is the column
     word of a tableau T, and its reading word, T's column word, inserts to T."""
     columns = range(1, 1 << n)
-    downward = [decreasing_word(c) for c in _columns(range(1 << n))]
+    downward = [letters_of(c)[::-1] for c in range(1 << n)]
 
     def reading(word: tuple[int, ...]) -> Word:
         return sum((downward[c] for c in word), ())
 
     def holds(pair: tuple[int, int]) -> bool:
         tableau = p_tableau(reading(pair))
-        irreducible = pair == _column_masks(tableau)
+        irreducible = pair == tableau._column_masks()
         rule = table[pair]
         if rule is None:
             return irreducible

@@ -9,6 +9,7 @@ from typing import Optional
 
 import pytest
 
+from stylic.columns import act_word
 from stylic.core import decreasing_word, letters_of
 from stylic.evacuation import check_composition, ideal_points, point_covers
 from stylic.monoid import EMPTY_NTABLEAU, NTableau, SetPartition, delta_word
@@ -19,6 +20,32 @@ from stylic.tableaux import Tableau, p_tableau, young_leq
 def act_word_via_tableau(w, column):
     """w.gamma is the first column of P(w r(gamma))."""
     return p_tableau(w + decreasing_word(column)).first_column()
+
+
+def column_leq_sorted(c1, c2):
+    """The column order on frozensets: c2 empty, or both nonempty with
+    |c1| >= |c2| and the i-th smallest letter of c1 at most the i-th
+    smallest of c2, read off the sorted letters."""
+    if not c2:
+        return True
+    if not c1 or len(c1) < len(c2):
+        return False
+    return all(a <= b for a, b in zip(sorted(c1), sorted(c2)))
+
+
+def column_pair_reduce_multiset(c1, c2):
+    """The rule on frozensets: the first column acts on the second, and
+    each letter of c1 + c2 - reduced, counted as a multiset, is left over
+    once; a letter counted twice is refused."""
+    reduced = act_word(decreasing_word(c1), c2)
+    leftover = set()
+    for x in c1 | c2:
+        count = (x in c1) + (x in c2) - (x in reduced)
+        if not 0 <= count <= 1:
+            raise ValueError(f"multiset leftover holds {x} {count} times, not at most once")
+        if count:
+            leftover.add(x)
+    return reduced, frozenset(leftover)
 
 
 def n_tableau_recursive(w):
@@ -300,6 +327,16 @@ def walk_of_downward_moves(skew, strategy):
 @pytest.fixture(scope="session", name="act_word_via_tableau")
 def act_word_via_tableau_oracle():
     return act_word_via_tableau
+
+
+@pytest.fixture(scope="session", name="column_leq_sorted")
+def column_leq_sorted_oracle():
+    return column_leq_sorted
+
+
+@pytest.fixture(scope="session", name="column_pair_reduce_multiset")
+def column_pair_reduce_multiset_oracle():
+    return column_pair_reduce_multiset
 
 
 @pytest.fixture(scope="session", name="n_tableau_recursive")

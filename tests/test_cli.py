@@ -132,6 +132,14 @@ def test_enumerate_n7_reports_size_and_peak_memory(capsys):
     assert lines[0].endswith(" MiB") and "table" not in lines[0]
 
 
+def test_every_n_above_the_default_cap_reports_peak_memory(capsys, monkeypatch):
+    # With the ceiling raised to 8, n = 7 is no longer the ceiling.
+    monkeypatch.setattr("stylic.monoid.ENUMERATION_CEILING", 8)
+    code, out, err = run(capsys, "enumerate", "jorder", "-n", "7", "--force")
+    assert code == 0 and out.startswith("graded order on 4140 elements, height 28")
+    assert err.startswith("note: n = 7: 4140 elements, peak RSS ") and err.count("\n") == 1
+
+
 # Touches 120 MB, frees it, then runs a command and prints its stderr.
 BALLAST_LAUNCHER = """
 import resource, subprocess, sys
@@ -373,6 +381,31 @@ def test_malformed_jdt_json_is_a_usage_error(capsys, text):
     code, out, err = run(capsys, "compute", "jdt", text, "-n", "3")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (
+            '{"outer":[2],"inner":[1],"labels":[[[2,1],null]]}',
+            "error: label null is not a positive integer or a string",
+        ),
+        (
+            '{"outer":[2],"inner":[1],"labels":[[[2,1],true]]}',
+            "error: label true is not a positive integer or a string",
+        ),
+        (
+            '{"outer":[2,null],"inner":[1],"labels":[[[2,1],1]]}',
+            "error: outer must be a list of integers, got [2, null]",
+        ),
+        (
+            '{"outer":[2],"inner":[1],"labels":[[[2,true],1]]}',
+            "error: a label point must be a list of 2 integers, got [2, true]",
+        ),
+    ],
+)
+def test_malformed_jdt_json_is_quoted_as_json(capsys, text, line):
+    assert run(capsys, "compute", "jdt", text, "-n", "3") == (2, "", line + "\n")
 
 
 def test_integer_jdt_labels_are_letters(capsys):
@@ -811,16 +844,16 @@ try:
     print("j_order passed")
 except ValueError as exc:
     print("j_order raised", exc)
-act_word, rewriting.act_word = rewriting.act_word, lambda word, column: frozenset()
+act_masks, rewriting.act_masks = rewriting.act_masks, lambda word, mask: 0
 try:
     rewriting.column_pair_reduce(frozenset({1}), frozenset({1}))
     print("column_pair_reduce passed")
 except ValueError as exc:
     print("column_pair_reduce raised", exc)
-rewriting.act_word = act_word
-b, c, a = frozenset({2}), frozenset({3}), frozenset({1})
-reduce, cycle = rewriting.column_pair_reduce, {(b, a): (c, a), (c, a): (b, a)}
-rewriting.column_pair_reduce = lambda c1, c2: cycle.get((c1, c2)) or reduce(c1, c2)
+rewriting.act_masks = act_masks
+b, c, a = 2, 4, 1
+reduce, cycle = rewriting.reduce_masks, {(b, a): (c, a), (c, a): (b, a)}
+rewriting.reduce_masks = lambda c1, c2: cycle.get((c1, c2)) or reduce(c1, c2)
 report = rewriting.local_confluence_check(Alphabet(3))
 print("confluence", "passed" if report.ok else "failed", report.measure_violations)
 evacuation.evac_via_pyramid = lambda partition, alphabet: partition

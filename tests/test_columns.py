@@ -4,10 +4,8 @@ from itertools import permutations, product
 import pytest
 
 from stylic.columns import (
-    EMPTY_COLUMN,
     act_letter,
     act_word,
-    all_columns,
     column_leq,
     kernel_interval,
     parse_column,
@@ -84,9 +82,9 @@ def split_action_check(w, column, pivot):
 
 
 def test_act_letter_examples():
-    assert act_letter(1, EMPTY_COLUMN) == col("a")
+    assert act_letter(1, frozenset()) == col("a")
     assert act_letter(2, col("a")) == col("ba")
-    for gamma in all_columns(Alphabet(4)):
+    for gamma in Alphabet(4).subsets():
         for x in gamma:
             assert act_letter(x, gamma) == gamma
         for x in Alphabet(4).letters:
@@ -96,13 +94,13 @@ def test_act_letter_examples():
 def test_act_word_examples():
     assert act_word(parse_word("acbd"), col("a")) == col("cba")
     assert act_word((), col("ba")) == col("ba")
-    assert act_word(parse_word("cabd"), EMPTY_COLUMN) == col("ca")
+    assert act_word(parse_word("cabd"), frozenset()) == col("ca")
 
 
 def test_act_word_is_action():
     a3 = Alphabet(3)
     words = list(words_up_to(3, 3))
-    for gamma in all_columns(a3):
+    for gamma in a3.subsets():
         for u in words:
             for v in words:
                 assert act_word(u + v, gamma) == act_word(u, act_word(v, gamma))
@@ -110,7 +108,7 @@ def test_act_word_is_action():
 
 def test_act_word_matches_tableau_insertion(act_word_via_tableau):
     a3 = Alphabet(3)
-    for gamma in all_columns(a3):
+    for gamma in a3.subsets():
         for w in words_up_to(3, 4):
             assert act_word(w, gamma) == act_word_via_tableau(w, gamma)
 
@@ -118,19 +116,19 @@ def test_act_word_matches_tableau_insertion(act_word_via_tableau):
 def test_first_column_of_insertion_tableau():
     for w in words_up_to(3, 6):
         expected = p_tableau(w).first_column() if w else frozenset()
-        assert act_word(w, EMPTY_COLUMN) == expected
+        assert act_word(w, frozenset()) == expected
 
 
 def test_column_leq_examples():
     assert column_leq(col("dba"), col("ba"))
     assert column_leq(col("ba"), col("c"))
-    assert all(column_leq(g, EMPTY_COLUMN) for g in all_columns(Alphabet(4)))
+    assert all(column_leq(g, frozenset()) for g in Alphabet(4).subsets())
     assert not column_leq(col("b"), col("a"))
-    assert not column_leq(EMPTY_COLUMN, col("a"))
+    assert not column_leq(frozenset(), col("a"))
 
 
 def test_column_leq_matches_regressive_injections():
-    columns = all_columns(Alphabet(5))
+    columns = list(Alphabet(5).subsets())
     for c1 in columns:
         for c2 in columns:
             assert column_leq(c1, c2) == column_leq_bruteforce(c1, c2)
@@ -139,11 +137,11 @@ def test_column_leq_matches_regressive_injections():
 def test_gamma_shifts(gamma_minus):
     a4 = Alphabet(4)
     assert gamma_minus(col("cba"), a4) == col("ba")
-    assert gamma_minus(EMPTY_COLUMN, a4) == EMPTY_COLUMN
+    assert gamma_minus(frozenset(), a4) == frozenset()
     assert gamma_plus(col("ba"), a4) == col("cb")
     with pytest.raises(ValueError):
         gamma_plus(col("da"), a4)
-    for gamma in all_columns(Alphabet(3)):
+    for gamma in Alphabet(3).subsets():
         if 3 not in gamma:
             assert gamma_minus(gamma_plus(gamma, Alphabet(3)), Alphabet(3)) == gamma
 
@@ -151,13 +149,13 @@ def test_gamma_shifts(gamma_minus):
 def test_below_above():
     dba = col("dba")
     assert below(dba, 3) == col("ba")
-    assert below(EMPTY_COLUMN, 2) == EMPTY_COLUMN
+    assert below(frozenset(), 2) == frozenset()
     assert above(dba, 2) == col("d")
 
 
 def test_fixpoints():
     a2 = Alphabet(2)
-    assert fixpoints((), a2) == set(all_columns(a2))
+    assert fixpoints((), a2) == set(a2.subsets())
     assert fixpoints(parse_word("ba"), a2) == {col("ba")}
     assert len(fixpoints((2,), Alphabet(3))) == 4
     # against a direct fixed-point scan
@@ -165,13 +163,13 @@ def test_fixpoints():
     rng = random.Random(11)
     for _ in range(25):
         w = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 5)))
-        scan = {g for g in all_columns(a4) if act_word(w, g) == g}
+        scan = {g for g in a4.subsets() if act_word(w, g) == g}
         assert fixpoints(w, a4) == scan
 
 
 def test_monotone_contraction_and_order_preservation():
     a4 = Alphabet(4)
-    columns = all_columns(a4)
+    columns = list(a4.subsets())
     comparable = [
         (g1, g2) for g1 in columns for g2 in columns if column_leq(g1, g2)
     ]
@@ -200,7 +198,7 @@ def test_recursive_action_properties():
 
 def test_insert_preserves_part_below_inserted_letter():
     a4 = Alphabet(4)
-    for gamma in all_columns(a4):
+    for gamma in a4.subsets():
         for x in a4.letters:
             assert below(act_letter(x, gamma), x) == below(gamma, x)
 
@@ -223,10 +221,10 @@ def test_kernel_interval_worked_example():
 def test_kernel_interval_small_cases():
     a1 = Alphabet(1)
     interval = kernel_interval((1,), col("a"), a1)
-    assert set(interval.members) == {EMPTY_COLUMN, col("a")}
+    assert set(interval.members) == {frozenset(), col("a")}
     a3 = Alphabet(3)
     full = kernel_interval((3, 2, 1), col("cba"), a3)
-    assert set(full.members) == set(all_columns(a3))
+    assert set(full.members) == set(a3.subsets())
 
 
 def test_kernel_interval_errors():
@@ -235,6 +233,10 @@ def test_kernel_interval_errors():
         kernel_interval((1, 2), col("ba"), a2)  # not decreasing
     with pytest.raises(ValueError):
         kernel_interval((2,), col("a"), a2)  # not a fixpoint
+    # A delta with a letter outside 1..n is in no fibre over the alphabet.
+    for w, delta in [((3,), {3}), ((3, 1), {3, 1}), ((1,), {0, 1}), ((1, 0), {1, 0})]:
+        with pytest.raises(ValueError, match="^fibre does not contain its fixpoint$"):
+            kernel_interval(w, frozenset(delta), a2)
 
 
 def test_split_action():
@@ -253,8 +255,8 @@ def test_split_action():
 
 
 def test_column_text_round_trip():
-    assert render_column(EMPTY_COLUMN) == "1"
-    assert parse_column("1") == EMPTY_COLUMN
+    assert render_column(frozenset()) == "1"
+    assert parse_column("1") == frozenset()
     assert render_column(col("dba")) == "dba"
     with pytest.raises(ValueError):
         parse_column("abc")  # increasing, not a column

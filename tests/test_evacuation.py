@@ -3,6 +3,7 @@ import hashlib
 import json
 import operator
 import random
+import re
 from collections import Counter
 from itertools import permutations, product, takewhile
 from pathlib import Path
@@ -1040,6 +1041,21 @@ def test_skew_json_bounds_the_shape_before_building_it():
     ):
         with pytest.raises(ValueError, match="points"):
             skew_from_json(data)
+
+
+def test_skew_json_ceiling_is_the_documented_4000_points():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (documented,) = re.findall(r"at most (\d+) points", " ".join(readme.split()))
+    assert int(documented) == evacuation.SKEW_CEILING == 4000
+    row = {"outer": [4000], "inner": [3999], "labels": [[[4000, 1], 1]]}
+    assert skew_from_json(row).outer == (4000,)
+    with pytest.raises(ValueError, match="exceeds the ceiling"):
+        skew_from_json({"outer": [4001], "inner": [4000], "labels": [[[4001, 1], 1]]})
+
+
+def test_skew_json_errors_quote_python_values_json_cannot_write():
+    with pytest.raises(ValueError, match=r"^outer must be a list of integers, got \{1\}$"):
+        skew_from_json({"outer": {1}, "labels": []})
 
 
 def test_skew_json_reads_string_labels_as_one_letter():

@@ -309,7 +309,7 @@ def bac_equal_to_bca_dropped_at_n3(monkeypatch):
 
 
 def separating_words_are_empty(monkeypatch):
-    monkeypatch.setattr(syntactic, "column_separating_word", lambda c1, c2, alphabet: ())
+    monkeypatch.setattr(syntactic, "column_separating_word", lambda c1, c2: ())
 
 
 def no_shape_separator_with_c(monkeypatch):
@@ -943,10 +943,8 @@ def test_word_equals_reinserted_row_word():
 
 
 def test_both_tableaux_share_their_first_column():
-    from stylic.columns import EMPTY_COLUMN
-
     for w in words_up_to(3, 6):
-        first = act_word(w, EMPTY_COLUMN)
+        first = act_word(w, frozenset())
         assert n_tableau(w).first_column() == first
         assert p_tableau(w).first_column() == first
 

@@ -10,7 +10,7 @@ import pytest
 
 from stylic import rewriting, verify
 from stylic.cli import main
-from stylic.columns import all_columns, column_leq, parse_column
+from stylic.columns import column_leq, parse_column
 from stylic.core import Alphabet, parse_word
 from stylic.monoid import enumerate_styl
 from stylic.rewriting import (
@@ -113,7 +113,7 @@ def test_column_pair_reduce_examples():
 
 def test_column_pair_reduce_properties(flatten_column_word):
     a4 = Alphabet(4)
-    nonempty = [c for c in all_columns(a4) if c]
+    nonempty = [c for c in a4.subsets() if c]
     for c1 in nonempty:
         for c2 in nonempty:
             reduced, leftover = column_pair_reduce(c1, c2)
@@ -152,7 +152,7 @@ def test_normal_forms_match_tableau_columns(three_strategy_normal_forms):
 
 def test_rewrite_steps_decrease_the_measure_and_preserve_the_class(flatten_column_word):
     rng = random.Random(5)
-    nonempty = [c for c in all_columns(Alphabet(3)) if c]
+    nonempty = [c for c in Alphabet(3).subsets() if c]
     table = PairTable()
     for _ in range(300):
         columns = tuple(rng.choice(nonempty) for _ in range(rng.randint(1, 4)))
@@ -174,7 +174,7 @@ def test_local_confluence():
 
 
 def test_all_normal_forms_unique(all_normal_forms):
-    nonempty = [c for c in all_columns(Alphabet(3)) if c]
+    nonempty = [c for c in Alphabet(3).subsets() if c]
     rng = random.Random(1)
     for _ in range(100):
         word = tuple(rng.choice(nonempty) for _ in range(rng.randint(1, 4)))
@@ -201,18 +201,17 @@ def exhaustive_confluence(alphabet, all_normal_forms):
     return ok, len(columns) ** 3, overlapping, nonjoinable
 
 
+# The rule fakes below are keyed by column masks: (a) is 1, (b) 2, (ba) 3
+# and (c) 4.
 # (b)(a) -> (c)(a) -> (b)(a): the first rule raises the measure, since (c)
 # comes after (b) in the column order.
-TWO_CYCLE = {
-    (frozenset({2}), frozenset({1})): (frozenset({3}), frozenset({1})),
-    (frozenset({3}), frozenset({1})): (frozenset({2}), frozenset({1})),
-}
+TWO_CYCLE = {(2, 1): (4, 1), (4, 1): (2, 1)}
 
 # Each change of rules, and the least n at which the system stops being
 # confluent (None: it stays confluent).
 RULE_CHANGES = {
     "none": ({}, None),
-    "stray (a)": ({(frozenset({2}), frozenset({1})): (frozenset({1, 2}), frozenset({1}))}, 3),
+    "stray (a)": ({(2, 1): (3, 1)}, 3),
     "two-cycle": (TWO_CYCLE, 2),
 }
 
@@ -220,10 +219,10 @@ RULE_CHANGES = {
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("change", RULE_CHANGES)
 def test_critical_pairs_agree_with_every_rewrite_order(monkeypatch, all_normal_forms, change, n):
-    reduce = rewriting.column_pair_reduce
+    reduce = rewriting.reduce_masks
     rules, fails_from = RULE_CHANGES[change]
     monkeypatch.setattr(
-        rewriting, "column_pair_reduce", lambda c1, c2: rules.get((c1, c2)) or reduce(c1, c2)
+        rewriting, "reduce_masks", lambda c1, c2: rules.get((c1, c2)) or reduce(c1, c2)
     )
     report = local_confluence_check(Alphabet(n))
     ok, triples, overlapping, nonjoinable = exhaustive_confluence(Alphabet(n), all_normal_forms)
@@ -237,9 +236,9 @@ def test_critical_pairs_agree_with_every_rewrite_order(monkeypatch, all_normal_f
 
 
 def test_a_rule_that_does_not_decrease_the_measure_fails_its_line(monkeypatch):
-    reduce = rewriting.column_pair_reduce
+    reduce = rewriting.reduce_masks
     monkeypatch.setattr(
-        rewriting, "column_pair_reduce", lambda c1, c2: TWO_CYCLE.get((c1, c2)) or reduce(c1, c2)
+        rewriting, "reduce_masks", lambda c1, c2: TWO_CYCLE.get((c1, c2)) or reduce(c1, c2)
     )
     result = verify.verify_confluence(3)
     assert result.lines[0] == (
@@ -253,9 +252,9 @@ CYCLING_VERIFY = """
 import sys
 from stylic import rewriting
 from stylic.cli import main
-b, c, a = frozenset({2}), frozenset({3}), frozenset({1})
-reduce, cycle = rewriting.column_pair_reduce, {(b, a): (c, a), (c, a): (b, a)}
-rewriting.column_pair_reduce = lambda c1, c2: cycle.get((c1, c2)) or reduce(c1, c2)
+b, c, a = 2, 4, 1
+reduce, cycle = rewriting.reduce_masks, {(b, a): (c, a), (c, a): (b, a)}
+rewriting.reduce_masks = lambda c1, c2: cycle.get((c1, c2)) or reduce(c1, c2)
 sys.exit(main(["verify", "confluence", "-n", "3"]))
 """
 
@@ -300,7 +299,7 @@ def test_mask_kernel_matches_tableau_columns_on_all_short_column_words(
 ):
     # Every column word of length <= 4 over 3 letters, against P of its
     # flattened word.
-    nonempty = [c for c in all_columns(Alphabet(3)) if c]
+    nonempty = [c for c in Alphabet(3).subsets() if c]
     rng = random.Random(11)
     table = rewriting.PairTable()
     count = 0
@@ -315,29 +314,29 @@ def test_mask_kernel_matches_tableau_columns_on_all_short_column_words(
 
 
 def test_confluence_reduces_each_column_pair_once(monkeypatch):
-    reduce = rewriting.column_pair_reduce
+    reduce = rewriting.reduce_masks
     calls = []
 
     def counted(c1, c2):
         calls.append((c1, c2))
         return reduce(c1, c2)
 
-    monkeypatch.setattr(rewriting, "column_pair_reduce", counted)
+    monkeypatch.setattr(rewriting, "reduce_masks", counted)
     assert verify.verify_confluence(5).ok
     assert calls and len(calls) == len(set(calls))
     assert len(calls) <= 31 * 31  # pairs of nonempty columns at n = 5
 
 
 def test_confluence_fails_on_one_wrong_pair(monkeypatch, capsys):
-    reduce = rewriting.column_pair_reduce
+    reduce = rewriting.reduce_masks
 
     def wrong(c1, c2):
         # (b)(a) should become (ba); keep a stray (a) behind instead.
-        if (c1, c2) == (col("b"), col("a")):
-            return col("ba"), col("a")
+        if (c1, c2) == (2, 1):
+            return 3, 1
         return reduce(c1, c2)
 
-    monkeypatch.setattr(rewriting, "column_pair_reduce", wrong)
+    monkeypatch.setattr(rewriting, "reduce_masks", wrong)
     result = verify.verify_confluence(3)
     assert not result.ok
     assert result.lines[0].startswith("FAIL n=3: ")
@@ -350,18 +349,18 @@ def test_confluence_fails_on_one_wrong_pair(monkeypatch, capsys):
 # Changes of rules, each breaking one or two of the certificate's three
 # facts: the kernel changed, its changed values, and the pair the
 # certificate names.
-B, A = col("b"), col("a")
+B, A = 2, 1
 CERTIFICATE_BREAKS = {
     # (b)(a) is no tableau, yet no rule applies to it (fact 1 alone).
-    "irreducible non-tableau": ("column_leq", {(B, A): True}, "(b)(a)"),
+    "irreducible non-tableau": ("leq_masks", {(B, A): True}, "(b)(a)"),
     # (a)(b) is a tableau, yet it rewrites to itself (facts 1 and 3).
-    "reducible tableau": ("column_leq", {(A, col("b")): False}, "(a)(b)"),
+    "reducible tableau": ("leq_masks", {(A, B): False}, "(a)(b)"),
     # A stray (a) stays behind, so P changes (fact 2 alone).
-    "wrong": ("column_pair_reduce", {(B, A): (col("ba"), A)}, "(b)(a)"),
+    "wrong": ("reduce_masks", {(B, A): (3, A)}, "(b)(a)"),
     # The rule keeps (b)(a) as it is, so the measure stays (fact 3 alone).
-    "loop": ("column_pair_reduce", {(B, A): (B, A)}, "(b)(a)"),
+    "loop": ("reduce_masks", {(B, A): (B, A)}, "(b)(a)"),
     # Facts 2 and 3 both fail at (b)(a).
-    "two-cycle": ("column_pair_reduce", TWO_CYCLE, "(b)(a)"),
+    "two-cycle": ("reduce_masks", TWO_CYCLE, "(b)(a)"),
 }
 
 
@@ -388,14 +387,14 @@ def test_each_broken_fact_fails_the_normal_form_line_and_names_the_pair(monkeypa
 
 def test_a_reduction_refused_above_the_scan_fails_the_normal_form_line(monkeypatch, capsys):
     # The scan stops at n = 4; the certificate reads every pair at n = 5.
-    reduce = rewriting.column_pair_reduce
+    reduce = rewriting.reduce_masks
 
     def refusing(c1, c2):
-        if 5 in c1 | c2:
+        if (c1 | c2) & 1 << 4:  # the letter e
             raise ValueError("broken reduce")
         return reduce(c1, c2)
 
-    monkeypatch.setattr(rewriting, "column_pair_reduce", refusing)
+    monkeypatch.setattr(rewriting, "reduce_masks", refusing)
     result = verify.verify_confluence(5)
     assert result.lines[0].startswith("PASS n=4: ")
     assert result.lines[1].startswith("FAIL n=5: ")
@@ -408,14 +407,14 @@ def test_a_reduction_refused_above_the_scan_fails_the_normal_form_line(monkeypat
 def test_a_reduction_refused_inside_the_scan_fails_both_lines(monkeypatch, capsys):
     # At n <= 4 the scan meets the refused pair first, and names it as the
     # certificate does.
-    reduce = rewriting.column_pair_reduce
+    reduce = rewriting.reduce_masks
 
     def refusing(c1, c2):
-        if 3 in c1 | c2:
+        if (c1 | c2) & 1 << 2:  # the letter c
             raise ValueError("broken reduce")
         return reduce(c1, c2)
 
-    monkeypatch.setattr(rewriting, "column_pair_reduce", refusing)
+    monkeypatch.setattr(rewriting, "reduce_masks", refusing)
     report = local_confluence_check(Alphabet(3))
     assert not report.ok and report.refused[0] == "(a)(ca): broken reduce"
     result = verify.verify_confluence(3)
@@ -435,7 +434,7 @@ def test_the_pair_certificate_agrees_with_the_word_loop(
     # The word loop normalizes every word of length <= 6 three ways, as
     # `verify confluence` did before it certified pairs.
     changed = {} if change == "rules" else CERTIFICATE_BREAKS[change][1]
-    change_rules(monkeypatch, "column_pair_reduce", changed)
+    change_rules(monkeypatch, "reduce_masks", changed)
     certified = verify.normal_form_counterexample(n, PairTable()) is None
     rng, table = random.Random(7), PairTable()
     looped = all(

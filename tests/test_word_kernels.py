@@ -1,15 +1,27 @@
-"""The one-loop word kernels: each against the oracle it replaced and the
-slow oracles, exhaustively on short words and small partitions; a guard
-that every public caller goes through its one kernel; and the message a
-letter below 1 gets at each kernel's boundary."""
+"""The one-loop word kernels and the column mask kernels: each against the
+oracle it replaced and the slow oracles, exhaustively on short words,
+small partitions and every pair of small columns; a guard that every
+public caller goes through its one kernel, and that the suites' column
+paths never leave the masks; and the message a letter below 1 gets at
+each kernel's boundary."""
 
+import sys
 from itertools import product
 
 import pytest
 
-from stylic import columns, evacuation, monoid, tableaux
-from stylic.columns import act_letter, act_masks, act_word
-from stylic.core import Alphabet, letters_of, mask_of
+from stylic import columns, evacuation, monoid, rewriting, tableaux
+from stylic.cli import main
+from stylic.columns import (
+    act_letter,
+    act_masks,
+    act_word,
+    column_leq,
+    kernel_interval,
+    leq_masks,
+    parse_column,
+)
+from stylic.core import Alphabet, letters_of, mask_of, parse_word
 from stylic.evacuation import delta_direct, evac
 from stylic.monoid import (
     EMPTY_NTABLEAU,
@@ -23,6 +35,7 @@ from stylic.monoid import (
     pi,
     to_partition,
 )
+from stylic.rewriting import PairTable, column_pair_reduce, reduce_masks
 from stylic.tableaux import p_tableau
 
 LETTERS = 4
@@ -73,6 +86,59 @@ def test_the_delta_step_matches_the_copying_delta_on_every_small_partition(
             assert blocks == delta_by_copy(r.masks(), e)
             assert delta_direct(r) == SetPartition._from_masks(blocks)
         assert evac(r, Alphabet(n)) == evac_by_delta_copies(r, Alphabet(n))
+
+
+# The column actions the pair rule is compared under: the kernel, and two
+# that drop letters, so that some pairs are refused.
+ACTIONS = {
+    "kernel": act_masks,
+    "keeps nothing": lambda w, mask: 0,
+    "drops a": lambda w, mask: act_masks(w, mask) & ~1,
+}
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+def test_the_column_order_and_rule_match_the_oracles_on_every_pair(
+    monkeypatch, column_leq_sorted, column_pair_reduce_multiset, action
+):
+    # Every pair of columns over 6 letters, empty columns included.
+    monkeypatch.setattr(columns, "act_masks", ACTIONS[action])
+    monkeypatch.setattr(rewriting, "act_masks", ACTIONS[action])
+    refused = 0
+    for c1, c2 in product(range(1 << 6), repeat=2):
+        f1, f2 = frozenset(letters_of(c1)), frozenset(letters_of(c2))
+        assert leq_masks(c1, c2) == column_leq_sorted(f1, f2) == column_leq(f1, f2)
+        expected = outcome(lambda: tuple(map(mask_of, column_pair_reduce_multiset(f1, f2))))
+        assert outcome(reduce_masks, c1, c2) == expected
+        refused += isinstance(expected, str)
+    assert (refused > 0) == (action != "kernel")
+
+
+def test_the_pair_table_matches_the_oracles(column_leq_sorted, column_pair_reduce_multiset):
+    table = PairTable()
+    for c1, c2 in product(range(1 << 5), repeat=2):
+        f1, f2 = frozenset(letters_of(c1)), frozenset(letters_of(c2))
+        rule = None
+        if not column_leq_sorted(f1, f2):
+            reduced, leftover = map(mask_of, column_pair_reduce_multiset(f1, f2))
+            rule = (reduced, leftover) if leftover else (reduced,)
+        assert table[c1, c2] == rule
+
+
+def test_the_column_paths_of_the_suites_build_no_frozenset(monkeypatch, capsys):
+    # The frozenset forms raise wherever a module holds them.
+    def refuse(*args):
+        raise AssertionError("a frozenset form was called")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "stylic"]:
+        for name in ("act_word", "column_leq", "column_pair_reduce"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refuse)
+    assert main(["verify", "confluence", "-n", "4"]) == 0
+    assert main(["verify", "syntactic", "-n", "4"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    interval = kernel_interval(parse_word("fba"), parse_column("feba"), Alphabet(7))
+    assert (interval.size, interval.maximum) == (18, parse_column("edc"))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +250,7 @@ BELOW_ONE = [(0,), (2, 0, 1), (3, -1), (1, 1, -2, 0)]
         lambda w: act_word((w[-1],), frozenset(w)),
         lambda w: act_letter(w[-1], frozenset(w)),
         lambda w: n_insert(EMPTY_NTABLEAU, min(w)),
+        lambda w: column_pair_reduce(frozenset(w), frozenset({1})),
     ],
     ids=[
         "p_tableau",
@@ -194,6 +261,7 @@ BELOW_ONE = [(0,), (2, 0, 1), (3, -1), (1, 1, -2, 0)]
         "act_word_column",
         "act_letter",
         "n_insert",
+        "column_pair_reduce",
     ],
 )
 @pytest.mark.parametrize("w", BELOW_ONE)
